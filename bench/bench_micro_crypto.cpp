@@ -76,45 +76,23 @@ void BM_BigIntModPow512(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntModPow512);
 
-void BM_FpMulMontgomery(benchmark::State& state) {
+void BM_FpMul(benchmark::State& state) {
   const auto& params = ec::preset_params(ec::ParamPreset::kFull);
   crypto::Drbg rng("bm-fpmul");
-  const auto a = field::Fp::random(params.fp, rng).value();
-  const auto b = field::Fp::random(params.fp, rng).value();
+  const auto a = field::Fp::random(params.fp, rng);
+  const auto b = field::Fp::random(params.fp, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(params.fp->mul_mod(a, b));
+    benchmark::DoNotOptimize(a * b);
   }
 }
-BENCHMARK(BM_FpMulMontgomery);
-
-void BM_FpMulBarrett(benchmark::State& state) {
-  const auto& params = ec::preset_params(ec::ParamPreset::kFull);
-  crypto::Drbg rng("bm-fpmul");
-  const auto a = field::Fp::random(params.fp, rng).value();
-  const auto b = field::Fp::random(params.fp, rng).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(params.fp->mul_mod_barrett(a, b));
-  }
-}
-BENCHMARK(BM_FpMulBarrett);
-
-void BM_FpPowBarrett(benchmark::State& state) {
-  const auto& params = ec::preset_params(ec::ParamPreset::kFull);
-  crypto::Drbg rng("bm-modpow");
-  const auto base = crypto::BigInt::from_bytes(rng.bytes(60)).mod(params.fp->p());
-  const auto exp = crypto::BigInt::from_bytes(rng.bytes(20));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(params.fp->pow_mod_barrett(base, exp));
-  }
-}
-BENCHMARK(BM_FpPowBarrett);
+BENCHMARK(BM_FpMul);
 
 void BM_FpInv(benchmark::State& state) {
   const auto& params = ec::preset_params(ec::ParamPreset::kFull);
   crypto::Drbg rng("bm-fpinv");
-  const auto a = field::Fp::random_nonzero(params.fp, rng).value();
+  const auto a = field::Fp::random_nonzero(params.fp, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(params.fp->inv_mod(a));
+    benchmark::DoNotOptimize(a.inv());
   }
 }
 BENCHMARK(BM_FpInv);

@@ -156,13 +156,14 @@ PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& at
   const BigInt r = rand_scalar(rng);
   PrivateKey sk;
   // D = g^((α+r)/β): g^α is in MK, so compute (g^α · g^r)^(1/β).
+  const ec::Point g_r = curve_->mul(g, r);
   const BigInt beta_inv = BigInt::mod_inv(mk.beta, curve_->order());
-  sk.d = curve_->mul(curve_->add(mk.g_alpha, curve_->mul(g, r)), beta_inv);
+  sk.d = curve_->mul(curve_->add(mk.g_alpha, g_r), beta_inv);
   for (const std::string& attr : attributes) {
     if (sk.attrs.count(attr) != 0) continue;  // dedupe
     const BigInt rj = rand_scalar(rng);
     PrivateKey::AttrKey ak;
-    ak.dj = curve_->add(curve_->mul(g, r), curve_->mul(hash_attr(attr), rj));
+    ak.dj = curve_->add(g_r, curve_->mul(hash_attr(attr), rj));
     ak.dj_prime = curve_->mul(g, rj);
     sk.attrs.emplace(attr, std::move(ak));
   }

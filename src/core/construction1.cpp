@@ -13,12 +13,12 @@ using crypto::BigInt;
 using crypto::Drbg;
 
 Construction1::Construction1(field::FpCtxPtr field, const ec::Curve& sig_curve)
-    : field_(std::move(field)),
+    : field_(field),
       shamir_(field_),
       schnorr_(sig_curve, sig_curve.hash_to_group(crypto::to_bytes("sp-schnorr-g"))) {}
 
 crypto::SecretBytes Construction1::derive_object_key(const BigInt& m_o,
-                                                     const field::FpCtxPtr& field) {
+                                                     field::FpCtxPtr field) {
   // K_O = H(M_O) (paper); fixed-width encoding so leading zeros don't alias.
   Bytes m_bytes = m_o.to_bytes(field->byte_length());
   crypto::SecretBytes k_o{crypto::Sha256::hash(m_bytes)};

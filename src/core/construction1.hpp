@@ -108,13 +108,13 @@ class Construction1 {
                                             const VerifyReply& reply, const Knowledge& knowledge,
                                             std::span<const std::uint8_t> encrypted_object) const;
 
-  [[nodiscard]] const field::FpCtxPtr& field() const { return field_; }
+  [[nodiscard]] field::FpCtxPtr field() const { return field_; }
 
  private:
   /// K_O = H(M_O). Wipes the fixed-width encoding of M_O it hashes; the
   /// caller owns wiping m_o itself (BigInt::wipe) once done with it.
   [[nodiscard]] static crypto::SecretBytes derive_object_key(const crypto::BigInt& m_o,
-                                                             const field::FpCtxPtr& field);
+                                                             field::FpCtxPtr field);
 
   field::FpCtxPtr field_;
   sss::Shamir shamir_;

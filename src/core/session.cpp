@@ -868,11 +868,11 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   }
 
   // -- receiver local: Reconstruct + KeyGen + Decrypt --------------------
-  // Memoized per (post, epoch): a successful access proved (via the GCM
-  // tag) which DEM key seals this epoch's envelope, so hot posts skip the
-  // pairing-heavy phases AND the PK/MK downloads. The lookup happens only
-  // after Verify granted and the ciphertext arrived: a hit can never widen
-  // access, only cut the cost of access already granted.
+  // Memoized per (post, epoch): a successful access proved (via the
+  // envelope's HMAC-SHA256 tag) which DEM key seals this epoch's envelope,
+  // so hot posts skip the pairing-heavy phases AND the PK/MK downloads. The
+  // lookup happens only after Verify granted and the ciphertext arrived: a
+  // hit can never widen access, only cut the cost of access already granted.
   const std::string dem_entry_id =
       cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kC2Dem) : std::string();
   if (cache_) {

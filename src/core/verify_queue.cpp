@@ -65,8 +65,7 @@ void VerifyQueue::Batch::add(Job job) {
     const sp::MutexLock lock(state_->mutex);
     ++state_->outstanding;
   }
-  ++added_;
-  Task task{std::move(job), state_, obs::Tracer::current(), 0, 0};
+  Task task{std::move(job), state_, added_++, obs::Tracer::current(), 0, 0};
   if (task.ctx.sampled()) {
     // Reserve the job's span id now so wait()'s span (and any cross-request
     // viewer) can link to it before the job has even started running.
@@ -171,7 +170,12 @@ bool VerifyQueue::run_one() {
     }
   }
   const sp::MutexLock lock(task.state->mutex);
-  if (error && !task.state->first_error) task.state->first_error = error;
+  // Keep the earliest-ADDED failure, not the first to finish: which job
+  // finishes first depends on scheduling, add order does not.
+  if (error && (!task.state->first_error || task.index < task.state->first_error_index)) {
+    task.state->first_error = error;
+    task.state->first_error_index = task.index;
+  }
   if (--task.state->outstanding == 0) task.state->done.notify_all();
   return true;
 }

@@ -14,8 +14,9 @@
 //     interleave in one queue, and sp_verify_batch_size records how much
 //     work each request contributed per drain;
 //   * failure isolation: a job that throws (fault injection, corrupted
-//     input) fails only its OWN batch — Batch::wait() rethrows the batch's
-//     first error; unrelated requests sharing the queue are untouched.
+//     input) fails only its OWN batch — Batch::wait() rethrows the error of
+//     the batch's earliest-added failing job, whatever order the jobs
+//     finished in; unrelated requests sharing the queue are untouched.
 //
 // Execution model: VerifyQueue owns the task deque; the embedded ThreadPool
 // receives one drain token per job, so every job is eventually run by a
@@ -63,7 +64,9 @@ class VerifyQueue {
     sp::Mutex mutex;
     sp::CondVar done;
     std::size_t outstanding SP_GUARDED_BY(mutex) = 0;
+    /// Error of the earliest-added failing job, and that job's add index.
     std::exception_ptr first_error SP_GUARDED_BY(mutex);
+    std::size_t first_error_index SP_GUARDED_BY(mutex) = 0;
   };
 
   /// One request's slice of the queue: add jobs, then wait. Move-only.
@@ -81,8 +84,8 @@ class VerifyQueue {
     void add(Job job);
 
     /// Help-drains the shared queue, then blocks until every job of THIS
-    /// batch finished; rethrows the batch's first job exception. Records
-    /// sp_verify_batch_size and the verify.wait phase span.
+    /// batch finished; rethrows the exception of the earliest-added job that
+    /// threw. Records sp_verify_batch_size and the verify.wait phase span.
     void wait();
 
     /// Jobs added so far.
@@ -126,6 +129,7 @@ class VerifyQueue {
   struct Task {
     Job job;
     std::shared_ptr<BatchState> state;
+    std::size_t index = 0;           ///< add order within the batch
     obs::TraceContext ctx;           ///< origin request's context at add()
     std::uint64_t reserved_id = 0;   ///< pre-reserved verify.job span id
     std::uint64_t enqueue_ns = 0;    ///< queue-entry time (sampled tasks)

@@ -384,7 +384,11 @@ BigInt BigInt::from_hex(std::string_view s) {
 
 BigInt BigInt::from_bytes(std::span<const std::uint8_t> be) {
   BigInt r;
-  for (std::uint8_t b : be) r = (r << 8) + BigInt{b};
+  r.limbs_.assign((be.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    r.limbs_[i / 8] |= static_cast<u64>(be[be.size() - 1 - i]) << (8 * (i % 8));
+  }
+  r.trim();
   return r;
 }
 
@@ -515,9 +519,8 @@ MontCtx::MontCtx(const BigInt& modulus) {
   for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
   m0inv_ = ~x + 1;
   one_ = (BigInt{1} << (64 * n_)).mod(m_);
-  r2_ = (BigInt{1} << (128 * n_)).mod(m_);
   r2limbs_.assign(n_, 0);
-  load(r2_, r2limbs_.data());
+  load((BigInt{1} << (128 * n_)).mod(m_), r2limbs_.data());
 }
 
 void MontCtx::load(const BigInt& x, u64* out) const {
@@ -587,54 +590,11 @@ void MontCtx::cios(const u64* a, const u64* b, u64* out) const {
   }
 }
 
-BigInt MontCtx::to_mont(const BigInt& x) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
-  u64 xa[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(r, xa);
-  cios(xa, r2limbs_.data(), res);
-  return store(res);
-}
-
-BigInt MontCtx::from_mont(const BigInt& x) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
-  u64 xa[kMaxLimbs];
-  u64 oneraw[kMaxLimbs] = {1};
-  u64 res[kMaxLimbs];
-  load(r, xa);
-  cios(xa, oneraw, res);
-  return store(res);
-}
-
-BigInt MontCtx::mont_mul(const BigInt& a, const BigInt& b) const {
-  const BigInt ra = (a.negative_ || cmp_arg_ge(a)) ? a.mod(m_) : a;
-  const BigInt rb = (b.negative_ || cmp_arg_ge(b)) ? b.mod(m_) : b;
-  u64 aa[kMaxLimbs];
-  u64 ba[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(ra, aa);
-  load(rb, ba);
-  cios(aa, ba, res);
-  return store(res);
-}
-
-BigInt MontCtx::mul(const BigInt& a, const BigInt& b) const {
-  const BigInt ra = (a.negative_ || cmp_arg_ge(a)) ? a.mod(m_) : a;
-  const BigInt rb = (b.negative_ || cmp_arg_ge(b)) ? b.mod(m_) : b;
-  u64 aa[kMaxLimbs];
-  u64 ba[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(ra, aa);
-  load(rb, ba);
-  cios(aa, ba, res);                     // a * b * R^{-1}
-  cios(res, r2limbs_.data(), res);       // * R^2 * R^{-1} = a * b mod m
-  return store(res);
-}
-
 // Fixed-window (w = 4) left-to-right exponentiation over raw limb arrays.
 // 16-entry table, 4 squarings + at most one table multiply per nibble; 64 is
 // a multiple of 4, so nibbles never straddle limb boundaries.
 void MontCtx::pow_raw(const u64* base_mont, const BigInt& exp, u64* out) const {
+  if (exp.is_negative()) throw std::domain_error("MontCtx::pow_raw: negative exponent");
   u64 table[16][kMaxLimbs];
   load(one_, table[0]);
   std::copy(base_mont, base_mont + n_, table[1]);
@@ -664,31 +624,16 @@ void MontCtx::pow_raw(const u64* base_mont, const BigInt& exp, u64* out) const {
   std::copy(acc, acc + n_, out);
 }
 
-BigInt MontCtx::pow_mont(const BigInt& base_mont, const BigInt& exp) const {
-  if (exp.is_negative()) throw std::domain_error("MontCtx::pow_mont: negative exponent");
-  const BigInt rb = (base_mont.negative_ || cmp_arg_ge(base_mont)) ? base_mont.mod(m_) : base_mont;
-  u64 ba[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(rb, ba);
-  pow_raw(ba, exp, res);
-  return store(res);
-}
-
 BigInt MontCtx::pow(const BigInt& base, const BigInt& exp) const {
-  if (exp.is_negative()) throw std::domain_error("MontCtx::pow: negative exponent");
-  const BigInt rb = (base.negative_ || cmp_arg_ge(base)) ? base.mod(m_) : base;
   u64 ba[kMaxLimbs];
   u64 res[kMaxLimbs];
-  u64 oneraw[kMaxLimbs] = {1};
-  load(rb, ba);
-  cios(ba, r2limbs_.data(), ba);  // into Montgomery domain
+  to_mont_raw(base, ba);
   pow_raw(ba, exp, res);
-  cios(res, oneraw, res);         // back to canonical
-  return store(res);
+  return from_mont_raw(res);
 }
 
 void MontCtx::to_mont_raw(const BigInt& x, u64* out) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
+  const BigInt r = (x.negative_ || BigInt::cmp_mag(x, m_) >= 0) ? x.mod(m_) : x;
   u64 xa[kMaxLimbs];
   load(r, xa);
   cios(xa, r2limbs_.data(), out);
@@ -703,61 +648,96 @@ BigInt MontCtx::from_mont_raw(const u64* x) const {
 
 void MontCtx::mul_raw(const u64* a, const u64* b, u64* out) const { cios(a, b, out); }
 
-void MontCtx::add_raw(const u64* a, const u64* b, u64* out) const {
-  const std::size_t n = n_;
-  const u64* m = mlimbs_.data();
-  u64 t[kMaxLimbs];
+namespace {
+
+// n-limb little-endian helpers for the binary inversion.
+bool limbs_equal_word(const u64* x, std::size_t n, u64 w) {
+  if (x[0] != w) return false;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (x[i] != 0) return false;
+  }
+  return true;
+}
+
+/// a >= b.
+bool limbs_ge(const u64* a, const u64* b, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] > b[i];
+  }
+  return true;
+}
+
+/// a += b; returns the carry out.
+u64 limbs_add(u64* a, const u64* b, std::size_t n) {
   u64 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
-    t[i] = static_cast<u64>(s);
+    a[i] = static_cast<u64>(s);
     carry = static_cast<u64>(s >> 64);
   }
-  // Inputs < m, so a + b < 2m: at most one subtraction canonicalizes.
-  bool ge = carry != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const u128 need = static_cast<u128>(m[i]) + borrow;
-      out[i] = static_cast<u64>(static_cast<u128>(t[i]) - need);
-      borrow = static_cast<u128>(t[i]) < need ? 1 : 0;
-    }
-  } else {
-    std::copy(t, t + n, out);
-  }
+  return carry;
 }
 
-void MontCtx::sub_raw(const u64* a, const u64* b, u64* out) const {
-  const std::size_t n = n_;
-  const u64* m = mlimbs_.data();
+/// a -= b; returns the borrow out.
+u64 limbs_sub(u64* a, const u64* b, std::size_t n) {
   u64 borrow = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const u64 ai = a[i];  // out may alias a: read before the write below
     const u128 need = static_cast<u128>(b[i]) + borrow;
-    out[i] = static_cast<u64>(static_cast<u128>(ai) - need);
-    borrow = static_cast<u128>(ai) < need ? 1 : 0;
+    borrow = static_cast<u128>(a[i]) < need ? 1 : 0;
+    a[i] = static_cast<u64>(static_cast<u128>(a[i]) - need);
   }
-  if (borrow) {
-    u64 carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const u128 s = static_cast<u128>(out[i]) + m[i] + carry;
-      out[i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-  }
+  return borrow;
 }
 
-bool MontCtx::cmp_arg_ge(const BigInt& x) const {
-  return BigInt::cmp_mag(x, m_) >= 0;
+/// a = (top·2^(64n) + a) >> 1 for a one-bit `top`.
+void limbs_shr1(u64* a, std::size_t n, u64 top) {
+  for (std::size_t i = 0; i + 1 < n; ++i) a[i] = (a[i] >> 1) | (a[i + 1] << 63);
+  a[n - 1] = (a[n - 1] >> 1) | (top << 63);
+}
+
+}  // namespace
+
+// Binary extended Euclid for odd m (Hankerson–Menezes–Vanstone, Guide to
+// ECC, Alg. 2.22) on the raw residue a' = a·R: invariants x1·a' ≡ u and
+// x2·a' ≡ v (mod m), halving x mod m as x/2 or (x + m)/2. Shifts, adds and
+// subtractions only — no division, no heap.
+void MontCtx::inv_raw(const u64* a, u64* out) const {
+  const std::size_t n = n_;
+  const u64* m = mlimbs_.data();
+  u64 u[kMaxLimbs];
+  u64 v[kMaxLimbs];
+  u64 x1[kMaxLimbs] = {1};
+  u64 x2[kMaxLimbs] = {0};
+  std::copy(a, a + n, u);
+  std::copy(m, m + n, v);
+  const auto halve = [&](u64* x) {
+    const u64 carry = (x[0] & 1) != 0 ? limbs_add(x, m, n) : 0;
+    limbs_shr1(x, n, carry);
+  };
+  if (limbs_equal_word(u, n, 0)) throw std::domain_error("MontCtx::inv_raw: not invertible");
+  while (!limbs_equal_word(u, n, 1) && !limbs_equal_word(v, n, 1)) {
+    while ((u[0] & 1) == 0) {
+      limbs_shr1(u, n, 0);
+      halve(x1);
+    }
+    while ((v[0] & 1) == 0) {
+      limbs_shr1(v, n, 0);
+      halve(x2);
+    }
+    if (limbs_ge(u, v, n)) {
+      limbs_sub(u, v, n);
+      if (limbs_sub(x1, x2, n) != 0) limbs_add(x1, m, n);
+      // u == v > 1 means gcd(a', m) > 1; u would stay 0 forever.
+      if (limbs_equal_word(u, n, 0)) throw std::domain_error("MontCtx::inv_raw: not invertible");
+    } else {
+      limbs_sub(v, u, n);
+      if (limbs_sub(x2, x1, n) != 0) limbs_add(x2, m, n);
+    }
+  }
+  // x = (a·R)^{-1}; two passes by R² give x·R² = a^{-1}·R.
+  const u64* x = limbs_equal_word(u, n, 1) ? x1 : x2;
+  cios(x, r2limbs_.data(), out);
+  cios(out, r2limbs_.data(), out);
 }
 
 }  // namespace sp::crypto

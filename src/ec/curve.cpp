@@ -18,8 +18,6 @@ Curve::Curve(CurveParams params) : params_(std::move(params)) {
   if ((params_.h * params_.q) != params_.fp->p() + BigInt{1}) {
     throw std::invalid_argument("Curve: h * q must equal p + 1");
   }
-  consts_ = Consts{Fp::one(params_.fp), Fp(params_.fp, BigInt{2}), Fp(params_.fp, BigInt{3}),
-                   Fp(params_.fp, BigInt{4}), Fp(params_.fp, BigInt{8})};
 }
 
 Fp Curve::rhs(const Fp& x) const { return x * x * x + x; }
@@ -38,8 +36,9 @@ Point Curve::dbl(const Point& a) const {
   if (a.is_infinity()) return a;
   if (a.y().is_zero()) return Point{};  // order-2 point doubles to infinity
   // λ = (3x² + 1) / 2y   (curve coefficient a = 1, b = 0)
-  const Fp lambda = (consts_.three * a.x() * a.x() + consts_.one) * (consts_.two * a.y()).inv();
-  const Fp x3 = lambda * lambda - consts_.two * a.x();
+  const Fp xx = a.x() * a.x();
+  const Fp lambda = (xx + xx + xx + Fp::one(params_.fp)) * (a.y() + a.y()).inv();
+  const Fp x3 = lambda * lambda - a.x() - a.x();
   const Fp y3 = lambda * (a.x() - x3) - a.y();
   return Point(x3, y3);
 }
@@ -61,17 +60,16 @@ namespace {
 
 // Jacobian coordinates (X, Y, Z) with x = X/Z², y = Y/Z³ make scalar
 // multiplication division-free: affine add/dbl each cost a field inversion,
-// Jacobian ~10 multiplications. One inversion at the end.
+// Jacobian ~10 multiplications. One inversion at the end. Small constant
+// factors are additions, a fraction of a multiplication's cost.
 struct Jac {
   Fp x, y, z;
   bool inf = true;
 };
 
-using Consts = Curve::Consts;
-
-Jac to_jac(const Point& p, const Consts& c) {
+Jac to_jac(const Point& p) {
   if (p.is_infinity()) return Jac{};
-  return Jac{p.x(), p.y(), c.one, false};
+  return Jac{p.x(), p.y(), Fp::one(p.x().ctx()), false};
 }
 
 Jac jac_neg(Jac p) {
@@ -79,30 +77,35 @@ Jac jac_neg(Jac p) {
   return p;
 }
 
-// Doubling on y² = x³ + a·x with a = 1: M = 3X² + Z⁴.
-Jac jac_dbl(const Jac& p, const Consts& c) {
+// Doubling on y² = x³ + a·x with a = 1: M = 3X² + Z⁴, S = 4XY².
+Jac jac_dbl(const Jac& p) {
   if (p.inf || p.y.is_zero()) return Jac{};
   const Fp y2 = p.y * p.y;
-  const Fp s = c.four * p.x * y2;
+  const Fp xy2 = p.x * y2;
+  const Fp s = (xy2 + xy2) + (xy2 + xy2);
+  const Fp xx = p.x * p.x;
   const Fp z2 = p.z * p.z;
-  const Fp m = c.three * p.x * p.x + z2 * z2;  // a = 1
+  const Fp m = xx + xx + xx + z2 * z2;  // a = 1
   const Fp x3 = m * m - s - s;
-  const Fp y3 = m * (s - x3) - c.eight * y2 * y2;
+  const Fp y4 = y2 * y2;
+  const Fp y4x2 = y4 + y4;
+  const Fp y4x4 = y4x2 + y4x2;
+  const Fp y3 = m * (s - x3) - (y4x4 + y4x4);
   const Fp z3 = (p.y + p.y) * p.z;
   return Jac{x3, y3, z3, false};
 }
 
 // Mixed addition: Jacobian p + affine q.
-Jac jac_add_affine(const Jac& p, const Point& q, const Consts& c) {
+Jac jac_add_affine(const Jac& p, const Point& q) {
   if (q.is_infinity()) return p;
-  if (p.inf) return to_jac(q, c);
+  if (p.inf) return to_jac(q);
   const Fp z2 = p.z * p.z;
   const Fp u2 = q.x() * z2;
   const Fp s2 = q.y() * z2 * p.z;
   const Fp h = u2 - p.x;
   const Fp r = s2 - p.y;
   if (h.is_zero()) {
-    if (r.is_zero()) return jac_dbl(p, c);
+    if (r.is_zero()) return jac_dbl(p);
     return Jac{};  // p + (−p)
   }
   const Fp h2 = h * h;
@@ -116,7 +119,7 @@ Jac jac_add_affine(const Jac& p, const Point& q, const Consts& c) {
 
 // General Jacobian + Jacobian addition (needed for wNAF odd-multiple tables
 // and fixed-base accumulation, where neither side is affine).
-Jac jac_add(const Jac& p, const Jac& q, const Consts& c) {
+Jac jac_add(const Jac& p, const Jac& q) {
   if (p.inf) return q;
   if (q.inf) return p;
   const Fp z1z1 = p.z * p.z;
@@ -128,7 +131,7 @@ Jac jac_add(const Jac& p, const Jac& q, const Consts& c) {
   const Fp h = u2 - u1;
   const Fp r = s2 - s1;
   if (h.is_zero()) {
-    if (r.is_zero()) return jac_dbl(p, c);
+    if (r.is_zero()) return jac_dbl(p);
     return Jac{};
   }
   const Fp h2 = h * h;
@@ -171,123 +174,6 @@ std::vector<Point> jac_to_affine_batch(const std::vector<Jac>& pts) {
   return out;
 }
 
-// Raw Montgomery-domain Jacobian ladder. Fp keeps canonical values (its
-// value() feeds serialization and Shamir), so every Fp multiply pays two
-// REDC passes plus BigInt heap traffic. The scalar-mul inner loop instead
-// stays on fixed-width limb arrays in the Montgomery domain: one CIOS pass
-// per multiply, add/sub as plain limb loops, and a single conversion back
-// at the end. The formulas mirror jac_dbl/jac_add term by term, so the
-// resulting (X, Y, Z) — and hence the affine output — are bit-identical.
-using Mc = crypto::MontCtx;
-
-struct RawJac {
-  std::uint64_t x[Mc::kMaxLimbs];
-  std::uint64_t y[Mc::kMaxLimbs];
-  std::uint64_t z[Mc::kMaxLimbs];
-  bool inf = true;
-};
-
-bool raw_is_zero(const Mc& mc, const std::uint64_t* v) {
-  for (std::size_t i = 0; i < mc.limb_count(); ++i) {
-    if (v[i] != 0) return false;
-  }
-  return true;
-}
-
-void raw_dbl(const Mc& mc, const RawJac& p, RawJac& out) {
-  if (p.inf || raw_is_zero(mc, p.y)) {
-    out.inf = true;
-    return;
-  }
-  std::uint64_t y2[Mc::kMaxLimbs], s[Mc::kMaxLimbs], m[Mc::kMaxLimbs], t[Mc::kMaxLimbs];
-  std::uint64_t x3[Mc::kMaxLimbs], y3[Mc::kMaxLimbs], z3[Mc::kMaxLimbs];
-  mc.mul_raw(p.y, p.y, y2);
-  mc.mul_raw(p.x, y2, t);
-  mc.add_raw(t, t, s);
-  mc.add_raw(s, s, s);  // S = 4XY²
-  mc.mul_raw(p.x, p.x, t);
-  mc.add_raw(t, t, m);
-  mc.add_raw(m, t, m);  // 3X²
-  mc.mul_raw(p.z, p.z, t);
-  mc.mul_raw(t, t, t);
-  mc.add_raw(m, t, m);  // M = 3X² + Z⁴ (a = 1)
-  mc.mul_raw(m, m, x3);
-  mc.sub_raw(x3, s, x3);
-  mc.sub_raw(x3, s, x3);
-  mc.mul_raw(y2, y2, t);
-  mc.add_raw(t, t, t);
-  mc.add_raw(t, t, t);
-  mc.add_raw(t, t, t);  // 8Y⁴
-  mc.sub_raw(s, x3, y3);
-  mc.mul_raw(m, y3, y3);
-  mc.sub_raw(y3, t, y3);
-  mc.add_raw(p.y, p.y, t);
-  mc.mul_raw(t, p.z, z3);
-  std::copy(x3, x3 + mc.limb_count(), out.x);
-  std::copy(y3, y3 + mc.limb_count(), out.y);
-  std::copy(z3, z3 + mc.limb_count(), out.z);
-  out.inf = false;
-}
-
-void raw_add(const Mc& mc, const RawJac& p, const RawJac& q, RawJac& out) {
-  if (p.inf) {
-    if (&out != &q) out = q;
-    return;
-  }
-  if (q.inf) {
-    if (&out != &p) out = p;
-    return;
-  }
-  std::uint64_t z1z1[Mc::kMaxLimbs], z2z2[Mc::kMaxLimbs];
-  std::uint64_t u1[Mc::kMaxLimbs], u2[Mc::kMaxLimbs];
-  std::uint64_t s1[Mc::kMaxLimbs], s2[Mc::kMaxLimbs];
-  std::uint64_t h[Mc::kMaxLimbs], r[Mc::kMaxLimbs], t[Mc::kMaxLimbs];
-  std::uint64_t x3[Mc::kMaxLimbs], y3[Mc::kMaxLimbs], z3[Mc::kMaxLimbs];
-  mc.mul_raw(p.z, p.z, z1z1);
-  mc.mul_raw(q.z, q.z, z2z2);
-  mc.mul_raw(p.x, z2z2, u1);
-  mc.mul_raw(q.x, z1z1, u2);
-  mc.mul_raw(p.y, z2z2, s1);
-  mc.mul_raw(s1, q.z, s1);
-  mc.mul_raw(q.y, z1z1, s2);
-  mc.mul_raw(s2, p.z, s2);
-  mc.sub_raw(u2, u1, h);
-  mc.sub_raw(s2, s1, r);
-  if (raw_is_zero(mc, h)) {
-    if (raw_is_zero(mc, r)) {
-      raw_dbl(mc, p, out);
-    } else {
-      out.inf = true;  // p + (−p)
-    }
-    return;
-  }
-  std::uint64_t h2[Mc::kMaxLimbs], h3[Mc::kMaxLimbs], u1h2[Mc::kMaxLimbs];
-  mc.mul_raw(h, h, h2);
-  mc.mul_raw(h2, h, h3);
-  mc.mul_raw(u1, h2, u1h2);
-  mc.mul_raw(r, r, x3);
-  mc.sub_raw(x3, h3, x3);
-  mc.sub_raw(x3, u1h2, x3);
-  mc.sub_raw(x3, u1h2, x3);
-  mc.sub_raw(u1h2, x3, y3);
-  mc.mul_raw(r, y3, y3);
-  mc.mul_raw(s1, h3, t);
-  mc.sub_raw(y3, t, y3);
-  mc.mul_raw(p.z, q.z, z3);
-  mc.mul_raw(z3, h, z3);
-  std::copy(x3, x3 + mc.limb_count(), out.x);
-  std::copy(y3, y3 + mc.limb_count(), out.y);
-  std::copy(z3, z3 + mc.limb_count(), out.z);
-  out.inf = false;
-}
-
-void raw_neg(const Mc& mc, const RawJac& p, RawJac& out) {
-  if (&out != &p) out = p;
-  if (p.inf) return;
-  std::uint64_t zero[Mc::kMaxLimbs] = {0};
-  mc.sub_raw(zero, p.y, out.y);  // 0 − y ≡ m − y (and 0 stays 0)
-}
-
 // Width-4 NAF: digits odd in {±1, ±3, ±5, ±7}, average density 1/5 versus
 // 1/2 for the binary expansion. k must be positive.
 std::vector<int> wnaf4(BigInt k) {
@@ -320,20 +206,20 @@ struct FixedBaseTable {
   }
 };
 
-FixedBaseTable build_fixed_base(const Point& base, const BigInt& q, const Consts& c) {
+FixedBaseTable build_fixed_base(const Point& base, const BigInt& q) {
   FixedBaseTable t;
   t.rows = (q.bit_length() + 3) / 4;
   std::vector<Jac> jacs;
   jacs.reserve(t.rows * 15);
-  Jac row_base = to_jac(base, c);  // 16^j · B
+  Jac row_base = to_jac(base);  // 16^j · B
   for (std::size_t j = 0; j < t.rows; ++j) {
     const std::size_t start = jacs.size();
     jacs.push_back(row_base);
     for (unsigned d = 2; d <= 15; ++d) {
-      jacs.push_back(d % 2 == 0 ? jac_dbl(jacs[start + d / 2 - 1], c)
-                                : jac_add(jacs[start + d - 2], row_base, c));
+      jacs.push_back(d % 2 == 0 ? jac_dbl(jacs[start + d / 2 - 1])
+                                : jac_add(jacs[start + d - 2], row_base));
     }
-    if (j + 1 < t.rows) row_base = jac_dbl(jacs[start + 7], c);  // 2·(8·16^j·B)
+    if (j + 1 < t.rows) row_base = jac_dbl(jacs[start + 7]);  // 2·(8·16^j·B)
   }
   t.entries = jac_to_affine_batch(jacs);
   return t;
@@ -394,7 +280,7 @@ void Curve::precompute_fixed_base(const Point& base) const {
   if (base.is_infinity()) return;
   const std::string id = table_key(base);
   if (find_fixed_base(id)) return;
-  auto table = std::make_shared<const FixedBaseTable>(build_fixed_base(base, params_.q, consts_));
+  auto table = std::make_shared<const FixedBaseTable>(build_fixed_base(base, params_.q));
   register_fixed_base(id, std::move(table));
 }
 
@@ -406,7 +292,6 @@ bool Curve::has_fixed_base(const Point& base) const {
 Point Curve::mul(const Point& pt, const BigInt& k) const {
   if (k.is_negative()) return mul(negate(pt), -k);
   if (k.is_zero() || pt.is_infinity()) return Point{};
-  const Consts& c = consts_;
 
   // Fixed-base path: one mixed addition per non-zero nibble, no doublings.
   if (const auto table = find_fixed_base(table_key(pt))) {
@@ -418,7 +303,7 @@ Point Curve::mul(const Point& pt, const BigInt& k) const {
         for (unsigned b = 0; b < 4; ++b) {
           d |= static_cast<unsigned>(k.bit(4 * j + b)) << b;
         }
-        if (d != 0) acc = jac_add_affine(acc, table->at(j, d), c);
+        if (d != 0) acc = jac_add_affine(acc, table->at(j, d));
       }
       return jac_to_affine(acc);
     }
@@ -428,51 +313,18 @@ Point Curve::mul(const Point& pt, const BigInt& k) const {
   // Generic path: width-4 wNAF with an odd-multiple table {1,3,5,7}·P.
   const std::vector<int> digits = wnaf4(k);
 
-  // Raw Montgomery ladder when the field supports it (always true for the
-  // presets): identical formulas on limb arrays, one REDC per multiply.
-  if (const auto& mont = params_.fp->mont()) {
-    const Mc& mc = *mont;
-    RawJac odd[4];
-    mc.to_mont_raw(pt.x().value(), odd[0].x);
-    mc.to_mont_raw(pt.y().value(), odd[0].y);
-    mc.to_mont_raw(crypto::BigInt{1}, odd[0].z);
-    odd[0].inf = false;
-    RawJac p2;
-    raw_dbl(mc, odd[0], p2);
-    raw_add(mc, p2, odd[0], odd[1]);  // 3P
-    raw_dbl(mc, p2, odd[2]);
-    raw_add(mc, odd[2], odd[0], odd[2]);  // 5P = 4P + P
-    raw_dbl(mc, odd[1], odd[3]);
-    raw_add(mc, odd[3], odd[0], odd[3]);  // 7P = 6P + P
-    RawJac acc, tmp;
-    for (std::size_t i = digits.size(); i-- > 0;) {
-      raw_dbl(mc, acc, acc);
-      const int d = digits[i];
-      if (d > 0) {
-        raw_add(mc, acc, odd[(d - 1) / 2], acc);
-      } else if (d < 0) {
-        raw_neg(mc, odd[(-d - 1) / 2], tmp);
-        raw_add(mc, acc, tmp, acc);
-      }
-    }
-    if (acc.inf) return Point{};
-    const Jac j{Fp(params_.fp, mc.from_mont_raw(acc.x)), Fp(params_.fp, mc.from_mont_raw(acc.y)),
-                Fp(params_.fp, mc.from_mont_raw(acc.z)), false};
-    return jac_to_affine(j);
-  }
-
   Jac odd[4];
-  odd[0] = to_jac(pt, c);
-  const Jac p2 = jac_dbl(odd[0], c);
-  odd[1] = jac_add_affine(p2, pt, c);                // 3P
-  odd[2] = jac_add_affine(jac_dbl(p2, c), pt, c);    // 5P = 4P + P
-  odd[3] = jac_add_affine(jac_dbl(odd[1], c), pt, c);  // 7P = 6P + P
+  odd[0] = to_jac(pt);
+  const Jac p2 = jac_dbl(odd[0]);
+  odd[1] = jac_add_affine(p2, pt);                // 3P
+  odd[2] = jac_add_affine(jac_dbl(p2), pt);       // 5P = 4P + P
+  odd[3] = jac_add_affine(jac_dbl(odd[1]), pt);   // 7P = 6P + P
   Jac acc{};
   for (std::size_t i = digits.size(); i-- > 0;) {
-    acc = jac_dbl(acc, c);
+    acc = jac_dbl(acc);
     const int d = digits[i];
-    if (d > 0) acc = jac_add(acc, odd[(d - 1) / 2], c);
-    else if (d < 0) acc = jac_add(acc, jac_neg(odd[(-d - 1) / 2]), c);
+    if (d > 0) acc = jac_add(acc, odd[(d - 1) / 2]);
+    else if (d < 0) acc = jac_add(acc, jac_neg(odd[(-d - 1) / 2]));
   }
   return jac_to_affine(acc);
 }
@@ -482,8 +334,8 @@ Point Curve::mul_binary(const Point& pt, const BigInt& k) const {
   Jac acc{};
   const std::size_t nbits = k.bit_length();
   for (std::size_t i = nbits; i-- > 0;) {
-    acc = jac_dbl(acc, consts_);
-    if (k.bit(i)) acc = jac_add_affine(acc, pt, consts_);
+    acc = jac_dbl(acc);
+    if (k.bit(i)) acc = jac_add_affine(acc, pt);
   }
   return jac_to_affine(acc);
 }

@@ -53,16 +53,9 @@ class Curve {
   explicit Curve(CurveParams params);
 
   [[nodiscard]] const CurveParams& params() const { return params_; }
-  [[nodiscard]] const FpCtxPtr& fp() const { return params_.fp; }
+  [[nodiscard]] FpCtxPtr fp() const { return params_.fp; }
   /// Group order q of the pairing subgroup.
   [[nodiscard]] const BigInt& order() const { return params_.q; }
-
-  /// Small Fp constants hoisted out of the group law (the affine/Jacobian
-  /// formulas used to rebuild these per call). Shared with the pairing.
-  struct Consts {
-    Fp one, two, three, four, eight;
-  };
-  [[nodiscard]] const Consts& consts() const { return consts_; }
 
   [[nodiscard]] bool on_curve(const Point& pt) const;
   [[nodiscard]] Point negate(const Point& pt) const;
@@ -101,7 +94,6 @@ class Curve {
   [[nodiscard]] std::string table_key(const Point& base) const;
 
   CurveParams params_;
-  Consts consts_;
 };
 
 }  // namespace sp::ec

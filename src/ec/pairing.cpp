@@ -38,8 +38,8 @@ struct MillerTable {
 // Process-wide Miller-line table registry, mirroring the fixed-base scalar
 // table registry in curve.cpp: keyed by (p, P) so tables outlive the
 // Pairing/Curve/Session that built them, FIFO-evicted so key churn cannot
-// grow memory without bound. A 512-bit table is ~770 steps × 3 Fp ≈ 150 KB,
-// so the cap bounds the registry at a few MB.
+// grow memory without bound. A kFull table (160-bit order) is ~240 steps ×
+// 3 inline 72-byte Fp ≈ 54 KB, so the cap bounds the registry at a few MB.
 constexpr std::size_t kMaxMillerTables = 64;
 
 struct MillerTableRegistry {
@@ -84,6 +84,31 @@ std::string miller_key(const Curve& curve, const Point& p) {
   return id;
 }
 
+/// Jacobian doubling of T = (X, Y, Z) on y² = x³ + x, keeping the
+/// intermediates the tangent line needs: M = 3X² + Z⁴, S = 4XY²,
+/// (X3, Y3, Z3) = (M² − 2S, M(S − X3) − 8Y⁴, 2YZ). Small constant factors
+/// are additions.
+struct Tangent {
+  Fp z2, y2, m, x3, y3, z3;
+};
+
+Tangent tangent(const Fp& tx, const Fp& ty, const Fp& tz) {
+  Tangent t;
+  t.z2 = tz * tz;
+  t.y2 = ty * ty;
+  const Fp xx = tx * tx;
+  t.m = xx + xx + xx + t.z2 * t.z2;
+  const Fp xy2 = tx * t.y2;
+  const Fp s = (xy2 + xy2) + (xy2 + xy2);
+  t.x3 = t.m * t.m - s - s;
+  const Fp y4 = t.y2 * t.y2;
+  const Fp y4x2 = y4 + y4;
+  const Fp y4x4 = y4x2 + y4x2;
+  t.y3 = t.m * (s - t.x3) - (y4x4 + y4x4);
+  t.z3 = (ty + ty) * tz;
+  return t;
+}
+
 /// The inversion-free Jacobian Miller loop, WITHOUT the final
 /// exponentiation: T = (X, Y, Z) with x_t = X/Z², y_t = Y/Z³. Each line
 /// value is the affine one scaled by a non-zero F_p factor (Z3·Z2 for
@@ -91,8 +116,7 @@ std::string miller_key(const Curve& curve, const Point& p) {
 /// final_exponentiation() and the exponentiated result is bit-identical to
 /// the affine reference().
 Fp2 miller_loop(const Curve& curve, const Point& p, const Point& q) {
-  const auto& fp = curve.fp();
-  const Curve::Consts& cs = curve.consts();
+  const field::FpCtxPtr fp = curve.fp();
   const Fp& x_p = p.x();
   const Fp& y_p = p.y();
   const Fp& x_q = q.x();
@@ -101,25 +125,19 @@ Fp2 miller_loop(const Curve& curve, const Point& p, const Point& q) {
   Fp2 f = Fp2::one(fp);
   Fp tx = p.x();
   Fp ty = p.y();
-  Fp tz = cs.one;
+  Fp tz = Fp::one(fp);
   const std::size_t nbits = order.bit_length();
   for (std::size_t i = nbits - 1; i-- > 0;) {
     {
       // Tangent step: doubling on y² = x³ + x with M = 3X² + Z⁴.
-      const Fp z2 = tz * tz;
-      const Fp y2 = ty * ty;
-      const Fp m = cs.three * tx * tx + z2 * z2;
-      const Fp s = cs.four * tx * y2;
-      const Fp x3 = m * m - s - s;
-      const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-      const Fp z3 = (ty + ty) * tz;
+      const Tangent t = tangent(tx, ty, tz);
       // Affine tangent line at T, evaluated at φ(Q) and scaled by Z3·Z2.
-      const Fp l_re = m * (z2 * x_q + tx) - (y2 + y2);
-      const Fp l_im = z3 * z2 * y_q;
-      f = f * f * Fp2(l_re, l_im);
-      tx = x3;
-      ty = y3;
-      tz = z3;
+      const Fp l_re = t.m * (t.z2 * x_q + tx) - (t.y2 + t.y2);
+      const Fp l_im = t.z3 * t.z2 * y_q;
+      f = f.square() * Fp2(l_re, l_im);
+      tx = t.x3;
+      ty = t.y3;
+      tz = t.z3;
     }
     if (order.bit(i)) {
       const Fp z2 = tz * tz;
@@ -131,15 +149,10 @@ Fp2 miller_loop(const Curve& curve, const Point& p, const Point& q) {
         // T = ±P: chord is vertical (value in F_p, eliminated) or tangent
         // (cannot occur mid-loop for order-q P). Update via group law.
         if (r.is_zero()) {
-          const Fp y2 = ty * ty;
-          const Fp m = cs.three * tx * tx + z2 * z2;
-          const Fp s = cs.four * tx * y2;
-          const Fp x3 = m * m - s - s;
-          const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-          const Fp z3 = (ty + ty) * tz;
-          tx = x3;
-          ty = y3;
-          tz = z3;
+          const Tangent t = tangent(tx, ty, tz);
+          tx = t.x3;
+          ty = t.y3;
+          tz = t.z3;
         } else {
           // T + (−P) = O; mirrors the affine loop, which also leaves the
           // accumulator untouched and lets the next step fail loudly.
@@ -174,8 +187,7 @@ Fp2 miller_loop(const Curve& curve, const Point& p, const Point& q) {
 /// (r·x_p − y_p·z3). Distributivity over F_p makes the replayed values
 /// (and hence every downstream byte) identical to the live loop's.
 MillerTable build_miller_table(const Curve& curve, const Point& p) {
-  const auto& fp = curve.fp();
-  const Curve::Consts& cs = curve.consts();
+  const field::FpCtxPtr fp = curve.fp();
   const Fp& x_p = p.x();
   const Fp& y_p = p.y();
   const crypto::BigInt& order = curve.order();
@@ -183,21 +195,15 @@ MillerTable build_miller_table(const Curve& curve, const Point& p) {
   table.steps.reserve(order.bit_length() + order.bit_length() / 2);
   Fp tx = p.x();
   Fp ty = p.y();
-  Fp tz = cs.one;
+  Fp tz = Fp::one(fp);
   const std::size_t nbits = order.bit_length();
   for (std::size_t i = nbits - 1; i-- > 0;) {
     {
-      const Fp z2 = tz * tz;
-      const Fp y2 = ty * ty;
-      const Fp m = cs.three * tx * tx + z2 * z2;
-      const Fp s = cs.four * tx * y2;
-      const Fp x3 = m * m - s - s;
-      const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-      const Fp z3 = (ty + ty) * tz;
-      table.steps.push_back({m * z2, m * tx - (y2 + y2), z3 * z2, true});
-      tx = x3;
-      ty = y3;
-      tz = z3;
+      const Tangent t = tangent(tx, ty, tz);
+      table.steps.push_back({t.m * t.z2, t.m * tx - (t.y2 + t.y2), t.z3 * t.z2, true});
+      tx = t.x3;
+      ty = t.y3;
+      tz = t.z3;
     }
     if (order.bit(i)) {
       const Fp z2 = tz * tz;
@@ -207,15 +213,10 @@ MillerTable build_miller_table(const Curve& curve, const Point& p) {
       const Fp r = s2 - ty;
       if (h.is_zero()) {
         if (r.is_zero()) {
-          const Fp y2 = ty * ty;
-          const Fp m = cs.three * tx * tx + z2 * z2;
-          const Fp s = cs.four * tx * y2;
-          const Fp x3 = m * m - s - s;
-          const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-          const Fp z3 = (ty + ty) * tz;
-          tx = x3;
-          ty = y3;
-          tz = z3;
+          const Tangent t = tangent(tx, ty, tz);
+          tx = t.x3;
+          ty = t.y3;
+          tz = t.z3;
         } else {
           tx = Fp::zero(fp);
           ty = Fp::zero(fp);
@@ -238,13 +239,13 @@ MillerTable build_miller_table(const Curve& curve, const Point& p) {
   return table;
 }
 
-Fp2 replay_miller_table(const MillerTable& table, const field::FpCtxPtr& fp, const Point& q) {
+Fp2 replay_miller_table(const MillerTable& table, field::FpCtxPtr fp, const Point& q) {
   const Fp& x_q = q.x();
   const Fp& y_q = q.y();
   Fp2 f = Fp2::one(fp);
   for (const MillerStep& step : table.steps) {
     const Fp2 l(step.a * x_q + step.b, step.c * y_q);
-    f = step.tangent ? f * f * l : f * l;
+    f = step.tangent ? f.square() * l : f * l;
   }
   return f;
 }
@@ -252,7 +253,7 @@ Fp2 replay_miller_table(const MillerTable& table, const field::FpCtxPtr& fp, con
 }  // namespace
 
 Fp2 Pairing::miller(const Point& p, const Point& q) const {
-  const auto& fp = curve_->fp();
+  const field::FpCtxPtr fp = curve_->fp();
   if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
   if (!curve_->on_curve(p) || !curve_->on_curve(q)) {
     throw std::invalid_argument("Pairing: input not on curve");
@@ -295,7 +296,7 @@ bool Pairing::has_precomputed(const Point& p) const {
 }
 
 Fp2 Pairing::operator()(const Point& p, const Point& q) const {
-  const auto& fp = curve_->fp();
+  const field::FpCtxPtr fp = curve_->fp();
   if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
   // Hot-path instrumentation: a pairing is ~3 ms at the 512-bit preset, the
   // span costs two clock reads + three relaxed fetch_adds (and nothing at
@@ -307,7 +308,7 @@ Fp2 Pairing::operator()(const Point& p, const Point& q) const {
 }
 
 Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
-  const auto& fp = curve_->fp();
+  const field::FpCtxPtr fp = curve_->fp();
   static obs::Histogram& multi_ms = obs::MetricsRegistry::global().histogram(
       "crypto_multi_pairing_ms",
       "Multi-pairing products (one Miller loop per pair, one shared final exp)");
@@ -378,7 +379,7 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
 }
 
 Fp2 Pairing::reference(const Point& p, const Point& q) const {
-  const auto& fp = curve_->fp();
+  const field::FpCtxPtr fp = curve_->fp();
   if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
   if (!curve_->on_curve(p) || !curve_->on_curve(q)) {
     throw std::invalid_argument("Pairing: input not on curve");

@@ -1,167 +1,205 @@
 #include "field/fp.hpp"
 
+#include <map>
+#include <memory>
 #include <stdexcept>
+
+#include "crypto/secret.hpp"
+#include "support/mutex.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace sp::field {
 
-FpCtx::FpCtx(BigInt p) : p_(std::move(p)) {
-  if (p_ <= BigInt{2} || !p_.is_odd()) {
-    throw std::invalid_argument("FpCtx: modulus must be an odd prime > 2");
+namespace {
+
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+constexpr std::size_t kLimbs = FpCtx::kMaxLimbs;
+
+// Addition and subtraction run over all kLimbs limbs, branch-free: limbs
+// past the modulus width are zero in both operands and in p, so the extra
+// limbs only carry the (n+1)-th bit and otherwise stay zero.
+
+/// out = a + b mod p for a, b < p.
+void add_mod(const u64* a, const u64* b, const u64* p, u64* out) {
+  u64 sum[kLimbs];
+  u64 carry = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
+    sum[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
   }
-  byte_len_ = (p_.bit_length() + 7) / 8;
-  p3mod4_ = (p_ % BigInt{4}) == BigInt{3};
-  // Barrett precomputation: μ = floor(2^(2s) / p) with s = bit_length(p).
-  shift_ = p_.bit_length();
-  mu_ = (BigInt{1} << (2 * shift_)) / p_;
-  p_minus_2_ = p_ - BigInt{2};
-  if (crypto::MontCtx::usable(p_)) mont_.emplace(p_);
+  u64 reduced[kLimbs];
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const u128 d = static_cast<u128>(sum[i]) - p[i] - borrow;
+    reduced[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
+  }
+  // sum >= p iff the addition carried out or subtracting p did not borrow.
+  const bool ge = carry != 0 || borrow == 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) out[i] = ge ? reduced[i] : sum[i];
 }
 
-BigInt FpCtx::reduce(const BigInt& x) const {
-  if (x.is_negative() || x.bit_length() > 2 * shift_) return x.mod(p_);
-  // q ≈ floor(x / p); r = x - q*p is within a few subtractions of the result.
-  BigInt q = ((x >> (shift_ - 1)) * mu_) >> (shift_ + 1);
-  BigInt r = x - q * p_;
-  while (r >= p_) r -= p_;
+/// out = a − b mod p for a, b < p.
+void sub_mod(const u64* a, const u64* b, const u64* p, u64* out) {
+  u64 diff[kLimbs];
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
+    diff[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
+  }
+  const u64 mask = 0 - borrow;  // add p back iff a < b
+  u64 carry = 0;
+  for (std::size_t i = 0; i < kLimbs; ++i) {
+    const u128 s = static_cast<u128>(diff[i]) + (p[i] & mask) + carry;
+    out[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
+  }
+}
+
+// Interned contexts, one per modulus, leaked on purpose: elements hold a
+// raw pointer to their context, so a context must outlive every element.
+struct FpCtxRegistry {
+  sp::Mutex mutex;
+  std::map<BigInt, std::unique_ptr<const FpCtx>> by_modulus SP_GUARDED_BY(mutex);
+
+  static FpCtxRegistry& get() {
+    static FpCtxRegistry* const instance = new FpCtxRegistry();  // leaked on purpose
+    return *instance;
+  }
+};
+
+}  // namespace
+
+FpCtxPtr make_fp(const BigInt& p) {
+  if (p <= BigInt{2} || !p.is_odd()) {
+    throw std::invalid_argument("make_fp: modulus must be an odd prime > 2");
+  }
+  if (p.bit_length() > 64 * FpCtx::kMaxLimbs) {
+    throw std::invalid_argument("make_fp: modulus wider than 512 bits");
+  }
+  FpCtxRegistry& reg = FpCtxRegistry::get();
+  const sp::MutexLock lock(reg.mutex);
+  std::unique_ptr<const FpCtx>& slot = reg.by_modulus[p];
+  if (!slot) slot.reset(new FpCtx(p));
+  return slot.get();
+}
+
+FpCtx::FpCtx(const BigInt& p)
+    : p_(p),
+      mont_(p),
+      byte_len_((p.bit_length() + 7) / 8),
+      p3mod4_((p % BigInt{4}) == BigInt{3}) {
+  const Bytes be = p.to_bytes(8 * kLimbs);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    p_limbs_[i / 8] |= static_cast<u64>(be[be.size() - 1 - i]) << (8 * (i % 8));
+  }
+  mont_.to_mont_raw(BigInt{1}, one_.data());
+}
+
+BigInt FpCtx::pow_mod(const BigInt& base, const BigInt& exp) const { return mont_.pow(base, exp); }
+
+Fp::Fp(FpCtxPtr ctx, const BigInt& value) : ctx_(ctx) {
+  if (!ctx_) throw std::invalid_argument("Fp: null field context");
+  mont().to_mont_raw(value, v_.data());
+}
+
+const crypto::MontCtx& Fp::mont() const { return ctx_->mont_; }
+const std::uint64_t* Fp::p_limbs() const { return ctx_->p_limbs_.data(); }
+
+Fp Fp::zero(FpCtxPtr ctx) {
+  if (!ctx) throw std::invalid_argument("Fp: null field context");
+  return Fp(ctx);
+}
+
+Fp Fp::one(FpCtxPtr ctx) {
+  Fp r = zero(ctx);
+  r.v_ = ctx->one_;
   return r;
 }
 
-BigInt FpCtx::mul_mod(const BigInt& a, const BigInt& b) const {
-  if (mont_) return mont_->mul(a, b);
-  return reduce(a * b);
+Fp Fp::random(FpCtxPtr ctx, crypto::Drbg& rng) {
+  if (!ctx) throw std::invalid_argument("Fp: null field context");
+  return Fp(ctx, BigInt::random_below(ctx->p(), [&rng](std::size_t n) { return rng.bytes(n); }));
 }
 
-BigInt FpCtx::pow_mod(const BigInt& base, const BigInt& exp) const {
-  if (exp.is_negative()) throw std::domain_error("FpCtx::pow_mod: negative exponent");
-  if (mont_) return mont_->pow(base, exp);
-  return pow_mod_barrett(base, exp);
-}
-
-BigInt FpCtx::inv_mod(const BigInt& a) const {
-  const BigInt r = a.mod(p_);
-  if (r.is_zero()) throw std::domain_error("FpCtx::inv_mod: zero has no inverse");
-  // Fermat: a^{p-2} = a^{-1} for prime p. Faster than extended Euclid here
-  // because Euclid's per-step Knuth-D division dwarfs CIOS multiplies.
-  if (mont_) return mont_->pow(r, p_minus_2_);
-  return BigInt::mod_inv(r, p_);
-}
-
-BigInt FpCtx::mul_mod_barrett(const BigInt& a, const BigInt& b) const { return reduce(a * b); }
-
-BigInt FpCtx::pow_mod_barrett(const BigInt& base, const BigInt& exp) const {
-  if (exp.is_negative()) throw std::domain_error("FpCtx::pow_mod: negative exponent");
-  BigInt result{1};
-  const BigInt b = base.mod(p_);
-  for (std::size_t i = exp.bit_length(); i-- > 0;) {
-    result = mul_mod_barrett(result, result);
-    if (exp.bit(i)) result = mul_mod_barrett(result, b);
-  }
-  return result;
-}
-
-FpCtxPtr make_fp(BigInt p) { return std::make_shared<const FpCtx>(std::move(p)); }
-
-Fp::Fp(FpCtxPtr ctx, const BigInt& value) : ctx_(std::move(ctx)) {
-  if (!ctx_) throw std::invalid_argument("Fp: null field context");
-  v_ = value.mod(ctx_->p());
-}
-
-Fp Fp::zero(const FpCtxPtr& ctx) { return Fp(ctx, BigInt{0}); }
-Fp Fp::one(const FpCtxPtr& ctx) { return Fp(ctx, BigInt{1}); }
-
-Fp Fp::random(const FpCtxPtr& ctx, crypto::Drbg& rng) {
-  BigInt v = BigInt::random_below(ctx->p(), [&rng](std::size_t n) { return rng.bytes(n); });
-  return Fp(ctx, v);
-}
-
-Fp Fp::random_nonzero(const FpCtxPtr& ctx, crypto::Drbg& rng) {
+Fp Fp::random_nonzero(FpCtxPtr ctx, crypto::Drbg& rng) {
   for (;;) {
     Fp v = random(ctx, rng);
     if (!v.is_zero()) return v;
   }
 }
 
-Fp Fp::from_bytes(const FpCtxPtr& ctx, std::span<const std::uint8_t> data) {
+Fp Fp::from_bytes(FpCtxPtr ctx, std::span<const std::uint8_t> data) {
   return Fp(ctx, BigInt::from_bytes(data));
+}
+
+BigInt Fp::value() const {
+  if (!ctx_) return BigInt{};
+  return mont().from_mont_raw(v_.data());
 }
 
 Bytes Fp::to_bytes() const {
   if (!ctx_) throw std::logic_error("Fp::to_bytes: null element");
-  return v_.to_bytes(ctx_->byte_length());
+  return value().to_bytes(ctx_->byte_length());
 }
 
 void Fp::require_same_field(const Fp& other) const {
+  if (ctx_ != nullptr && ctx_ == other.ctx_) return;
   if (!ctx_ || !other.ctx_) throw std::logic_error("Fp: operation on null element");
-  if (ctx_ != other.ctx_ && ctx_->p() != other.ctx_->p()) {
-    throw std::logic_error("Fp: mixed-field operation");
-  }
+  throw std::logic_error("Fp: mixed-field operation");
 }
 
 Fp operator+(const Fp& a, const Fp& b) {
   a.require_same_field(b);
-  BigInt s = a.v_ + b.v_;
-  if (s >= a.ctx_->p()) s -= a.ctx_->p();
-  Fp r;
-  r.ctx_ = a.ctx_;
-  r.v_ = std::move(s);
+  Fp r(a.ctx_);
+  add_mod(a.v_.data(), b.v_.data(), a.p_limbs(), r.v_.data());
   return r;
 }
 
 Fp operator-(const Fp& a, const Fp& b) {
   a.require_same_field(b);
-  BigInt s = a.v_ - b.v_;
-  if (s.is_negative()) s += a.ctx_->p();
-  Fp r;
-  r.ctx_ = a.ctx_;
-  r.v_ = std::move(s);
+  Fp r(a.ctx_);
+  sub_mod(a.v_.data(), b.v_.data(), a.p_limbs(), r.v_.data());
   return r;
 }
 
 Fp operator*(const Fp& a, const Fp& b) {
   a.require_same_field(b);
-  Fp r;
-  r.ctx_ = a.ctx_;
-  r.v_ = a.ctx_->mul_mod(a.v_, b.v_);
+  Fp r(a.ctx_);
+  a.mont().mul_raw(a.v_.data(), b.v_.data(), r.v_.data());
   return r;
 }
 
 Fp Fp::operator-() const {
   if (!ctx_) throw std::logic_error("Fp: negate null element");
-  Fp r;
-  r.ctx_ = ctx_;
-  r.v_ = v_.is_zero() ? BigInt{0} : ctx_->p() - v_;
+  Fp r(ctx_);
+  sub_mod(r.v_.data(), v_.data(), p_limbs(), r.v_.data());  // 0 − x
   return r;
-}
-
-bool operator==(const Fp& a, const Fp& b) {
-  if (!a.ctx_ || !b.ctx_) return !a.ctx_ && !b.ctx_;
-  return a.ctx_->p() == b.ctx_->p() && a.v_ == b.v_;
 }
 
 Fp Fp::inv() const {
   if (!ctx_) throw std::logic_error("Fp::inv: null element");
   if (is_zero()) throw std::domain_error("Fp::inv: zero has no inverse");
-  Fp r;
-  r.ctx_ = ctx_;
-  r.v_ = ctx_->inv_mod(v_);
+  Fp r(ctx_);
+  mont().inv_raw(v_.data(), r.v_.data());
   return r;
 }
 
 Fp Fp::pow(const BigInt& e) const {
   if (!ctx_) throw std::logic_error("Fp::pow: null element");
   if (e.is_negative()) return inv().pow(-e);
-  Fp r;
-  r.ctx_ = ctx_;
-  r.v_ = ctx_->pow_mod(v_, e);
+  Fp r(ctx_);
+  mont().pow_raw(v_.data(), e, r.v_.data());
   return r;
 }
 
 int Fp::legendre() const {
   if (!ctx_) throw std::logic_error("Fp::legendre: null element");
   if (is_zero()) return 0;
-  const BigInt e = (ctx_->p() - BigInt{1}) >> 1;
-  const BigInt r = ctx_->pow_mod(v_, e);
-  return r == BigInt{1} ? 1 : -1;
+  return pow((ctx_->p() - BigInt{1}) >> 1) == one(ctx_) ? 1 : -1;
 }
 
 Fp Fp::sqrt() const {
@@ -169,9 +207,9 @@ Fp Fp::sqrt() const {
   if (is_zero()) return *this;
   if (legendre() != 1) throw std::domain_error("Fp::sqrt: not a quadratic residue");
   const BigInt& p = ctx_->p();
-  BigInt root;
+  Fp root;
   if (ctx_->p_is_3_mod_4()) {
-    root = ctx_->pow_mod(v_, (p + BigInt{1}) >> 2);
+    root = pow((p + BigInt{1}) >> 2);
   } else {
     // Tonelli–Shanks. Write p-1 = q * 2^s with q odd.
     BigInt q = p - BigInt{1};
@@ -183,35 +221,29 @@ Fp Fp::sqrt() const {
     // Find a non-residue z deterministically.
     BigInt z{2};
     while (Fp(ctx_, z).legendre() != -1) z += BigInt{1};
-    BigInt m = BigInt::from_u64(s);
-    BigInt c = BigInt::mod_pow(z, q, p);
-    BigInt t = BigInt::mod_pow(v_, q, p);
-    BigInt r = BigInt::mod_pow(v_, (q + BigInt{1}) >> 1, p);
-    while (t != BigInt{1}) {
+    const Fp one = Fp::one(ctx_);
+    std::size_t m = s;
+    Fp c = Fp(ctx_, z).pow(q);
+    Fp t = pow(q);
+    root = pow((q + BigInt{1}) >> 1);
+    while (t != one) {
       // Find least i with t^(2^i) = 1.
-      BigInt tt = t;
-      std::uint64_t i = 0;
-      while (tt != BigInt{1}) {
-        tt = BigInt::mod_mul(tt, tt, p);
-        ++i;
-      }
-      BigInt b = c;
-      for (std::uint64_t j = 0; j + i + 1 < m.low_u64(); ++j) b = BigInt::mod_mul(b, b, p);
-      m = BigInt::from_u64(i);
-      c = BigInt::mod_mul(b, b, p);
-      t = BigInt::mod_mul(t, c, p);
-      r = BigInt::mod_mul(r, b, p);
+      std::size_t i = 0;
+      for (Fp tt = t; tt != one; tt = tt * tt) ++i;
+      Fp b = c;
+      for (std::size_t j = 0; j + i + 1 < m; ++j) b = b * b;
+      m = i;
+      c = b * b;
+      t = t * c;
+      root = root * b;
     }
-    root = r;
   }
   // Canonical: the smaller of the two roots.
-  const BigInt other = p - root;
-  if (other < root) root = other;
-  Fp out;
-  out.ctx_ = ctx_;
-  out.v_ = std::move(root);
-  return out;
+  const Fp other = -root;
+  return other.value() < root.value() ? other : root;
 }
+
+void Fp::wipe() noexcept { crypto::secure_wipe(v_.data(), sizeof(v_)); }
 
 std::vector<Fp> batch_inv(std::span<const Fp> xs) {
   std::vector<Fp> out;
@@ -230,7 +262,7 @@ std::vector<Fp> batch_inv(std::span<const Fp> xs) {
     out[i] = inv * prefix[i - 1];
     inv = inv * xs[i];
   }
-  out[0] = std::move(inv);
+  out[0] = inv;
   for (Fp& x : prefix) x.wipe();
   return out;
 }

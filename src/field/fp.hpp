@@ -1,12 +1,17 @@
 // Prime field F_p arithmetic.
 //
 // Construction 1 runs Shamir secret sharing over F_p; Construction 2's
-// pairing groups live on an elliptic curve over F_p. Elements carry a shared
-// pointer to their modulus so mixed-field operations are caught early.
+// pairing groups live on an elliptic curve over F_p. An element is a
+// fixed-width value kept in Montgomery form — inline limbs, no heap — plus
+// a non-owning pointer to its field's context. Contexts are interned per
+// modulus and never freed, so no element can outlive its context and
+// same-modulus contexts compare by pointer; mixed-field operations are
+// caught early. Conversion to the canonical residue happens only at the
+// edges: value(), to_bytes()/from_bytes() and construction from a BigInt.
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,12 +24,22 @@ namespace sp::field {
 using crypto::BigInt;
 using crypto::Bytes;
 
+class FpCtx;
+using FpCtxPtr = const FpCtx*;
+
+/// Returns the process-wide context for modulus p, creating it on first use
+/// (mutex-guarded, never evicted). Validates p > 2, p odd and p at most
+/// FpCtx::kMaxLimbs limbs wide; throws std::invalid_argument otherwise.
+FpCtxPtr make_fp(const BigInt& p);
+
 /// Immutable modulus context shared by all elements of one field instance.
 class FpCtx {
  public:
-  /// p must be an odd prime (primality is the caller's responsibility; use
-  /// BigInt::is_probable_prime when constructing parameters).
-  explicit FpCtx(BigInt p);
+  /// Widest supported modulus in 64-bit limbs: 512 bits, the kFull preset.
+  static constexpr std::size_t kMaxLimbs = 8;
+
+  FpCtx(const FpCtx&) = delete;
+  FpCtx& operator=(const FpCtx&) = delete;
 
   [[nodiscard]] const BigInt& p() const { return p_; }
   [[nodiscard]] std::size_t byte_length() const { return byte_len_; }
@@ -32,41 +47,23 @@ class FpCtx {
   /// i² = −1 representation of F_{p²}.
   [[nodiscard]] bool p_is_3_mod_4() const { return p3mod4_; }
 
-  /// Barrett reduction of x in [0, p²) — division-free, precomputed μ.
-  /// Falls back to plain mod for out-of-range or negative inputs.
-  [[nodiscard]] BigInt reduce(const BigInt& x) const;
-  /// (a*b) mod p — Montgomery CIOS when p fits MontCtx, else Barrett.
-  /// Operands must already be reduced.
-  [[nodiscard]] BigInt mul_mod(const BigInt& a, const BigInt& b) const;
-  /// base^exp mod p (exp >= 0) — fixed-window Montgomery when available,
-  /// else Barrett square-and-multiply.
+  /// base^exp mod p on canonical values (exp >= 0).
   [[nodiscard]] BigInt pow_mod(const BigInt& base, const BigInt& exp) const;
-  /// a^{-1} mod p via Fermat (a^{p-2}) on the Montgomery path, extended
-  /// Euclid otherwise. Throws std::domain_error on zero.
-  [[nodiscard]] BigInt inv_mod(const BigInt& a) const;
-
-  // Barrett-only paths, kept alive as the randomized-equivalence oracle for
-  // the Montgomery rewrite (tests/crypto/test_montgomery.cpp).
-  [[nodiscard]] BigInt mul_mod_barrett(const BigInt& a, const BigInt& b) const;
-  [[nodiscard]] BigInt pow_mod_barrett(const BigInt& base, const BigInt& exp) const;
-
-  /// Montgomery context for p, if p fits (always true for the presets).
-  [[nodiscard]] const std::optional<crypto::MontCtx>& mont() const { return mont_; }
 
  private:
+  friend class Fp;
+  friend FpCtxPtr make_fp(const BigInt& p);
+  /// p must be an odd prime (primality is the caller's responsibility; use
+  /// BigInt::is_probable_prime when constructing parameters).
+  explicit FpCtx(const BigInt& p);
+
   BigInt p_;
-  BigInt mu_;             ///< floor(2^(2·shift) / p) for Barrett
-  BigInt p_minus_2_;      ///< Fermat inversion exponent
-  std::optional<crypto::MontCtx> mont_;
-  std::size_t shift_ = 0; ///< bit shift = bit_length(p) rounded up usage
+  crypto::MontCtx mont_;
+  std::array<std::uint64_t, kMaxLimbs> p_limbs_{};  ///< p, zero-padded
+  std::array<std::uint64_t, kMaxLimbs> one_{};      ///< R mod p, the Montgomery 1
   std::size_t byte_len_;
   bool p3mod4_;
 };
-
-using FpCtxPtr = std::shared_ptr<const FpCtx>;
-
-/// Makes a field context; validates p > 2 and p odd.
-FpCtxPtr make_fp(BigInt p);
 
 class Fp {
  public:
@@ -74,50 +71,59 @@ class Fp {
   Fp(FpCtxPtr ctx, const BigInt& value);
 
   /// Additive / multiplicative identities.
-  static Fp zero(const FpCtxPtr& ctx);
-  static Fp one(const FpCtxPtr& ctx);
+  static Fp zero(FpCtxPtr ctx);
+  static Fp one(FpCtxPtr ctx);
   /// Uniform random element.
-  static Fp random(const FpCtxPtr& ctx, crypto::Drbg& rng);
+  static Fp random(FpCtxPtr ctx, crypto::Drbg& rng);
   /// Uniform random non-zero element (for polynomial leading coefficients
   /// and blinding factors).
-  static Fp random_nonzero(const FpCtxPtr& ctx, crypto::Drbg& rng);
+  static Fp random_nonzero(FpCtxPtr ctx, crypto::Drbg& rng);
   /// Maps arbitrary bytes into the field (mod p).
-  static Fp from_bytes(const FpCtxPtr& ctx, std::span<const std::uint8_t> data);
+  static Fp from_bytes(FpCtxPtr ctx, std::span<const std::uint8_t> data);
 
-  [[nodiscard]] const BigInt& value() const { return v_; }
-  [[nodiscard]] const FpCtxPtr& ctx() const { return ctx_; }
-  [[nodiscard]] bool is_zero() const { return v_.is_zero(); }
+  /// Canonical representative in [0, p) (0 for the null element).
+  [[nodiscard]] BigInt value() const;
+  [[nodiscard]] FpCtxPtr ctx() const { return ctx_; }
+  [[nodiscard]] bool is_zero() const { return v_ == Limbs{}; }
   /// Fixed-width big-endian encoding (ctx byte length).
   [[nodiscard]] Bytes to_bytes() const;
-  [[nodiscard]] std::string to_string() const { return v_.to_dec(); }
+  [[nodiscard]] std::string to_string() const { return value().to_dec(); }
 
   friend Fp operator+(const Fp& a, const Fp& b);
   friend Fp operator-(const Fp& a, const Fp& b);
   friend Fp operator*(const Fp& a, const Fp& b);
   Fp operator-() const;
-  friend bool operator==(const Fp& a, const Fp& b);
+  friend bool operator==(const Fp& a, const Fp& b) { return a.ctx_ == b.ctx_ && a.v_ == b.v_; }
   friend bool operator!=(const Fp& a, const Fp& b) { return !(a == b); }
 
-  /// Multiplicative inverse; throws std::domain_error on zero.
+  /// Multiplicative inverse (binary extended Euclid); throws
+  /// std::domain_error on zero.
   [[nodiscard]] Fp inv() const;
-  /// Exponentiation by a non-negative BigInt.
+  /// Exponentiation by a BigInt (negative exponents invert first).
   [[nodiscard]] Fp pow(const BigInt& e) const;
   /// Legendre symbol: +1 quadratic residue, -1 non-residue, 0 for zero.
   [[nodiscard]] int legendre() const;
   /// Square root (Tonelli–Shanks; fast path when p ≡ 3 mod 4). Throws
-  /// std::domain_error if no root exists. Returns the even-valued root's
-  /// canonical choice (smaller of r, p−r).
+  /// std::domain_error if no root exists. Returns the canonical choice:
+  /// the root with the smaller residue of r, p−r.
   [[nodiscard]] Fp sqrt() const;
 
-  /// Zeroises the element's value (for secret polynomial coefficients and
+  /// Zeroises the element's limbs (for secret polynomial coefficients and
   /// share ordinates). The element becomes 0 in-field, residue-free.
-  void wipe() noexcept { v_.wipe(); }
+  void wipe() noexcept;
 
  private:
-  void require_same_field(const Fp& other) const;
+  using Limbs = std::array<std::uint64_t, FpCtx::kMaxLimbs>;
 
-  FpCtxPtr ctx_;
-  BigInt v_;  // canonical representative in [0, p)
+  /// Zero element of `ctx` (no validation; callers hold a checked context).
+  explicit Fp(FpCtxPtr ctx) : ctx_(ctx) {}
+  /// Throws std::logic_error unless both operands belong to one field.
+  void require_same_field(const Fp& other) const;
+  [[nodiscard]] const crypto::MontCtx& mont() const;
+  [[nodiscard]] const std::uint64_t* p_limbs() const;
+
+  FpCtxPtr ctx_ = nullptr;
+  Limbs v_{};  // x·R mod p; limbs past the modulus width stay zero
 };
 
 /// Montgomery batch inversion: inverts every element for the cost of ONE

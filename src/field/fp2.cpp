@@ -1,7 +1,6 @@
 #include "field/fp2.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace sp::field {
 
@@ -11,16 +10,14 @@ Fp2::Fp2(Fp a, Fp b) : a_(std::move(a)), b_(std::move(b)) {
 
 Fp2::Fp2(const Fp& a) : a_(a), b_(Fp::zero(a.ctx())) {}
 
-Fp2 Fp2::zero(const FpCtxPtr& ctx) { return Fp2(Fp::zero(ctx), Fp::zero(ctx)); }
-Fp2 Fp2::one(const FpCtxPtr& ctx) { return Fp2(Fp::one(ctx), Fp::zero(ctx)); }
+Fp2 Fp2::zero(FpCtxPtr ctx) { return Fp2(Fp::zero(ctx), Fp::zero(ctx)); }
+Fp2 Fp2::one(FpCtxPtr ctx) { return Fp2(Fp::one(ctx), Fp::zero(ctx)); }
 
-Fp2 Fp2::random(const FpCtxPtr& ctx, crypto::Drbg& rng) {
+Fp2 Fp2::random(FpCtxPtr ctx, crypto::Drbg& rng) {
   return Fp2(Fp::random(ctx, rng), Fp::random(ctx, rng));
 }
 
-bool Fp2::is_one() const {
-  return !a_.is_zero() && a_ == Fp::one(a_.ctx()) && b_.is_zero();
-}
+bool Fp2::is_one() const { return a_.ctx() && a_ == Fp::one(a_.ctx()) && b_.is_zero(); }
 
 Bytes Fp2::to_bytes() const {
   Bytes out = a_.to_bytes();
@@ -29,7 +26,7 @@ Bytes Fp2::to_bytes() const {
   return out;
 }
 
-Fp2 Fp2::from_bytes(const FpCtxPtr& ctx, std::span<const std::uint8_t> data) {
+Fp2 Fp2::from_bytes(FpCtxPtr ctx, std::span<const std::uint8_t> data) {
   const std::size_t half = ctx->byte_length();
   if (data.size() != 2 * half) throw std::invalid_argument("Fp2::from_bytes: bad length");
   return Fp2(Fp::from_bytes(ctx, data.first(half)), Fp::from_bytes(ctx, data.subspan(half)));
@@ -45,6 +42,12 @@ Fp2 operator*(const Fp2& x, const Fp2& y) {
   const Fp bd = x.b_ * y.b_;
   const Fp cross = (x.a_ + x.b_) * (y.a_ + y.b_);
   return Fp2(ac - bd, cross - ac - bd);
+}
+
+Fp2 Fp2::square() const {
+  // (a + bi)² = (a + b)(a − b) + 2ab·i.
+  const Fp ab = a_ * b_;
+  return Fp2((a_ + b_) * (a_ - b_), ab + ab);
 }
 
 Fp2 Fp2::operator-() const { return Fp2(-a_, -b_); }
@@ -69,11 +72,10 @@ Fp2 Fp2::pow(const BigInt& e) const {
   if (nbits == 0) return Fp2::one(a_.ctx());
   // Fixed-window w = 4: the final-exponentiation exponent h is hundreds of
   // bits, so trading 14 table multiplies for ~0.44·nbits running multiplies
-  // wins well before that.
-  std::vector<Fp2> table;
-  table.reserve(15);
-  table.push_back(*this);
-  for (int d = 2; d <= 15; ++d) table.push_back(table.back() * *this);
+  // wins well before that. table[d - 1] = x^d, on the stack.
+  Fp2 table[15];
+  table[0] = *this;
+  for (int d = 1; d < 15; ++d) table[d] = table[d - 1] * *this;
   const std::size_t nnibs = (nbits + 3) / 4;
   const auto nibble = [&e](std::size_t k) -> unsigned {
     unsigned d = 0;
@@ -83,10 +85,7 @@ Fp2 Fp2::pow(const BigInt& e) const {
   const unsigned top = nibble(nnibs - 1);
   Fp2 result = top == 0 ? Fp2::one(a_.ctx()) : table[top - 1];
   for (std::size_t k = nnibs - 1; k-- > 0;) {
-    result = result * result;
-    result = result * result;
-    result = result * result;
-    result = result * result;
+    result = result.square().square().square().square();
     const unsigned d = nibble(k);
     if (d != 0) result = result * table[d - 1];
   }

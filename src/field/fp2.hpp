@@ -19,9 +19,9 @@ class Fp2 {
   /// Embeds an F_p element (imaginary part zero).
   explicit Fp2(const Fp& a);
 
-  static Fp2 zero(const FpCtxPtr& ctx);
-  static Fp2 one(const FpCtxPtr& ctx);
-  static Fp2 random(const FpCtxPtr& ctx, crypto::Drbg& rng);
+  static Fp2 zero(FpCtxPtr ctx);
+  static Fp2 one(FpCtxPtr ctx);
+  static Fp2 random(FpCtxPtr ctx, crypto::Drbg& rng);
 
   [[nodiscard]] const Fp& re() const { return a_; }
   [[nodiscard]] const Fp& im() const { return b_; }
@@ -29,7 +29,7 @@ class Fp2 {
   [[nodiscard]] bool is_one() const;
   /// Fixed-width encoding: re || im.
   [[nodiscard]] Bytes to_bytes() const;
-  static Fp2 from_bytes(const FpCtxPtr& ctx, std::span<const std::uint8_t> data);
+  static Fp2 from_bytes(FpCtxPtr ctx, std::span<const std::uint8_t> data);
 
   friend Fp2 operator+(const Fp2& x, const Fp2& y);
   friend Fp2 operator-(const Fp2& x, const Fp2& y);
@@ -38,6 +38,8 @@ class Fp2 {
   friend bool operator==(const Fp2& x, const Fp2& y);
   friend bool operator!=(const Fp2& x, const Fp2& y) { return !(x == y); }
 
+  /// x² with two F_p multiplications instead of three.
+  [[nodiscard]] Fp2 square() const;
   /// Conjugate a − b·i.
   [[nodiscard]] Fp2 conj() const;
   /// Norm a² + b² ∈ F_p.

@@ -22,7 +22,7 @@ obs::Counter& lagrange_builds() {
   return c;
 }
 
-std::string cache_key(const FpCtxPtr& field, std::span<const Fp> xs, const Fp& at) {
+std::string cache_key(FpCtxPtr field, std::span<const Fp> xs, const Fp& at) {
   std::vector<crypto::Bytes> encoded;
   encoded.reserve(xs.size());
   for (const Fp& x : xs) encoded.push_back(x.to_bytes());
@@ -55,7 +55,7 @@ void LagrangeCache::wipe_entry(Entry& entry) noexcept {
   }
 }
 
-std::vector<Fp> LagrangeCache::compute(const FpCtxPtr& field, std::span<const Fp> xs,
+std::vector<Fp> LagrangeCache::compute(FpCtxPtr field, std::span<const Fp> xs,
                                        const Fp& at) {
   const std::size_t n = xs.size();
   if (n == 0) throw std::invalid_argument("LagrangeCache::compute: empty abscissa set");
@@ -84,7 +84,7 @@ std::vector<Fp> LagrangeCache::compute(const FpCtxPtr& field, std::span<const Fp
     for (std::size_t m = 0; m < n; ++m) {
       if (m != j) d = d * (xs[j] - xs[m]);
     }
-    den[j] = std::move(d);
+    den[j] = d;
   }
   std::vector<Fp> inv = field::batch_inv(den);
 
@@ -103,18 +103,18 @@ std::vector<Fp> LagrangeCache::compute(const FpCtxPtr& field, std::span<const Fp
   return out;
 }
 
-std::vector<Fp> LagrangeCache::basis(const FpCtxPtr& field, std::span<const Fp> xs,
+std::vector<Fp> LagrangeCache::basis(FpCtxPtr field, std::span<const Fp> xs,
                                      const Fp& at) const {
   std::string key = cache_key(field, xs, at);
   {
     sp::MutexLock lock(mutex_);
     auto it = map_.find(key);
     if (it != map_.end()) {
-      // Remap the stored (sorted) coefficients to this call's share order.
+      // Remap the stored coefficients to this call's share order.
       std::vector<Fp> out(xs.size());
       for (std::size_t j = 0; j < xs.size(); ++j) {
         for (const auto& [abscissa, coeff] : it->second.coeffs) {
-          if (abscissa == xs[j].value()) {
+          if (abscissa == xs[j]) {
             out[j] = coeff;
             break;
           }
@@ -135,11 +135,7 @@ std::vector<Fp> LagrangeCache::basis(const FpCtxPtr& field, std::span<const Fp> 
     if (map_.find(key) == map_.end()) {
       Entry entry;
       entry.coeffs.reserve(xs.size());
-      for (std::size_t j = 0; j < xs.size(); ++j) {
-        entry.coeffs.emplace_back(xs[j].value(), out[j]);
-      }
-      std::sort(entry.coeffs.begin(), entry.coeffs.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t j = 0; j < xs.size(); ++j) entry.coeffs.emplace_back(xs[j], out[j]);
       map_.emplace(key, std::move(entry));
       fifo_.push_back(key);
       lagrange_builds().inc();

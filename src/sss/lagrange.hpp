@@ -44,12 +44,12 @@ class LagrangeCache {
   /// cache key is order-independent: same abscissa set in any permutation
   /// hits the same entry). Precondition: xs are distinct and non-empty —
   /// callers (Shamir) reject duplicates first.
-  [[nodiscard]] std::vector<Fp> basis(const FpCtxPtr& field, std::span<const Fp> xs,
+  [[nodiscard]] std::vector<Fp> basis(FpCtxPtr field, std::span<const Fp> xs,
                                       const Fp& at) const;
 
   /// The batched no-cache computation (prefix/suffix numerators + one
   /// batch inversion). Public so benches can compare cached vs direct.
-  [[nodiscard]] static std::vector<Fp> compute(const FpCtxPtr& field, std::span<const Fp> xs,
+  [[nodiscard]] static std::vector<Fp> compute(FpCtxPtr field, std::span<const Fp> xs,
                                                const Fp& at);
 
   /// Current entry count (tests assert the FIFO cap holds).
@@ -57,9 +57,9 @@ class LagrangeCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Sorted (abscissa, coefficient) pairs; remapped to call order on hit.
+  /// (abscissa, coefficient) pairs; remapped to call order on hit.
   struct Entry {
-    std::vector<std::pair<crypto::BigInt, Fp>> coeffs;
+    std::vector<std::pair<Fp, Fp>> coeffs;
   };
 
   static void wipe_entry(Entry& entry) noexcept;

@@ -7,8 +7,7 @@
 
 namespace sp::sss {
 
-Shamir::Shamir(FpCtxPtr field)
-    : field_(std::move(field)), lagrange_(std::make_unique<LagrangeCache>()) {
+Shamir::Shamir(FpCtxPtr field) : field_(field), lagrange_(std::make_unique<LagrangeCache>()) {
   if (!field_) throw std::invalid_argument("Shamir: null field");
 }
 

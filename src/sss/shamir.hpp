@@ -78,7 +78,7 @@ class Shamir {
   [[nodiscard]] Share deserialize(std::span<const std::uint8_t> data) const;
   [[nodiscard]] std::size_t serialized_size() const { return 2 * field_->byte_length(); }
 
-  [[nodiscard]] const FpCtxPtr& field() const { return field_; }
+  [[nodiscard]] FpCtxPtr field() const { return field_; }
 
  private:
   /// Shared duplicate-abscissa validation for both interpolation paths.

@@ -15,9 +15,16 @@ Context show_context() {
                   {"Drummer threw?", "a cowbell"}});
 }
 
+SessionConfig directed_config() {
+  SessionConfig config;
+  config.pairing_preset = ec::ParamPreset::kToy;
+  config.seed = "directed";
+  return config;
+}
+
 class DirectedOsnTest : public ::testing::Test {
  protected:
-  DirectedOsnTest() : session_({ec::ParamPreset::kToy, net::wlan_80211n_to_ec2(), "directed"}) {
+  DirectedOsnTest() : session_(directed_config()) {
     band_ = session_.register_user("band");
     follower_ = session_.register_user("follower");
     outsider_ = session_.register_user("outsider");

@@ -41,13 +41,25 @@ TEST(MontCtx, UsableRejectsBadModuli) {
   EXPECT_THROW(MontCtx(BigInt{4}), std::invalid_argument);
 }
 
+// (a·b) mod m through the raw Montgomery-domain interface.
+BigInt mont_mul(const MontCtx& ctx, const BigInt& a, const BigInt& b) {
+  std::uint64_t ar[MontCtx::kMaxLimbs];
+  std::uint64_t br[MontCtx::kMaxLimbs];
+  ctx.to_mont_raw(a, ar);
+  ctx.to_mont_raw(b, br);
+  ctx.mul_raw(ar, br, ar);
+  return ctx.from_mont_raw(ar);
+}
+
 TEST(MontCtx, DomainRoundTrip) {
   Drbg rng("mont-roundtrip");
   for (int i = 0; i < 50; ++i) {
     const BigInt m = random_odd(rng, 1 + i % 64);
     const MontCtx ctx(m);
     const BigInt x = BigInt::from_bytes(rng.bytes(1 + (i * 7) % 80)).mod(m);
-    EXPECT_EQ(ctx.from_mont(ctx.to_mont(x)), x) << "m=" << m.to_hex();
+    std::uint64_t raw[MontCtx::kMaxLimbs];
+    ctx.to_mont_raw(x, raw);
+    EXPECT_EQ(ctx.from_mont_raw(raw), x) << "m=" << m.to_hex();
   }
 }
 
@@ -56,8 +68,10 @@ TEST(MontCtx, OneMontIsIdentity) {
   const BigInt m = random_odd(rng, 32);
   const MontCtx ctx(m);
   const BigInt x = BigInt::from_bytes(rng.bytes(32)).mod(m);
-  EXPECT_EQ(ctx.mont_mul(ctx.to_mont(x), ctx.one_mont()), ctx.to_mont(x));
-  EXPECT_EQ(ctx.from_mont(ctx.one_mont()), BigInt{1});
+  EXPECT_EQ(mont_mul(ctx, x, BigInt{1}), x);
+  std::uint64_t one[MontCtx::kMaxLimbs];
+  ctx.to_mont_raw(BigInt{1}, one);
+  EXPECT_EQ(ctx.from_mont_raw(one), BigInt{1});
 }
 
 TEST(MontCtx, MulMatchesReference1k) {
@@ -69,8 +83,27 @@ TEST(MontCtx, MulMatchesReference1k) {
     const MontCtx ctx(m);
     const BigInt a = BigInt::from_bytes(rng.bytes(1 + (i * 5) % 128)).mod(m);
     const BigInt b = BigInt::from_bytes(rng.bytes(1 + (i * 11) % 128)).mod(m);
-    EXPECT_EQ(ctx.mul(a, b), ref_mul(a, b, m))
+    EXPECT_EQ(mont_mul(ctx, a, b), ref_mul(a, b, m))
         << "i=" << i << " m=" << m.to_hex() << " a=" << a.to_hex() << " b=" << b.to_hex();
+  }
+}
+
+TEST(MontCtx, InvMatchesModInv) {
+  // Odd moduli of every width up to the cap; residues coprime to m invert,
+  // the rest throw.
+  Drbg rng("mont-inv-equiv");
+  for (int i = 0; i < 200; ++i) {
+    const BigInt m = random_odd(rng, 1 + (i * 7) % 128);
+    const MontCtx ctx(m);
+    const BigInt a = BigInt::from_bytes(rng.bytes(1 + (i * 3) % 128)).mod(m);
+    std::uint64_t raw[MontCtx::kMaxLimbs];
+    ctx.to_mont_raw(a, raw);
+    if (BigInt::gcd(a, m) != BigInt{1}) {
+      EXPECT_THROW(ctx.inv_raw(raw, raw), std::domain_error) << "i=" << i;
+      continue;
+    }
+    ctx.inv_raw(raw, raw);
+    EXPECT_EQ(ctx.from_mont_raw(raw), BigInt::mod_inv(a, m)) << "i=" << i << " m=" << m.to_hex();
   }
 }
 

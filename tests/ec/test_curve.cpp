@@ -120,12 +120,12 @@ TEST(Curve, SerializeRoundTrip) {
 
 TEST(Curve, DeserializeRejectsGarbage) {
   const Curve& c = toy_curve();
-  EXPECT_THROW(c.deserialize(crypto::Bytes{}), std::invalid_argument);
-  EXPECT_THROW(c.deserialize(crypto::Bytes{0x05, 1, 2}), std::invalid_argument);
+  EXPECT_THROW((void)c.deserialize(crypto::Bytes{}), std::invalid_argument);
+  EXPECT_THROW((void)c.deserialize(crypto::Bytes{0x05, 1, 2}), std::invalid_argument);
   // Valid length but point not on curve.
   crypto::Bytes bogus(1 + 2 * c.fp()->byte_length(), 0x02);
   bogus[0] = 0x04;
-  EXPECT_THROW(c.deserialize(bogus), std::invalid_argument);
+  EXPECT_THROW((void)c.deserialize(bogus), std::invalid_argument);
 }
 
 TEST(Curve, OnCurveRejectsOffCurvePoint) {
