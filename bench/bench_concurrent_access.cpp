@@ -27,8 +27,7 @@
 // for the batch-verify pipeline is on C2 access latency specifically, and a
 // 7:1 mix would bury it in the aggregate), separating measured processing
 // time from the modeled wire wait so the crypto-path improvement is visible
-// next to the network floor, and adds a per-core verify-throughput step
-// (requests/s/thread at each thread count).
+// next to the network floor.
 //
 // The PR 8 section A/Bs durability: two fresh sessions with identical crypto
 // config — one in-memory, one WAL-backed (fsync=batch) on a throwaway
@@ -64,8 +63,6 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "core/verify_queue.hpp"
-#include "crypto/sha256.hpp"
 #include "fig10_common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -326,68 +323,6 @@ MixedRwStats run_mixed_rw(Session& session, const std::vector<Session::AccessReq
   return s;
 }
 
-struct VerifyThroughput {
-  std::size_t threads = 0;
-  std::size_t batches = 0;
-  double wall_ms = 0;
-  double batches_per_sec = 0;
-  double per_core_rps = 0;  // batches/s divided by the request thread count
-};
-
-/// PR 7 verify-throughput step: `threads` request threads push SP-style
-/// salted-hash check batches (the Construction 1/2 verify workload) through
-/// ONE shared VerifyQueue and wait, exactly the Session topology. Reported
-/// per-core rate = completed batches/s per request thread; a flat per-core
-/// line as threads grow is the "no cross-request convoy" acceptance signal.
-VerifyThroughput run_verify_throughput(sp::core::VerifyQueue& queue, std::size_t threads,
-                                       std::size_t batches_per_thread,
-                                       std::size_t checks_per_batch) {
-  // The check itself mirrors Construction1::verify: hash(salt || answer) and
-  // compare against the stored digest.
-  const auto salt = to_bytes("verify-throughput-salt");
-  const auto answer = to_bytes("Paris");
-  auto salted = salt;
-  salted.insert(salted.end(), answer.begin(), answer.end());
-  const auto expected = sp::crypto::Sha256::hash(salted);
-
-  std::atomic<std::size_t> mismatches{0};
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (std::size_t b = 0; b < batches_per_thread; ++b) {
-        auto batch = queue.batch();
-        batch.add([&] {
-          for (std::size_t c = 0; c < checks_per_batch; ++c) {
-            auto probe = salt;
-            probe.insert(probe.end(), answer.begin(), answer.end());
-            if (sp::crypto::Sha256::hash(probe) != expected) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        });
-        batch.wait();
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall_start)
-          .count();
-  if (mismatches.load() != 0) {
-    std::fprintf(stderr, "verify throughput: %zu hash mismatches\n", mismatches.load());
-    std::exit(1);
-  }
-  VerifyThroughput vt;
-  vt.threads = threads;
-  vt.batches = threads * batches_per_thread;
-  vt.wall_ms = wall_ms;
-  vt.batches_per_sec = 1000.0 * static_cast<double>(vt.batches) / wall_ms;
-  vt.per_core_rps = vt.batches_per_sec / static_cast<double>(threads);
-  return vt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -484,22 +419,6 @@ int main(int argc, char** argv) {
     std::printf("  %7zu %9.1f %9.1f %9.1f %9.1f\n", s.threads, s.c2_total.p50_ms,
                 s.c2_total.p95_ms, s.c2_proc.p50_ms, s.c2_proc.p95_ms);
     c2_series.push_back(s);
-  }
-
-  // -- PR 7: per-core verify throughput ----------------------------------
-  // The raw check-batch pipeline, decoupled from pairings and wire waits:
-  // how many request batches/s one shared VerifyQueue sustains per request
-  // thread as concurrency grows.
-  const std::size_t vt_batches = cfg.overhead_tile > 1 ? 400 : 50;
-  sp::core::VerifyQueue verify_queue;
-  std::printf("# verify throughput: %zu batches/thread, 8 checks/batch\n", vt_batches);
-  std::printf("# %7s %9s %12s %12s\n", "threads", "wall_ms", "batches_ps", "per_core_ps");
-  std::vector<VerifyThroughput> vt_series;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const VerifyThroughput vt = run_verify_throughput(verify_queue, threads, vt_batches, 8);
-    std::printf("  %7zu %9.1f %12.1f %12.1f\n", vt.threads, vt.wall_ms, vt.batches_per_sec,
-                vt.per_core_rps);
-    vt_series.push_back(vt);
   }
 
   // -- PR 4: instrumentation overhead A/B --------------------------------
@@ -681,16 +600,6 @@ int main(int argc, char** argv) {
                  s.threads, s.virtual_makespan_ms, s.throughput_rps,
                  scheme_json(s.c2_total).c_str(),
                  scheme_json(s.c2_proc).c_str(), i + 1 < c2_series.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"verify_throughput\": [\n");
-  for (std::size_t i = 0; i < vt_series.size(); ++i) {
-    const VerifyThroughput& vt = vt_series[i];
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"batches\": %zu, \"wall_ms\": %.1f, "
-                 "\"batches_per_sec\": %.1f, \"per_core_per_sec\": %.1f}%s\n",
-                 vt.threads, vt.batches, vt.wall_ms, vt.batches_per_sec, vt.per_core_rps,
-                 i + 1 < vt_series.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"speedup_8_vs_1\": %.2f,\n", speedup);

@@ -83,8 +83,8 @@ class CpAbe {
                                                          crypto::Drbg& rng) const;
 
   /// Optional executor for the independent per-leaf Miller loops inside
-  /// decrypt_key (sp::core's VerifyQueue builds one; empty = inline). The
-  /// alias keeps sp::abe free of core dependencies.
+  /// decrypt_key (Session passes sp::core's ThreadPool::run_all; empty =
+  /// inline). The alias keeps sp::abe free of core dependencies.
   using ParallelRunner = ec::Pairing::Runner;
 
   /// Decrypt: re-derives the DEM key, or nullopt when the key's attributes

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/verify_queue.hpp"
 #include "crypto/modes.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha3.hpp"
@@ -165,32 +164,17 @@ std::size_t Construction1::VerifyReply::wire_size() const {
 }
 
 Construction1::VerifyReply Construction1::verify(const Puzzle& puzzle, const Challenge& challenge,
-                                                 std::span<const Bytes> response_hashes,
-                                                 VerifyQueue* queue) {
-  // Malformed-request check stays on the caller's thread — a length
-  // mismatch is a protocol error, not a verification outcome, so it must
-  // not poison a queue batch.
+                                                 std::span<const Bytes> response_hashes) {
   if (response_hashes.size() != challenge.questions.size()) {
     throw std::invalid_argument("Construction1::verify: response/challenge length mismatch");
   }
   VerifyReply reply;
-  const auto check_set = [&reply, &puzzle, &challenge, response_hashes] {
-    for (std::size_t j = 0; j < challenge.indices.size(); ++j) {
-      const std::size_t idx = challenge.indices[j];
-      const PuzzleEntry& entry = puzzle.entries.at(idx);
-      if (crypto::ct_equal(entry.answer_hash, response_hashes[j])) {
-        reply.shares.push_back(GrantedShare{idx, entry.blinded_share});
-      }
+  for (std::size_t j = 0; j < challenge.indices.size(); ++j) {
+    const std::size_t idx = challenge.indices[j];
+    const PuzzleEntry& entry = puzzle.entries.at(idx);
+    if (crypto::ct_equal(entry.answer_hash, response_hashes[j])) {
+      reply.shares.push_back(GrantedShare{idx, entry.blinded_share});
     }
-  };
-  if (queue != nullptr) {
-    // One job = this request's whole check set: the queue batches ACROSS
-    // requests, not within one (a hash compare is too small to split).
-    VerifyQueue::Batch batch = queue->batch();
-    batch.add(check_set);
-    batch.wait();
-  } else {
-    check_set();
   }
   if (reply.shares.size() >= puzzle.threshold) {
     reply.granted = true;

@@ -20,8 +20,6 @@
 
 namespace sp::core {
 
-class VerifyQueue;
-
 class Construction1 {
  public:
   /// `field` hosts the Shamir arithmetic; `sig_curve` hosts the sharer
@@ -77,12 +75,8 @@ class Construction1 {
 
     [[nodiscard]] std::size_t wire_size() const;
   };
-  /// With a VerifyQueue, the salted-hash check set runs as one job through
-  /// the cross-request queue (bounded concurrency, batch metrics); null
-  /// keeps the inline path, bit for bit.
   [[nodiscard]] static VerifyReply verify(const Puzzle& puzzle, const Challenge& challenge,
-                                          std::span<const Bytes> response_hashes,
-                                          VerifyQueue* queue = nullptr);
+                                          std::span<const Bytes> response_hashes);
 
   // -------------------------------------------------------------- receiver
   /// H(a, K_Z): keyed answer hash. SHA3-256(a_norm || 0x1f || K_Z), matching

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/verify_queue.hpp"
 #include "crypto/modes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -139,31 +138,20 @@ Construction2::VerifyReply Construction2::verify(const abe::AccessTree& perturbe
                                                  std::size_t threshold,
                                                  const Challenge& challenge,
                                                  const Response& response,
-                                                 const std::string& url,
-                                                 VerifyQueue* queue) {
-  // Protocol-shape errors stay on the caller's thread (see Construction1).
+                                                 const std::string& url) {
   if (response.answer_hashes.size() != challenge.questions.size()) {
     throw std::invalid_argument("Construction2::verify: response/challenge length mismatch");
   }
   std::size_t matches = 0;
-  const auto check_set = [&matches, &perturbed_tree, &challenge, &response] {
-    const auto leaves = perturbed_tree.leaves();
-    for (std::size_t i = 0; i < challenge.questions.size(); ++i) {
-      for (const auto& [id, leaf] : leaves) {
-        if (leaf->leaf->question == challenge.questions[i] && leaf->leaf->perturbed &&
-            crypto::ct_equal(leaf->leaf->answer, response.answer_hashes[i])) {
-          ++matches;
-          break;
-        }
+  const auto leaves = perturbed_tree.leaves();
+  for (std::size_t i = 0; i < challenge.questions.size(); ++i) {
+    for (const auto& [id, leaf] : leaves) {
+      if (leaf->leaf->question == challenge.questions[i] && leaf->leaf->perturbed &&
+          crypto::ct_equal(leaf->leaf->answer, response.answer_hashes[i])) {
+        ++matches;
+        break;
       }
     }
-  };
-  if (queue != nullptr) {
-    VerifyQueue::Batch batch = queue->batch();
-    batch.add(check_set);
-    batch.wait();
-  } else {
-    check_set();
   }
   VerifyReply reply;
   if (matches >= threshold) {

@@ -23,8 +23,6 @@
 
 namespace sp::core {
 
-class VerifyQueue;
-
 class Construction2 {
  public:
   explicit Construction2(const ec::Curve& curve);
@@ -74,19 +72,16 @@ class Construction2 {
 
     [[nodiscard]] std::size_t wire_size(const UploadResult& stored) const;
   };
-  /// With a VerifyQueue, the leaf-hash check set runs as one job through
-  /// the cross-request queue; null keeps the inline path, bit for bit.
   [[nodiscard]] static VerifyReply verify(const abe::AccessTree& perturbed_tree,
                                           std::size_t threshold, const Challenge& challenge,
-                                          const Response& response, const std::string& url,
-                                          VerifyQueue* queue = nullptr);
+                                          const Response& response, const std::string& url);
 
   // -------------------------------------------------------------- receiver
   /// Reconstruct + KeyGen + Decrypt. Returns the object plaintext, or
   /// nullopt when fewer than k answers match / decryption fails. `runner`
   /// (optional) executes the batched decrypt's independent per-leaf Miller
-  /// loops — Session passes its VerifyQueue so concurrent requests share
-  /// one bounded pool; empty runs them inline.
+  /// loops — Session passes a fork-join over its ThreadPool (run_all);
+  /// empty runs them inline.
   /// `dem_key_out` (optional) receives the recovered KEM/DEM key, but only
   /// when the whole access succeeded — a fault anywhere in the pipeline
   /// leaves it untouched, so callers can never memoize a poisoned key.

@@ -159,7 +159,7 @@ Session::Session(SessionConfig config)
       injector_(config_.faults ? std::make_unique<net::FaultInjector>(*config_.faults) : nullptr),
       rng_(config_.seed + "-session"),
       cache_(config_.cache ? std::make_unique<ServeCache>(*config_.cache) : nullptr),
-      verify_queue_(std::make_unique<VerifyQueue>()) {}
+      leaf_pool_(std::max<std::size_t>(1, std::thread::hardware_concurrency())) {}
 
 crypto::Drbg Session::fork_rng(const std::string& label) const {
   const sp::MutexLock lock(rng_mutex_);
@@ -647,12 +647,7 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   for (const Bytes& h : response.hashes) sp_.observe("c1-response-hash", h);
   obs::Span verify_tspan(trace, "sp.verify");
   obs::TraceSpan verify_span(metrics.sp_verify);
-  // Verify batches its check set through the shared queue; the guard makes
-  // this span the parent of the batch's verify.wait/verify.job spans.
-  auto reply = [&] {
-    const obs::ContextGuard verify_guard(verify_tspan.context());
-    return Construction1::verify(puzzle, challenge, response.hashes, verify_queue_.get());
-  }();
+  auto reply = Construction1::verify(puzzle, challenge, response.hashes);
   verify_span.stop();
   verify_tspan.end();
   if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1)) {
@@ -815,11 +810,8 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   }
   obs::Span verify_tspan(trace, "sp.verify");
   obs::TraceSpan verify_span(metrics.sp_verify);
-  const auto reply = [&] {
-    const obs::ContextGuard verify_guard(verify_tspan.context());
-    return Construction2::verify(files.perturbed_tree, files.threshold, challenge, response,
-                                 stored.url, verify_queue_.get());
-  }();
+  const auto reply = Construction2::verify(files.perturbed_tree, files.threshold, challenge,
+                                           response, stored.url);
   verify_span.stop();
   verify_tspan.end();
   if (const auto err = exchange(response.wire_size() + reply.wire_size(files), 1)) {
@@ -907,10 +899,13 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   obs::TraceSpan access_span(metrics.c2_access, ledger);
   Bytes dem_key;
   try {
-    // Batched CP-ABE leaf pairings run through the queue; parent them here.
+    // The batched CP-ABE leaf pairings fork-join over leaf_pool_; helper
+    // pool.task spans nest under this one.
     const obs::ContextGuard access_guard(access_tspan.context());
-    result.object = c2_->access(ciphertext, files.public_key, files.master_key, knowledge, rng,
-                                verify_queue_->runner(), cache_ ? &dem_key : nullptr);
+    result.object = c2_->access(
+        ciphertext, files.public_key, files.master_key, knowledge, rng,
+        [this](std::span<const std::function<void()>> jobs) { leaf_pool_.run_all(jobs); },
+        cache_ ? &dem_key : nullptr);
   } catch (const std::exception&) {
     result.object = std::nullopt;  // delivered bytes too mangled to parse
   }

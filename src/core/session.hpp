@@ -24,7 +24,7 @@
 #include "core/construction1.hpp"
 #include "core/construction2.hpp"
 #include "core/serve_cache.hpp"
-#include "core/verify_queue.hpp"
+#include "core/thread_pool.hpp"
 #include "net/faults.hpp"
 #include "net/simnet.hpp"
 #include "obs/trace.hpp"
@@ -271,12 +271,11 @@ class Session {
   /// path and its exclusive lock from refresh/revoke, so invalidation is
   /// never concurrent with a fill for the same request.
   mutable std::unique_ptr<ServeCache> cache_;
-  /// Cross-request verification queue (PR 7): every access request's SP
-  /// check set and CP-ABE leaf pairings run through this shared bounded
-  /// pool. Declared last so it is destroyed first — after destruction no
-  /// serving path can touch the members above, and all batches are waited
-  /// within their request, so teardown never races live jobs.
-  mutable std::unique_ptr<VerifyQueue> verify_queue_;
+  /// Helpers for the receiver's C2 leaf Miller loops (ThreadPool::run_all;
+  /// the SP's Verify runs on the request thread). Declared last so it is
+  /// destroyed first; every run_all finishes within its request, so
+  /// teardown never races live jobs.
+  mutable ThreadPool leaf_pool_;
 };
 
 }  // namespace sp::core

@@ -1,5 +1,8 @@
 #include "core/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -27,7 +30,7 @@ struct PoolMetrics {
         reg.gauge("pool_queue_depth", "Tasks waiting for a worker"),
         reg.gauge("pool_in_flight", "Tasks currently executing on a worker"),
         reg.gauge("pool_threads", "Live worker threads across all pools"),
-        reg.counter("pool_tasks_total", "Tasks accepted by submit()"),
+        reg.counter("pool_tasks_total", "Tasks accepted by submit() plus run_all() helpers"),
         reg.counter("pool_rejected_total", "Submits rejected because the pool was shutting down"),
         reg.histogram("pool_task_ms", "Task execution wall time"),
     };
@@ -36,6 +39,16 @@ struct PoolMetrics {
 };
 
 }  // namespace
+
+struct ThreadPool::Fork {
+  std::span<const std::function<void()>> jobs;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed job index
+  // Guarded by the pool's mutex_ (a nested type cannot name it in an
+  // annotation).
+  std::size_t running = 0;  ///< helpers a worker has popped and not finished
+  std::exception_ptr error;  ///< of the lowest-index job that threw
+  std::size_t error_index = 0;
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::size_t queue_capacity)
     : queue_capacity_(queue_capacity == 0 ? 1 : queue_capacity) {
@@ -106,6 +119,67 @@ void ThreadPool::wait_idle() {
   while (pending_ != 0) all_done_.wait(lock);
 }
 
+void ThreadPool::drain(Fork& fork) {
+  // A helper's job effects reach the caller through mutex_ (its exit).
+  for (std::size_t i = fork.next++; i < fork.jobs.size(); i = fork.next++) {
+    try {
+      fork.jobs[i]();
+    } catch (...) {
+      const sp::MutexLock lock(mutex_);
+      if (!fork.error || i < fork.error_index) {
+        fork.error = std::current_exception();
+        fork.error_index = i;
+      }
+    }
+  }
+}
+
+void ThreadPool::run_all(std::span<const std::function<void()>> jobs) {
+  if (jobs.empty()) return;
+  PoolMetrics& metrics = PoolMetrics::get();
+  Fork fork;
+  fork.jobs = jobs;
+  // The caller is one runner, so more than size-1 helpers could only idle.
+  const std::size_t wanted = std::min(num_threads_, jobs.size() - 1);
+  std::size_t helpers = 0;
+  if (wanted != 0) {
+    const obs::TraceContext ctx = obs::Tracer::current();
+    const std::uint64_t enqueue_ns = ctx.sampled() ? obs::Tracer::now_ns() : 0;
+    {
+      const sp::MutexLock lock(mutex_);
+      // Past the queue bound on purpose: waiting for space could deadlock a
+      // worker caller, and a stopping pool simply lends no helpers.
+      if (!stopping_) {
+        for (; helpers < wanted; ++helpers) {
+          queue_.push_back(QueuedTask{[this, &fork] { drain(fork); }, ctx, enqueue_ns, &fork});
+        }
+        pending_ += helpers;
+      }
+    }
+    metrics.tasks.inc(helpers);
+    metrics.queue_depth.add(static_cast<std::int64_t>(helpers));
+    for (std::size_t i = 0; i < helpers; ++i) queue_has_work_.notify_one();
+  }
+  drain(fork);
+  // Every job is claimed. Withdraw the helpers no worker has popped, then
+  // wait out the running ones: each finishes the job it claimed and exits.
+  std::size_t withdrawn = 0;
+  {
+    sp::MutexLock lock(mutex_);
+    if (helpers != 0) {
+      withdrawn = std::erase_if(queue_, [&fork](const QueuedTask& t) { return t.fork == &fork; });
+      pending_ -= withdrawn;
+      if (withdrawn != 0 && pending_ == 0) all_done_.notify_all();
+    }
+    while (fork.running != 0) helper_done_.wait(lock);
+  }
+  if (withdrawn != 0) {
+    metrics.queue_depth.sub(static_cast<std::int64_t>(withdrawn));
+    queue_has_space_.notify_all();
+  }
+  if (fork.error) std::rethrow_exception(fork.error);
+}
+
 std::size_t ThreadPool::queue_depth() const {
   const sp::MutexLock lock(mutex_);
   return queue_.size();
@@ -126,6 +200,7 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       item = std::move(queue_.front());
       queue_.pop_front();
+      if (item.fork != nullptr) ++item.fork->running;
     }
     metrics.queue_depth.sub(1);
     metrics.in_flight.add(1);
@@ -153,7 +228,11 @@ void ThreadPool::worker_loop() {
       const sp::MutexLock lock(mutex_);
       --pending_;
       if (pending_ == 0) all_done_.notify_all();
+      // The last touch of the fork: its caller may return (and destroy it)
+      // as soon as mutex_ is free.
+      if (item.fork != nullptr) --item.fork->running;
     }
+    if (item.fork != nullptr) helper_done_.notify_all();
   }
 }
 

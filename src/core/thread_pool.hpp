@@ -1,5 +1,6 @@
 // Fixed-size worker pool with a BOUNDED work queue — the execution engine
-// behind Session::access_parallel and the concurrent load harness.
+// behind Session::access_parallel, the receiver's C2 leaf pairings
+// (run_all) and the concurrent load harness.
 //
 // The queue bound is the back-pressure mechanism a serving front-end needs:
 // when all workers are busy and the queue is full, `submit` blocks the
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -56,6 +58,18 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void wait_idle() SP_EXCLUDES(mutex_);
 
+  /// Fork-join: runs every job exactly once and returns when all have
+  /// finished. The calling thread claims and runs jobs itself while at most
+  /// num_threads() pool tasks help. Helpers no worker has picked up by the
+  /// time the caller runs out of jobs are withdrawn, and the call waits for
+  /// the ones still running, so once it returns nothing of the call runs or
+  /// reads `jobs` (and a helper's pool.task span ends inside the caller's
+  /// trace). Never blocks on the queue bound, so a worker may call it: the
+  /// caller can finish every job alone. A throwing job does not stop the
+  /// others; the exception of the lowest-index job that threw is rethrown,
+  /// whatever order the jobs finished in. Shaped as ec::Pairing::Runner.
+  void run_all(std::span<const std::function<void()>> jobs) SP_EXCLUDES(mutex_);
+
   /// Drains submitted tasks, joins the workers, rejects future submits.
   /// Idempotent and safe to race: every caller (including the destructor)
   /// blocks until the workers are actually joined.
@@ -70,6 +84,9 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const { return num_threads_; }
 
  private:
+  /// One run_all call's state, on the caller's stack (defined in the .cpp).
+  struct Fork;
+
   /// A queued task plus the submitter's trace context: the async-propagation
   /// hop. Workers re-install the context (and record queue wait + execution
   /// spans in the originating trace) before running the function, so code
@@ -78,15 +95,19 @@ class ThreadPool {
     std::function<void()> fn;
     obs::TraceContext ctx;
     std::uint64_t enqueue_ns = 0;  ///< only stamped when ctx is sampled
+    Fork* fork = nullptr;          ///< set on run_all helpers
   };
 
   void worker_loop() SP_EXCLUDES(mutex_);
+  /// Claims and runs `fork`'s jobs until none is left unclaimed.
+  void drain(Fork& fork) SP_EXCLUDES(mutex_);
 
   mutable sp::Mutex mutex_;
   sp::CondVar queue_has_space_;  ///< signaled when a task is popped
   sp::CondVar queue_has_work_;   ///< signaled when a task is pushed
   sp::CondVar all_done_;         ///< signaled when pending_ hits 0
   sp::CondVar join_done_cv_;     ///< signaled once the workers are joined
+  sp::CondVar helper_done_;      ///< signaled when a run_all helper finishes
   std::deque<QueuedTask> queue_ SP_GUARDED_BY(mutex_);
   std::size_t queue_capacity_;  ///< immutable after construction
   std::size_t pending_ SP_GUARDED_BY(mutex_) = 0;  ///< queued + executing

@@ -66,8 +66,9 @@ class Pairing {
   /// Executes a batch of independent closures, each evaluating one term's
   /// Miller loop. An empty Runner means "run inline"; a non-empty one must
   /// run EVERY closure exactly once before returning and rethrow (or
-  /// propagate) any exception a closure throws. sp::core's VerifyQueue
-  /// provides one; the indirection keeps ec free of core dependencies.
+  /// propagate) any exception a closure throws. sp::core's
+  /// ThreadPool::run_all provides one; the indirection keeps ec free of core
+  /// dependencies.
   using Runner = std::function<void(std::span<const std::function<void()>>)>;
 
   /// ∏ ê(p_i, q_i)^(±e_i) with one Miller loop per term and ONE shared

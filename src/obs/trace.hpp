@@ -6,8 +6,8 @@
 //    optionally a request CostLedger). It is the flat, aggregate view.
 //  * The span-tree tracer (PR 9) — 128-bit trace ids, parent/child spans
 //    with attributes/status/links, a request-scoped TraceContext that is
-//    propagated explicitly through Session/ThreadPool/VerifyQueue/WAL, and
-//    a lock-free per-thread ring collector with head-based sampling plus
+//    propagated explicitly through Session/ThreadPool/WAL, and a lock-free
+//    per-thread ring collector with head-based sampling plus
 //    tail-based keep rules (errored and slowest-p99 traces survive even
 //    when the recent ring wraps). docs/OBSERVABILITY.md has the span
 //    catalog; DESIGN.md §12 the architecture.
@@ -21,7 +21,7 @@
 //  * Head-unsampled request (the 99% at 1% sampling): one relaxed load plus
 //    one thread-local PRNG step; everything downstream no-ops as above.
 //  * Sampled request: spans append to a per-request buffer under its own
-//    mutex (uncontended except when VerifyQueue workers finish jobs for the
+//    mutex (uncontended except when pool helpers finish leaf jobs for the
 //    same request); the finished trace is published to a per-thread ring
 //    with a single atomic exchange — the collector itself never locks on
 //    the producer side.
@@ -121,8 +121,7 @@ enum class SpanStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(SpanStatus status);
 
 /// Causal reference to a span in this or another trace (a WAL group-commit
-/// batch links every contributing request's span; a help-drained verify job
-/// links the foreign runner's span).
+/// batch links every contributing request's span).
 struct SpanLink {
   TraceId trace;
   std::uint64_t span = 0;
@@ -162,7 +161,7 @@ struct TraceData {
 namespace detail {
 
 /// Shared per-request span sink. Spans of one trace may finish on several
-/// threads (VerifyQueue workers), so appends take the buffer mutex — scoped
+/// threads (ThreadPool workers), so appends take the buffer mutex — scoped
 /// to one request, it is uncontended in the common case.
 struct TraceBuffer {
   TraceId id;
@@ -200,8 +199,7 @@ class TraceContext {
 };
 
 /// Pre-allocates a span id under `ctx` (0 when unsampled) so a later worker
-/// can materialize the span while earlier spans already link to it — the
-/// VerifyQueue batch-link mechanism.
+/// can materialize the span while earlier spans already link to it.
 [[nodiscard]] std::uint64_t reserve_span_id(const TraceContext& ctx);
 
 /// RAII span. Move-only; ends (and records itself) on destruction or
@@ -249,9 +247,8 @@ class Span {
 /// Installs `ctx` as the calling thread's current context for the guard's
 /// scope (restores the previous one on destruction). This is the async
 /// propagation glue: ThreadPool workers install the submitter's context,
-/// VerifyQueue jobs the origin request's, so layers that never see a
-/// TraceContext parameter (SP/DH ops, the WAL wait path) still attach to
-/// the right trace via Tracer::current().
+/// so layers that never see a TraceContext parameter (SP/DH ops, the WAL
+/// wait path) still attach to the right trace via Tracer::current().
 class ContextGuard {
  public:
   explicit ContextGuard(TraceContext ctx);

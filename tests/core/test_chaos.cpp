@@ -10,13 +10,14 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/session.hpp"
-#include "core/verify_queue.hpp"
+#include "core/thread_pool.hpp"
 #include "crypto/drbg.hpp"
 #include "obs/metrics.hpp"
 #include "support/fixtures.hpp"
@@ -163,86 +164,81 @@ TEST(ChaosHammer, SameSeedRunsAreByteIdentical) {
   EXPECT_NE(ia->schedule_digest("replay-probe", 16, 8), ic->schedule_digest("replay-probe", 16, 8));
 }
 
-// ---- PR 7: verify-queue fault isolation under seeded chaos -------------
+// ---- fork-join fault isolation under seeded chaos ----------------------
 
-struct QueueChaosTally {
-  int batches_ok = 0;
-  int batches_failed = 0;
+struct ForkChaosTally {
+  int calls_ok = 0;
+  int calls_failed = 0;
   int clean_jobs_ran = 0;
 
-  friend bool operator==(const QueueChaosTally&, const QueueChaosTally&) = default;
+  friend bool operator==(const ForkChaosTally&, const ForkChaosTally&) = default;
 };
 
-/// Eight threads share one VerifyQueue; each thread's fault schedule is a
-/// seeded Drbg stream (~10% of batches get a throwing job injected), so two
-/// same-seed runs face the identical fault universe. Returns the summed
-/// tally.
-QueueChaosTally run_queue_chaos(const std::string& seed) {
-  VerifyQueue queue(4);
-  std::array<QueueChaosTally, kThreads> per_thread{};
+/// Eight threads share one ThreadPool and fork-join through run_all; each
+/// thread's fault schedule is a seeded Drbg stream (~10% of calls get a
+/// throwing job injected), so two same-seed runs face the identical fault
+/// universe. Returns the summed tally.
+ForkChaosTally run_fork_chaos(const std::string& seed) {
+  ThreadPool pool(4);
+  std::array<ForkChaosTally, kThreads> per_thread{};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&queue, &per_thread, &seed, t] {
+    threads.emplace_back([&pool, &per_thread, &seed, t] {
       crypto::Drbg rng(seed + "-verify-chaos-" + std::to_string(t));
       std::atomic<int> ran{0};
       for (int round = 0; round < 30; ++round) {
-        const bool faulty = rng.bytes(1)[0] < 26;  // ~10% of batches
-        VerifyQueue::Batch batch = queue.batch();
-        for (int j = 0; j < 3; ++j) batch.add([&ran] { ran.fetch_add(1); });
-        if (faulty) batch.add([] { throw std::runtime_error("chaos verify fault"); });
+        const bool faulty = rng.bytes(1)[0] < 26;  // ~10% of calls
+        std::vector<std::function<void()>> jobs(3, [&ran] { ran.fetch_add(1); });
+        if (faulty) jobs.emplace_back([] { throw std::runtime_error("chaos verify fault"); });
         try {
-          batch.wait();
-          EXPECT_FALSE(faulty) << "faulted batch must not complete cleanly";
-          ++per_thread[t].batches_ok;
+          pool.run_all(jobs);
+          EXPECT_FALSE(faulty) << "faulted call must not complete cleanly";
+          ++per_thread[t].calls_ok;
         } catch (const std::runtime_error&) {
-          EXPECT_TRUE(faulty) << "clean batch caught a fault from another request";
-          ++per_thread[t].batches_failed;
+          EXPECT_TRUE(faulty) << "clean call caught a fault from another request";
+          ++per_thread[t].calls_failed;
         }
       }
       per_thread[t].clean_jobs_ran = ran.load();
     });
   }
   for (std::thread& th : threads) th.join();
-  QueueChaosTally total;
-  for (const QueueChaosTally& o : per_thread) {
-    total.batches_ok += o.batches_ok;
-    total.batches_failed += o.batches_failed;
+  ForkChaosTally total;
+  for (const ForkChaosTally& o : per_thread) {
+    total.calls_ok += o.calls_ok;
+    total.calls_failed += o.calls_failed;
     total.clean_jobs_ran += o.clean_jobs_ran;
   }
   return total;
 }
 
-TEST(ChaosHammer, VerifyQueueFaultsStayInTheirOwnBatch) {
-  const QueueChaosTally tally = run_queue_chaos("queue-chaos");
-  // Every batch is accounted for, and a failed wait() never loses the
-  // batch's healthy jobs: all 3 clean jobs per batch ran regardless.
-  EXPECT_EQ(tally.batches_ok + tally.batches_failed, static_cast<int>(kThreads) * 30);
+TEST(ChaosHammer, RunAllFaultsStayInTheirOwnCall) {
+  const ForkChaosTally tally = run_fork_chaos("queue-chaos");
+  // Every call is accounted for, and a failed call never loses its healthy
+  // jobs: all 3 clean jobs per call ran regardless.
+  EXPECT_EQ(tally.calls_ok + tally.calls_failed, static_cast<int>(kThreads) * 30);
   EXPECT_EQ(tally.clean_jobs_ran, static_cast<int>(kThreads) * 30 * 3);
   // At ~10% a seeded run has both failures and survivors.
-  EXPECT_GT(tally.batches_failed, 0);
-  EXPECT_GT(tally.batches_ok, tally.batches_failed);
-  // Same-seed replay is outcome-identical; a different seed is a different
-  // fault universe (same totals, but only by coincidence would the split
-  // match — assert just the replay half, which is the contract).
-  EXPECT_TRUE(run_queue_chaos("queue-chaos") == tally);
+  EXPECT_GT(tally.calls_failed, 0);
+  EXPECT_GT(tally.calls_ok, tally.calls_failed);
+  // Same-seed replay is outcome-identical.
+  EXPECT_TRUE(run_fork_chaos("queue-chaos") == tally);
 }
 
 TEST(ChaosHammer, SessionVerifyPathSurvivesChaosThroughTheQueue) {
-  // End-to-end: the Session routes every C1/C2 verify through its private
-  // VerifyQueue. Under a 10% net-fault plan the earlier accounting tests
-  // already pin totals; here we pin the queue-level metrics — every served
-  // request contributed at least one verify batch, and the queue drained.
-  auto& reg = obs::MetricsRegistry::global();
-  const auto batches_before =
-      reg.counter("sp_verify_batches_total", "Request batches waited on").value();
+  // End-to-end: the Session runs every C1/C2 Verify on the request thread,
+  // timed by the sp.verify phase. Under a 10% net-fault plan the earlier
+  // accounting tests already pin totals; here every grant must have
+  // verified at least once (retries and redraws can add more).
+  auto& verify_phase = obs::MetricsRegistry::global().histogram(
+      "sp_phase_latency_ms", "", obs::Histogram::default_latency_bounds_ms(),
+      {{"phase", "sp.verify"}});
+  const auto verifies_before = verify_phase.count();
   testsupport::FanoutRig rig(chaos_config(0.10, "chaos-queue-e2e"), kThreads);
   const Outcome tally = run_chaos_load(rig);
   EXPECT_EQ(tally.granted + tally.denied + tally.deadline, kIssued);
-  const auto batches_after = reg.counter("sp_verify_batches_total", "").value();
-  // Grants verify at least once (retries and C2's AND of SP+C2 checks can
-  // add more), so the delta is bounded below by the grant count.
-  EXPECT_GE(batches_after - batches_before, static_cast<std::uint64_t>(tally.granted));
+  EXPECT_GE(verify_phase.count() - verifies_before, static_cast<std::uint64_t>(tally.granted));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,7 +17,6 @@
 
 #include "core/session.hpp"
 #include "core/thread_pool.hpp"
-#include "core/verify_queue.hpp"
 #include "support/fixtures.hpp"
 
 namespace sp::core {
@@ -305,70 +305,93 @@ TEST_F(SessionConcurrencyTest, ConcurrentAccessSharingAndRefresh) {
   EXPECT_EQ(*after.object, to_bytes("c1 object v2"));
 }
 
-TEST(ConcurrencyHammer, VerifyQueueEightThreadsShareOneQueue) {
-  // PR 7: eight request threads funnel their check sets through ONE
-  // VerifyQueue (the Session topology). Every batch must complete with
-  // exactly its own jobs, with waiters help-draining whatever mix of
-  // batches is in flight.
-  VerifyQueue queue(4);
+TEST(ConcurrencyHammer, RunAllEightThreadsShareOnePool) {
+  // Eight request threads fork-join over ONE pool (the Session topology for
+  // C2 leaf pairings). Every call must complete with exactly its own jobs,
+  // whatever mix of calls the helpers are serving.
+  ThreadPool pool(4);
   std::array<std::atomic<int>, kThreads> ran{};
   run_threads([&](std::size_t t) {
     for (int round = 0; round < 25; ++round) {
-      VerifyQueue::Batch batch = queue.batch();
-      const int jobs = 1 + static_cast<int>((t + round) % 7);
-      for (int j = 0; j < jobs; ++j) {
-        batch.add([&ran, t] { ran[t].fetch_add(1, std::memory_order_relaxed); });
-      }
-      batch.wait();
-      // All of THIS thread's jobs so far have run once wait() returns;
-      // per-thread counters make that checkable despite the shared queue.
+      const int n = 1 + static_cast<int>((t + round) % 7);
+      const std::vector<std::function<void()>> jobs(
+          n, [&ran, t] { ran[t].fetch_add(1, std::memory_order_relaxed); });
+      pool.run_all(jobs);
+      // All of THIS thread's jobs so far have run once run_all returns;
+      // per-thread counters make that checkable despite the shared pool.
       int expected = 0;
       for (int r = 0; r <= round; ++r) expected += 1 + static_cast<int>((t + r) % 7);
       EXPECT_EQ(ran[t].load(), expected) << "thread " << t << " round " << round;
     }
   });
-  EXPECT_EQ(queue.queue_depth(), 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
-TEST(ConcurrencyHammer, VerifyQueueInjectedFaultFailsOnlyItsOwnBatch) {
-  // The satellite contract: a transient fault inside one batch's job must
-  // surface from that batch's wait() and nowhere else. Odd threads inject a
-  // throw into every third batch; even threads run clean and must never see
-  // an error.
-  VerifyQueue queue(4);
+TEST(ConcurrencyHammer, RunAllInjectedFaultFailsOnlyItsOwnCall) {
+  // A fault inside one call's job must surface from that call and nowhere
+  // else. Odd threads inject a throw into every third call; even threads run
+  // clean and must never see an error.
+  ThreadPool pool(4);
   std::array<std::atomic<int>, kThreads> clean_ran{};
   std::atomic<int> faults_thrown{0};
   std::atomic<int> faults_caught{0};
   run_threads([&](std::size_t t) {
     for (int round = 0; round < 20; ++round) {
-      VerifyQueue::Batch batch = queue.batch();
       const bool faulty = (t % 2 == 1) && (round % 3 == 0);
-      for (int j = 0; j < 4; ++j) {
-        batch.add([&clean_ran, t] { clean_ran[t].fetch_add(1, std::memory_order_relaxed); });
-      }
+      std::vector<std::function<void()>> jobs(
+          4, [&clean_ran, t] { clean_ran[t].fetch_add(1, std::memory_order_relaxed); });
       if (faulty) {
-        batch.add([&faults_thrown] {
+        jobs.emplace_back([&faults_thrown] {
           faults_thrown.fetch_add(1, std::memory_order_relaxed);
           throw std::runtime_error("transient verification fault");
         });
       }
       try {
-        batch.wait();
+        pool.run_all(jobs);
         EXPECT_FALSE(faulty) << "thread " << t << " round " << round
-                             << ": faulty batch completed cleanly";
+                             << ": faulty call completed cleanly";
       } catch (const std::runtime_error&) {
         EXPECT_TRUE(faulty) << "thread " << t << " round " << round
-                            << ": clean batch caught a neighbour's fault";
+                            << ": clean call caught a neighbour's fault";
         faults_caught.fetch_add(1, std::memory_order_relaxed);
       }
     }
   });
-  // Every injected fault was thrown, and each was caught by its own batch.
+  // Every injected fault was thrown, and each was caught by its own call.
   EXPECT_EQ(faults_thrown.load(), 4 * 7);  // 4 odd threads x ceil(20/3) rounds
   EXPECT_EQ(faults_caught.load(), faults_thrown.load());
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(clean_ran[t].load(), 20 * 4) << "thread " << t;
   }
+}
+
+TEST(ConcurrencyHammer, RunAllFromWorkersAndOutsideCallersTogether) {
+  // Calls made from the pool's own workers mix with calls from outside
+  // threads; with every worker busy as a caller, each call must still
+  // finish (its caller can run every job alone).
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::atomic<int> calls{0};
+  const auto fork = [&pool, &ran, &calls] {
+    const std::vector<std::function<void()>> jobs(5, [&ran] {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    pool.run_all(jobs);
+    calls.fetch_add(1, std::memory_order_relaxed);
+  };
+  run_threads([&](std::size_t t) {
+    for (int round = 0; round < 10; ++round) {
+      if (t % 2 == 0) {
+        fork();
+      } else {
+        pool.submit(fork);
+      }
+    }
+  });
+  pool.wait_idle();
+  EXPECT_EQ(calls.load(), static_cast<int>(kThreads) * 10);
+  EXPECT_EQ(ran.load(), static_cast<int>(kThreads) * 10 * 5);
 }
 
 }  // namespace

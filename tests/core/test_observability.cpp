@@ -141,6 +141,34 @@ TEST_F(ObservabilityTest, C2AccessPopulatesAbePhasesAndPairingHistogram) {
   EXPECT_GE(pairs_total.value(), pairs0 + 3);
 }
 
+TEST_F(ObservabilityTest, SpVerifyPathSubmitsNoPoolTask) {
+  // The SP's Verify runs on the request thread: neither C1 grants nor
+  // below-threshold denials of either construction hand work to a pool.
+  const Context ctx = party_context();
+  const auto c1 = session_.share_c1(sharer_, to_bytes("c1 object"), ctx, 2, 4, net::pc_profile());
+  const auto c2 = session_.share_c2(sharer_, to_bytes("c2 object"), ctx, 2, net::pc_profile());
+  auto& pool_tasks = counter("pool_tasks_total");
+  crypto::Drbg rng("obs-no-hop");
+  const auto tasks0 = pool_tasks.value();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(
+        session_.access(friend_, c1.post_id, Knowledge::full(ctx), net::pc_profile()).success());
+    EXPECT_FALSE(session_
+                     .access(friend_, c1.post_id, Knowledge::partial(ctx, 1, rng),
+                             net::pc_profile())
+                     .granted);
+    EXPECT_FALSE(session_
+                     .access(friend_, c2.post_id, Knowledge::partial(ctx, 1, rng),
+                             net::pc_profile())
+                     .granted);
+  }
+  EXPECT_EQ(pool_tasks.value(), tasks0);
+  // Positive control: a C2 grant's leaf Miller loops still get pool helpers.
+  ASSERT_TRUE(
+      session_.access(friend_, c2.post_id, Knowledge::full(ctx), net::pc_profile()).success());
+  EXPECT_GT(pool_tasks.value(), tasks0);
+}
+
 TEST_F(ObservabilityTest, ShareAndRefreshCountersIncrement) {
   const Context ctx = party_context();
   auto& shares_c1 = counter("sp_share_requests_total", {{"scheme", "c1"}});

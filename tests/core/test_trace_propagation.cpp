@@ -1,6 +1,6 @@
 // Chaos trace-propagation tests (PR 9): the span-tree tracer must follow a
-// request through the retry loop, the access-parallel thread pool, the
-// cross-request verify queue and the WAL writer — under seeded fault
+// request through the retry loop, the access-parallel thread pool, the C2
+// leaf-pairing fork-join and the WAL writer — under seeded fault
 // injection, and deterministically enough that a same-seed replay produces
 // the same protocol-layer span tree.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "codec/trace_records.hpp"
 #include "core/session.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fixtures.hpp"
 
@@ -222,6 +223,9 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
   FanoutRig rig(cfg, 3);
   const TracerOn tracer_on;
   auto& tracer = Tracer::global();
+  auto& dropped =
+      sp::obs::MetricsRegistry::global().counter("sp_trace_spans_dropped_total", "");
+  const auto dropped0 = dropped.value();
 
   std::vector<sp::core::Session::AccessRequest> batch;
   for (int i = 0; i < 6; ++i) {
@@ -239,18 +243,28 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
   ASSERT_EQ(traces.size(), 6u);
   for (const TraceData& t : traces) {
     EXPECT_EQ(t.root_name, "sp.request");
+    const SpanRecord& root = t.spans.back();
+    EXPECT_EQ(root.parent_id, 0u) << "root must finish last";
     // Submit-time roots: the pool's queue wait lands inside the request.
     EXPECT_FALSE(spans_named(t, "pool.wait").empty());
     EXPECT_FALSE(spans_named(t, "pool.task").empty());
     EXPECT_FALSE(spans_named(t, "sp.access").empty());
-    EXPECT_FALSE(spans_named(t, "verify.job").empty());
-    const auto waits = spans_named(t, "verify.wait");
-    ASSERT_FALSE(waits.empty());
-    bool some_wait_links = false;
-    for (const SpanRecord* w : waits) {
-      some_wait_links = some_wait_links || !w->links.empty();
+    // The SP's Verify runs on the request thread: no hop, so no children.
+    const auto verifies = spans_named(t, "sp.verify");
+    ASSERT_FALSE(verifies.empty());
+    for (const SpanRecord* v : verifies) {
+      for (const auto& s : t.spans) {
+        EXPECT_NE(s.parent_id, v->span_id) << s.name << " nests under sp.verify";
+      }
     }
-    EXPECT_TRUE(some_wait_links) << "verify.wait never linked its batch jobs";
+    // The C2 leaf Miller loops fork-join over the session's pool: a helper
+    // that ran is a pool.task under c2.access and ends inside the request.
+    for (const SpanRecord* task : spans_named(t, "pool.task")) {
+      const SpanRecord* parent = span_by_id(t, task->parent_id);
+      ASSERT_NE(parent, nullptr);
+      EXPECT_TRUE(parent->name == "sp.request" || parent->name == "c2.access") << parent->name;
+      EXPECT_LE(task->end_ns, root.end_ns);
+    }
     // Tree integrity: every parent id resolves inside the same trace.
     for (const auto& s : t.spans) {
       if (s.parent_id != 0) {
@@ -258,8 +272,9 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
             << s.name << " has a dangling parent";
       }
     }
-    EXPECT_EQ(t.spans.back().parent_id, 0u) << "root must finish last";
   }
+  // No helper span ended after its request sealed.
+  EXPECT_EQ(dropped.value(), dropped0);
 }
 
 TEST(TracePropagation, WalGroupCommitLinksBackToTheOriginRequest) {
