@@ -1,8 +1,10 @@
 #include "abe/cpabe.hpp"
 
+#include <functional>
 #include <stdexcept>
 
 #include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
 
 namespace sp::abe {
 
@@ -101,11 +103,19 @@ Fp2 CpAbe::e_gg(const ec::Point& g) const {
 }
 
 ec::Point CpAbe::hash_attr(const std::string& attribute) const {
+  static obs::Counter& hits = obs::MetricsRegistry::global().counter(
+      "abe_attr_hash_hits_total", "H(attr) group hashes served from the CP-ABE memo");
+  static obs::Counter& builds = obs::MetricsRegistry::global().counter(
+      "abe_attr_hash_builds_total", "H(attr) group hashes computed on a memo miss");
   {
     const sp::MutexLock lock(cache_mutex_);
     auto it = attr_cache_.find(attribute);
-    if (it != attr_cache_.end()) return it->second;
+    if (it != attr_cache_.end()) {
+      hits.inc();
+      return it->second;
+    }
   }
+  builds.inc();
   Bytes labeled = crypto::to_bytes("sp-cpabe-attr");
   Bytes attr = crypto::to_bytes(attribute);
   labeled.insert(labeled.end(), attr.begin(), attr.end());
@@ -150,22 +160,45 @@ std::pair<PublicKey, MasterKey> CpAbe::setup(crypto::Drbg& rng) const {
 }
 
 PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& attributes,
-                         crypto::Drbg& rng) const {
+                         crypto::Drbg& rng, const ParallelRunner& runner) const {
   if (attributes.empty()) throw std::invalid_argument("CpAbe::keygen: empty attribute set");
   const ec::Point g = generator();
   const BigInt r = rand_scalar(rng);
   PrivateKey sk;
-  // D = g^((α+r)/β): g^α is in MK, so compute (g^α · g^r)^(1/β).
-  const ec::Point g_r = curve_->mul(g, r);
-  const BigInt beta_inv = BigInt::mod_inv(mk.beta, curve_->order());
-  sk.d = curve_->mul(curve_->add(mk.g_alpha, g_r), beta_inv);
+  // Every draw happens here, r first and then one r_j per distinct
+  // attribute in order, so the key does not depend on job scheduling. The
+  // map's nodes are stable, so each job fills its own slot.
+  struct AttrDraw {
+    const std::string* attr;
+    BigInt rj;
+    PrivateKey::AttrKey* out;
+  };
+  std::vector<AttrDraw> draws;
+  draws.reserve(attributes.size());
   for (const std::string& attr : attributes) {
-    if (sk.attrs.count(attr) != 0) continue;  // dedupe
-    const BigInt rj = rand_scalar(rng);
-    PrivateKey::AttrKey ak;
-    ak.dj = curve_->add(g_r, curve_->mul(hash_attr(attr), rj));
-    ak.dj_prime = curve_->mul(g, rj);
-    sk.attrs.emplace(attr, std::move(ak));
+    const auto [it, inserted] = sk.attrs.try_emplace(attr);
+    if (!inserted) continue;  // dedupe
+    draws.push_back({&it->first, rand_scalar(rng), &it->second});
+  }
+  // g^r is shared by D and every D_j, so it is computed before the fork.
+  const ec::Point g_r = curve_->mul(g, r);
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(draws.size() + 1);
+  // D = g^((α+r)/β): g^α is in MK, so compute (g^α · g^r)^(1/β).
+  jobs.emplace_back([this, &mk, &g_r, &sk] {
+    const BigInt beta_inv = BigInt::mod_inv(mk.beta, curve_->order());
+    sk.d = curve_->mul(curve_->add(mk.g_alpha, g_r), beta_inv);
+  });
+  for (const AttrDraw& draw : draws) {
+    jobs.emplace_back([this, &draw, &g, &g_r] {
+      draw.out->dj = curve_->add(g_r, curve_->mul(hash_attr(*draw.attr), draw.rj));
+      draw.out->dj_prime = curve_->mul(g, draw.rj);
+    });
+  }
+  if (runner) {
+    runner(jobs);
+  } else {
+    for (const auto& job : jobs) job();
   }
   return sk;
 }
@@ -277,15 +310,15 @@ std::optional<Fp2> CpAbe::decrypt_node(const PrivateKey& sk, const Ciphertext& c
   return acc;
 }
 
-bool CpAbe::mark_satisfiable(const PrivateKey& sk, const Ciphertext& ct,
+bool CpAbe::mark_satisfiable(const PrivateKey* sk, const Ciphertext& ct,
                              const AccessTree::Node& node, std::size_t& next_id,
                              std::vector<char>& sat) const {
   const std::size_t my_id = next_id++;
   if (sat.size() <= my_id) sat.resize(my_id + 1, 0);
   bool ok;
   if (node.is_leaf()) {
-    ok = !node.leaf->perturbed && sk.attrs.count(node.leaf->canonical()) != 0 &&
-         ct.leaves.count(my_id) != 0;
+    ok = !node.leaf->perturbed && ct.leaves.count(my_id) != 0 &&
+         (sk == nullptr || sk->attrs.count(node.leaf->canonical()) != 0);
   } else {
     // Visit ALL children (the verdicts drive flatten_node's skip logic);
     // this pass is pure map lookups, no pairings.
@@ -346,22 +379,34 @@ void CpAbe::flatten_node(const AccessTree::Node& node, std::size_t& next_id, con
   }
 }
 
+std::optional<std::vector<CpAbe::LeafUse>> CpAbe::select_leaves(const PrivateKey* sk,
+                                                               const Ciphertext& ct) const {
+  std::vector<char> sat;
+  std::size_t next_id = 0;
+  if (!mark_satisfiable(sk, ct, ct.policy.root(), next_id, sat)) return std::nullopt;
+  std::vector<LeafUse> uses;
+  next_id = 0;
+  flatten_node(ct.policy.root(), next_id, BigInt{1}, sat, uses);
+  return uses;
+}
+
+std::optional<std::vector<std::string>> CpAbe::decrypt_attributes(const Ciphertext& ct) const {
+  const auto uses = select_leaves(nullptr, ct);
+  if (!uses) return std::nullopt;
+  std::vector<std::string> attrs;
+  attrs.reserve(uses->size());
+  for (const LeafUse& use : *uses) attrs.push_back(use.attr);
+  return attrs;
+}
+
 std::optional<Bytes> CpAbe::decrypt_key(const PublicKey& pk, const PrivateKey& sk,
                                         const Ciphertext& ct,
                                         const ParallelRunner& runner) const {
   (void)pk;
   // Phase 1: pairing-free satisfiability + leaf selection with collapsed
   // Lagrange exponents (same subset and coefficients as the reference).
-  std::vector<char> sat;
-  {
-    std::size_t next_id = 0;
-    if (!mark_satisfiable(sk, ct, ct.policy.root(), next_id, sat)) return std::nullopt;
-  }
-  std::vector<LeafUse> uses;
-  {
-    std::size_t next_id = 0;
-    flatten_node(ct.policy.root(), next_id, BigInt{1}, sat, uses);
-  }
+  const auto uses = select_leaves(&sk, ct);
+  if (!uses) return std::nullopt;
   // Phase 2: one multi-pairing. Ciphertext components go FIRST so the
   // Miller-line tables key on the long-lived side (ê is symmetric on the
   // cyclic order-q subgroup; the symmetry is part of the ec equivalence
@@ -370,8 +415,8 @@ std::optional<Bytes> CpAbe::decrypt_key(const PublicKey& pk, const PrivateKey& s
   // equals A / e(C, D) of the reference, with ONE final exponentiation
   // instead of 2·|leaves| + 1.
   std::vector<ec::Pairing::Term> terms;
-  terms.reserve(uses.size() * 2 + 1);
-  for (const LeafUse& use : uses) {
+  terms.reserve(uses->size() * 2 + 1);
+  for (const LeafUse& use : *uses) {
     const auto& ak = sk.attrs.at(use.attr);          // present: sat pass checked
     const auto& leaf_ct = ct.leaves.at(use.id);      // present: sat pass checked
     terms.push_back({leaf_ct.cy, ak.dj, false, use.coeff});

@@ -72,9 +72,19 @@ class CpAbe {
   /// runs cpabe-setup per shared object.)
   [[nodiscard]] std::pair<PublicKey, MasterKey> setup(crypto::Drbg& rng) const;
 
-  /// KeyGen(MK, S): private key for canonical attribute strings S.
+  /// Optional executor for independent scalar multiplications and Miller
+  /// loops: keygen's D and (D_j, D'_j) jobs, and decrypt_key's per-term
+  /// Miller loops (each building its Miller-line table when missing).
+  /// Session passes sp::core's ThreadPool::run_all; empty = inline. The
+  /// alias keeps sp::abe free of core dependencies.
+  using ParallelRunner = ec::Pairing::Runner;
+
+  /// KeyGen(MK, S): private key for canonical attribute strings S. r and
+  /// every r_j are drawn on the calling thread in attribute order, then D
+  /// and each (D_j, D'_j) run as one job apiece through `runner`, so one
+  /// rng yields the same key bytes inline or forked.
   [[nodiscard]] PrivateKey keygen(const MasterKey& mk, const std::vector<std::string>& attributes,
-                                  crypto::Drbg& rng) const;
+                                  crypto::Drbg& rng, const ParallelRunner& runner = {}) const;
 
   /// Encrypt-as-KEM under policy τ (leaves must be unperturbed). Returns the
   /// ciphertext and the 32-byte DEM key SHA-256(M).
@@ -82,10 +92,14 @@ class CpAbe {
                                                          const AccessTree& policy,
                                                          crypto::Drbg& rng) const;
 
-  /// Optional executor for the independent per-leaf Miller loops inside
-  /// decrypt_key (Session passes sp::core's ThreadPool::run_all; empty =
-  /// inline). The alias keeps sp::abe free of core dependencies.
-  using ParallelRunner = ec::Pairing::Runner;
+  /// The canonical attributes of the leaves decrypt_key() uses under a key
+  /// that covers every reconstructed (unperturbed) leaf of `ct`'s policy:
+  /// per gate the first `threshold` satisfiable children, in index order.
+  /// decrypt_key() runs the same selection, so a key over exactly these
+  /// decrypts `ct` with the same leaves; a receiver need not KeyGen the
+  /// rest. nullopt when the reconstructed leaves do not satisfy the policy.
+  [[nodiscard]] std::optional<std::vector<std::string>> decrypt_attributes(
+      const Ciphertext& ct) const;
 
   /// Decrypt: re-derives the DEM key, or nullopt when the key's attributes
   /// do not satisfy the ciphertext policy. A policy that *structurally*
@@ -130,7 +144,8 @@ class CpAbe {
   [[nodiscard]] BigInt rand_scalar(crypto::Drbg& rng) const;
   /// H(attribute) via hash_to_group, memoized — a group hash costs a
   /// cofactor-sized scalar multiplication, and KeyGen re-hashes the same
-  /// canonical attributes on every access request. FIFO-capped.
+  /// canonical attributes on every access request. FIFO-capped; counted by
+  /// abe_attr_hash_{hits,builds}_total.
   [[nodiscard]] ec::Point hash_attr(const std::string& attribute) const;
   /// The fixed public generator g (hash-to-group of a domain tag), cached
   /// and registered for fixed-base scalar multiplication.
@@ -151,8 +166,10 @@ class CpAbe {
   /// Pairing-free satisfiability pass: sat[id] records, per DFS node id,
   /// whether that subtree is satisfied — the same verdict the BSW07
   /// recursion reaches by pairing, so the batched path selects the same
-  /// leaves. Returns sat[root].
-  bool mark_satisfiable(const PrivateKey& sk, const Ciphertext& ct,
+  /// leaves. A leaf is usable when it is reconstructed, has a ciphertext
+  /// component and — unless `sk` is null — an attribute key in `sk`.
+  /// Returns sat[root].
+  bool mark_satisfiable(const PrivateKey* sk, const Ciphertext& ct,
                         const AccessTree::Node& node, std::size_t& next_id,
                         std::vector<char>& sat) const;
 
@@ -169,6 +186,11 @@ class CpAbe {
   /// their cumulative exponents.
   void flatten_node(const AccessTree::Node& node, std::size_t& next_id, const BigInt& coeff,
                     const std::vector<char>& sat, std::vector<LeafUse>& out) const;
+  /// mark_satisfiable then flatten_node over `ct`'s policy: the leaves
+  /// decrypt_key() pairs (`sk` given) or decrypt_attributes() names (null
+  /// `sk`). nullopt when the root is unsatisfied.
+  [[nodiscard]] std::optional<std::vector<LeafUse>> select_leaves(const PrivateKey* sk,
+                                                                  const Ciphertext& ct) const;
 
   const ec::Curve* curve_;
   ec::Pairing pairing_;

@@ -212,14 +212,12 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
   const abe::Ciphertext ct_hat = abe::CpAbe::swap_policy(std::move(ct), tau_hat);
   reconstruct_span.stop();
 
-  // KeyGen with the recovered leaf attributes (publicly known algorithm +
-  // MK, per the paper).
+  // KeyGen (publicly known algorithm + MK, per the paper) over only the
+  // recovered leaves Decrypt will use: the first k of the m recovered.
   obs::TraceSpan keygen_span(phases.keygen);
-  std::vector<std::string> attrs;
-  for (const auto& [id, leaf] : tau_hat.leaves()) {
-    if (!leaf->leaf->perturbed) attrs.push_back(leaf->leaf->canonical());
-  }
-  const abe::PrivateKey sk = scheme_.keygen(mk, attrs, rng);
+  const auto attrs = scheme_.decrypt_attributes(ct_hat);
+  if (!attrs) return std::nullopt;
+  const abe::PrivateKey sk = scheme_.keygen(mk, *attrs, rng, runner);
   keygen_span.stop();
 
   obs::TraceSpan decrypt_span(phases.decrypt);

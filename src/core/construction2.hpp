@@ -13,7 +13,8 @@
 // the DH) plus PK and MK.
 //
 // Receiver: downloads CT', Reconstructs τ̂ by substituting her answers for
-// matching hashes, runs KeyGen(MK, S) with her answer attributes, Decrypts.
+// matching hashes, runs KeyGen(MK, S) over the answer attributes Decrypt
+// uses (k of them), Decrypts.
 #pragma once
 
 #include <optional>
@@ -78,10 +79,12 @@ class Construction2 {
 
   // -------------------------------------------------------------- receiver
   /// Reconstruct + KeyGen + Decrypt. Returns the object plaintext, or
-  /// nullopt when fewer than k answers match / decryption fails. `runner`
-  /// (optional) executes the batched decrypt's independent per-leaf Miller
-  /// loops — Session passes a fork-join over its ThreadPool (run_all);
-  /// empty runs them inline.
+  /// nullopt when fewer than k answers match / decryption fails. KeyGen
+  /// covers only the k recovered leaves Decrypt uses
+  /// (CpAbe::decrypt_attributes). `runner` (optional) executes KeyGen's D
+  /// and (D_j, D'_j) jobs, then the batched decrypt's per-term Miller loops
+  /// and table builds — Session passes a fork-join over its ThreadPool
+  /// (run_all); empty runs them inline.
   /// `dem_key_out` (optional) receives the recovered KEM/DEM key, but only
   /// when the whole access succeeded — a fault anywhere in the pipeline
   /// leaves it untouched, so callers can never memoize a poisoned key.

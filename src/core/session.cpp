@@ -899,8 +899,8 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   obs::TraceSpan access_span(metrics.c2_access, ledger);
   Bytes dem_key;
   try {
-    // The batched CP-ABE leaf pairings fork-join over leaf_pool_; helper
-    // pool.task spans nest under this one.
+    // CP-ABE KeyGen's scalar multiplications and the batched leaf pairings
+    // fork-join over leaf_pool_; helper pool.task spans nest under this one.
     const obs::ContextGuard access_guard(access_tspan.context());
     result.object = c2_->access(
         ciphertext, files.public_key, files.master_key, knowledge, rng,

@@ -271,10 +271,10 @@ class Session {
   /// path and its exclusive lock from refresh/revoke, so invalidation is
   /// never concurrent with a fill for the same request.
   mutable std::unique_ptr<ServeCache> cache_;
-  /// Helpers for the receiver's C2 leaf Miller loops (ThreadPool::run_all;
-  /// the SP's Verify runs on the request thread). Declared last so it is
-  /// destroyed first; every run_all finishes within its request, so
-  /// teardown never races live jobs.
+  /// Helpers for the receiver's C2 KeyGen jobs and leaf Miller loops
+  /// (ThreadPool::run_all; the SP's Verify runs on the request thread).
+  /// Declared last so it is destroyed first; every run_all finishes within
+  /// its request, so teardown never races live jobs.
   mutable ThreadPool leaf_pool_;
 };
 

@@ -1,6 +1,6 @@
 // Fixed-size worker pool with a BOUNDED work queue — the execution engine
-// behind Session::access_parallel, the receiver's C2 leaf pairings
-// (run_all) and the concurrent load harness.
+// behind Session::access_parallel, the receiver's C2 KeyGen and leaf
+// pairings (run_all) and the concurrent load harness.
 //
 // The queue bound is the back-pressure mechanism a serving front-end needs:
 // when all workers are busy and the queue is full, `submit` blocks the

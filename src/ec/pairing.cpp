@@ -321,8 +321,8 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
 
   // Evaluate every term's Miller loop, inline or through the runner. Each
   // closure owns a disjoint output slot, so the batch is embarrassingly
-  // parallel; table builds happen up front on this thread because the
-  // registry would serialize concurrent builders anyway. Inverses are
+  // parallel; a missing table is built inside its term's closure, since
+  // build_miller_table runs outside the registry lock. Inverses are
   // conjugated BEFORE the shared final exponentiation — p ≡ −1 (mod q)
   // makes FE(conj(f)) = FE(f)^{-1} (header comment) — so no term ever pays
   // an F_{p²} inversion.
@@ -335,11 +335,11 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
     if (term.p.is_infinity() || term.q.is_infinity()) continue;  // ê = 1
     evaluable[i] = 1;
     ++evaluated;
-    // Long-lived first arguments (ciphertext components, CP-ABE params) are
-    // exactly the ones that recur across requests; building the table costs
-    // about one table-driven evaluation, so first use is break-even.
-    precompute(term.p);
     auto eval = [this, &term, &values, i] {
+      // Long-lived first arguments (ciphertext components, CP-ABE params)
+      // are exactly the ones that recur across requests; a table pays back
+      // from its second use (header comment).
+      precompute(term.p);
       Fp2 m = miller(term.p, term.q);
       values[i] = term.inverse ? m.conj() : m;
     };

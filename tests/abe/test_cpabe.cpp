@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <span>
+
+#include "obs/metrics.hpp"
 
 namespace sp::abe {
 namespace {
@@ -464,6 +467,167 @@ TEST_F(CpAbeTest, PerturbedLeavesExcludedFromBatchedSelection) {
   ASSERT_TRUE(reference.has_value());
   EXPECT_EQ(*batched, *reference);
   EXPECT_EQ(*batched, dem_key);
+}
+
+// ---- KeyGen over the leaves Decrypt uses, forked through a runner --------
+
+TEST_F(CpAbeTest, KeygenThroughReversingRunnerMatchesInline) {
+  auto [pk, mk] = scheme_.setup(rng_);
+  // A repeated attribute draws no r_j and gets no job.
+  const std::vector<std::string> attrs = {attr("q1", "a1"), attr("q2", "a2"), attr("q1", "a1"),
+                                          attr("q3", "a3")};
+  Drbg inline_rng("keygen-fork");
+  const PrivateKey inline_key = scheme_.keygen(mk, attrs, inline_rng);
+  std::size_t jobs_seen = 0;
+  const CpAbe::ParallelRunner reversing =
+      [&jobs_seen](std::span<const std::function<void()>> jobs) {
+        jobs_seen += jobs.size();
+        for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) (*it)();
+      };
+  Drbg forked_rng("keygen-fork");
+  const PrivateKey forked_key = scheme_.keygen(mk, attrs, forked_rng, reversing);
+  EXPECT_EQ(jobs_seen, 1u + 3u);  // D, then one (D_j, D'_j) per distinct attribute
+  EXPECT_EQ(scheme_.serialize(forked_key), scheme_.serialize(inline_key));
+  // Both consumed the same draws, so the streams stay in step.
+  EXPECT_EQ(forked_rng.bytes(16), inline_rng.bytes(16));
+}
+
+TEST_F(CpAbeTest, DecryptAttributesPickFirstKRecoveredLeaves) {
+  for (std::size_t n = 2; n <= 10; ++n) {
+    std::vector<std::pair<std::string, std::string>> qa;
+    for (std::size_t i = 0; i < n; ++i) {
+      qa.emplace_back("q" + std::to_string(i), "a" + std::to_string(i));
+    }
+    auto [pk, mk] = scheme_.setup(rng_);
+    for (std::size_t k = 1; k <= n; ++k) {
+      const AccessTree policy = AccessTree::puzzle_policy(qa, k);
+      auto [ct, dem_key] = scheme_.encrypt_key(pk, policy, rng_);
+      const AccessTree perturbed = policy.perturb();
+      for (std::size_t m = k - 1; m <= n; ++m) {
+        SCOPED_TRACE("N=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     " m=" + std::to_string(m));
+        // Recover m leaves starting at a rotating offset, so the recovered
+        // set is not always a prefix of the leaf order.
+        std::map<std::string, std::string> claimed;
+        std::vector<std::size_t> recovered_leaves;
+        for (std::size_t j = 0; j < m; ++j) {
+          const std::size_t leaf = (n + k + m + j) % n;
+          claimed[qa[leaf].first] = qa[leaf].second;
+          recovered_leaves.push_back(leaf);
+        }
+        std::sort(recovered_leaves.begin(), recovered_leaves.end());
+        const auto [tau_hat, recovered] = perturbed.reconstruct(claimed);
+        ASSERT_EQ(recovered, m);
+        const Ciphertext ct_hat = CpAbe::swap_policy(ct, tau_hat);
+        const auto selection = scheme_.decrypt_attributes(ct_hat);
+        if (m < k) {
+          EXPECT_FALSE(selection.has_value());
+          continue;
+        }
+        ASSERT_TRUE(selection.has_value());
+        std::vector<std::string> first_k;
+        for (std::size_t j = 0; j < k; ++j) {
+          const auto& [q, a] = qa[recovered_leaves[j]];
+          first_k.push_back(attr(q, a));
+        }
+        EXPECT_EQ(*selection, first_k);
+
+        std::vector<std::string> all_m;
+        for (const std::size_t leaf : recovered_leaves) {
+          all_m.push_back(attr(qa[leaf].first, qa[leaf].second));
+        }
+        const PrivateKey selected_key = scheme_.keygen(mk, *selection, rng_);
+        const PrivateKey full_key = scheme_.keygen(mk, all_m, rng_);
+        const auto via_selection = scheme_.decrypt_key(pk, selected_key, ct_hat);
+        const auto via_all = scheme_.decrypt_key(pk, full_key, ct_hat);
+        const auto via_reference = scheme_.decrypt_key_reference(pk, selected_key, ct_hat);
+        ASSERT_TRUE(via_selection.has_value());
+        ASSERT_TRUE(via_all.has_value());
+        ASSERT_TRUE(via_reference.has_value());
+        EXPECT_EQ(*via_selection, dem_key);
+        EXPECT_EQ(*via_all, dem_key);
+        EXPECT_EQ(*via_reference, dem_key);
+      }
+    }
+  }
+}
+
+TEST_F(CpAbeTest, DecryptAttributesOnNestedPolicy) {
+  // The shape of DecryptShortCircuitKeepsLeafIdsAligned, (2 of [A, (1 of
+  // [B, C]), D]), with one question per leaf so any subset can be
+  // reconstructed.
+  auto leaf = [](const char* q, const char* a) {
+    AccessTree::Node n;
+    n.leaf = LeafAttribute{q, a, false};
+    return n;
+  };
+  AccessTree::Node inner;
+  inner.threshold = 1;
+  inner.children = {leaf("qb", "b"), leaf("qc", "c")};
+  AccessTree::Node root;
+  root.threshold = 2;
+  root.children = {leaf("qa", "a"), inner, leaf("qd", "d")};
+  const AccessTree policy{root};
+  auto [pk, mk] = scheme_.setup(rng_);
+  auto [ct, dem_key] = scheme_.encrypt_key(pk, policy, rng_);
+  const AccessTree perturbed = policy.perturb();
+
+  const std::vector<std::pair<std::string, std::string>> qa = {
+      {"qa", "a"}, {"qb", "b"}, {"qc", "c"}, {"qd", "d"}};
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    SCOPED_TRACE("mask=" + std::to_string(mask));
+    std::map<std::string, std::string> claimed;
+    std::vector<std::string> known;
+    for (std::size_t i = 0; i < qa.size(); ++i) {
+      if ((mask >> i) & 1U) {
+        claimed[qa[i].first] = qa[i].second;
+        known.push_back(attr(qa[i].first, qa[i].second));
+      }
+    }
+    const Ciphertext ct_hat = CpAbe::swap_policy(ct, perturbed.reconstruct(claimed).first);
+    const auto selection = scheme_.decrypt_attributes(ct_hat);
+    ASSERT_EQ(selection.has_value(), policy.satisfied_by(known));
+    if (!selection) continue;
+    ASSERT_EQ(selection->size(), 2u);
+    for (const std::string& a : *selection) {
+      EXPECT_NE(std::find(known.begin(), known.end(), a), known.end());
+    }
+    const PrivateKey sk = scheme_.keygen(mk, *selection, rng_);
+    const auto batched = scheme_.decrypt_key(pk, sk, ct_hat);
+    const auto reference = scheme_.decrypt_key_reference(pk, sk, ct_hat);
+    ASSERT_TRUE(batched.has_value());
+    ASSERT_TRUE(reference.has_value());
+    EXPECT_EQ(*batched, dem_key);
+    EXPECT_EQ(*reference, dem_key);
+  }
+  // Spot checks of the per-gate "first satisfiable children" rule.
+  const auto pick = [this, &perturbed, &encrypted = ct](
+                        const std::map<std::string, std::string>& claimed) {
+    return scheme_.decrypt_attributes(
+        CpAbe::swap_policy(encrypted, perturbed.reconstruct(claimed).first));
+  };
+  EXPECT_EQ(pick({{"qa", "a"}, {"qb", "b"}, {"qc", "c"}, {"qd", "d"}}),
+            (std::vector<std::string>{attr("qa", "a"), attr("qb", "b")}));
+  EXPECT_EQ(pick({{"qa", "a"}, {"qc", "c"}, {"qd", "d"}}),
+            (std::vector<std::string>{attr("qa", "a"), attr("qc", "c")}));
+  EXPECT_EQ(pick({{"qb", "b"}, {"qd", "d"}}),
+            (std::vector<std::string>{attr("qb", "b"), attr("qd", "d")}));
+}
+
+TEST_F(CpAbeTest, WarmKeygenHitsTheAttributeHashMemo) {
+  obs::Counter& hits = obs::MetricsRegistry::global().counter("abe_attr_hash_hits_total");
+  obs::Counter& builds = obs::MetricsRegistry::global().counter("abe_attr_hash_builds_total");
+  auto [pk, mk] = scheme_.setup(rng_);
+  const std::vector<std::string> attrs = {attr("memo-q1", "a1"), attr("memo-q2", "a2"),
+                                          attr("memo-q3", "a3")};
+  const std::uint64_t cold_builds = builds.value();
+  (void)scheme_.keygen(mk, attrs, rng_);
+  EXPECT_EQ(builds.value() - cold_builds, attrs.size());
+  const std::uint64_t warm_hits = hits.value();
+  const std::uint64_t warm_builds = builds.value();
+  (void)scheme_.keygen(mk, attrs, rng_);
+  EXPECT_EQ(hits.value() - warm_hits, attrs.size());
+  EXPECT_EQ(builds.value(), warm_builds);
 }
 
 }  // namespace

@@ -305,6 +305,48 @@ TEST_F(SessionConcurrencyTest, ConcurrentAccessSharingAndRefresh) {
   EXPECT_EQ(*after.object, to_bytes("c1 object v2"));
 }
 
+TEST_F(SessionConcurrencyTest, C2GrantsAboveThresholdShareTheLeafPool) {
+  // Eight receivers make C2 grants with k < m <= N at once: every request
+  // forks its KeyGen jobs, then its Miller loops (each building a missing
+  // line table), over the ONE pool the session owns, so jobs of different
+  // requests and posts run side by side on the same workers.
+  const Context ctx({{"Where did we meet?", "Paris"},
+                     {"What did we eat?", "pizza"},
+                     {"Who hosted?", "Alice"},
+                     {"Which month?", "June"},
+                     {"What was the song?", "Volare"},
+                     {"Who came late?", "Bob"}});
+  struct Post {
+    std::string id;
+    Bytes object;
+    std::size_t k;
+  };
+  std::vector<Post> posts;
+  for (std::size_t k = 1; k <= 5; ++k) {
+    Bytes object = to_bytes("c2 object, k=" + std::to_string(k));
+    const std::string id =
+        session_.share_c2(sharer_, object, ctx, k, net::pc_profile()).post_id;
+    posts.push_back({id, std::move(object), k});
+  }
+  std::array<std::atomic<int>, kThreads> granted{};
+  run_threads([&](std::size_t t) {
+    crypto::Drbg rng("leaf-pool-hammer-" + std::to_string(t));
+    for (std::size_t i = 0; i < 2 * posts.size(); ++i) {
+      const Post& post = posts[(t + i) % posts.size()];
+      // m in (k, N]: more answers than Decrypt needs.
+      const std::size_t m = post.k + 1 + (t + i) % (ctx.size() - post.k);
+      const auto result = session_.access(receivers_[t], post.id,
+                                          Knowledge::partial(ctx, m, rng), net::pc_profile());
+      ASSERT_TRUE(result.success()) << "thread " << t << " post k=" << post.k << " m=" << m;
+      EXPECT_EQ(*result.object, post.object) << "thread " << t << " post k=" << post.k;
+      granted[t].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(granted[t].load(), static_cast<int>(2 * posts.size())) << "thread " << t;
+  }
+}
+
 TEST(ConcurrencyHammer, RunAllEightThreadsShareOnePool) {
   // Eight request threads fork-join over ONE pool (the Session topology for
   // C2 leaf pairings). Every call must complete with exactly its own jobs,
