@@ -165,8 +165,7 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
                                            const Bytes& public_key_file,
                                            const Bytes& master_key_file,
                                            const Knowledge& knowledge, crypto::Drbg& rng,
-                                           const abe::CpAbe::ParallelRunner& runner,
-                                           Bytes* dem_key_out) const {
+                                           const abe::CpAbe::ParallelRunner& runner) const {
   abe::PublicKey pk;
   abe::MasterKey mk;
   abe::Ciphertext ct;
@@ -224,33 +223,9 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
   const auto dem_key = scheme_.decrypt_key(pk, sk, ct_hat, runner);
   if (!dem_key) return std::nullopt;
   try {
-    Bytes object = crypto::open(*dem_key, envelope);
-    // Only a key that authenticated the envelope leaves this function: the
-    // HMAC-SHA256 tag of crypto::seal's AES-CBC encrypt-then-MAC envelope
-    // proves it is THE object key, so memoizing it is safe.
-    if (dem_key_out != nullptr) *dem_key_out = *dem_key;
-    return object;
+    return crypto::open(*dem_key, envelope);
   } catch (const std::runtime_error&) {
     return std::nullopt;
-  }
-}
-
-std::optional<Bytes> Construction2::open_sealed(const Bytes& ciphertext_file,
-                                                std::span<const std::uint8_t> dem_key) {
-  try {
-    std::size_t off = 0;
-    // Skip CT' (first blob) without copying it — the memoized path never
-    // touches the CP-ABE body.
-    const std::uint32_t ct_len = get_u32(ciphertext_file, off);
-    if (off + ct_len > ciphertext_file.size()) return std::nullopt;
-    off += ct_len;
-    const Bytes envelope = get_blob(ciphertext_file, off);
-    if (off != ciphertext_file.size()) return std::nullopt;
-    return crypto::open(dem_key, envelope);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;  // malformed file
-  } catch (const std::runtime_error&) {
-    return std::nullopt;  // envelope failed authentication
   }
 }
 

@@ -85,25 +85,11 @@ class Construction2 {
   /// and (D_j, D'_j) jobs, then the batched decrypt's per-term Miller loops
   /// and table builds — Session passes a fork-join over its ThreadPool
   /// (run_all); empty runs them inline.
-  /// `dem_key_out` (optional) receives the recovered KEM/DEM key, but only
-  /// when the whole access succeeded — a fault anywhere in the pipeline
-  /// leaves it untouched, so callers can never memoize a poisoned key.
-  /// Callers own wiping it (it decrypts the object for the life of the
-  /// puzzle epoch).
   [[nodiscard]] std::optional<Bytes> access(const Bytes& ciphertext_file,
                                             const Bytes& public_key_file,
                                             const Bytes& master_key_file,
                                             const Knowledge& knowledge, crypto::Drbg& rng,
-                                            const abe::CpAbe::ParallelRunner& runner = {},
-                                            Bytes* dem_key_out = nullptr) const;
-
-  /// The memoized fast path (Session's serving cache): open the sealed
-  /// envelope riding in `ciphertext_file` with an already-recovered DEM key,
-  /// skipping deserialize + Reconstruct + KeyGen + Decrypt entirely. Returns
-  /// nullopt on a malformed file or failed authentication — a corrupted
-  /// delivery fails closed exactly like the full path.
-  [[nodiscard]] static std::optional<Bytes> open_sealed(const Bytes& ciphertext_file,
-                                                        std::span<const std::uint8_t> dem_key);
+                                            const abe::CpAbe::ParallelRunner& runner = {}) const;
 
   [[nodiscard]] const abe::CpAbe& scheme() const { return scheme_; }
 

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/thread_pool.hpp"
-#include "crypto/secret.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -158,7 +157,6 @@ Session::Session(SessionConfig config)
       network_(config_.link, crypto::Drbg(config_.seed + "-net")),
       injector_(config_.faults ? std::make_unique<net::FaultInjector>(*config_.faults) : nullptr),
       rng_(config_.seed + "-session"),
-      cache_(config_.cache ? std::make_unique<ServeCache>(*config_.cache) : nullptr),
       leaf_pool_(std::max<std::size_t>(1, std::thread::hardware_concurrency())) {}
 
 crypto::Drbg Session::fork_rng(const std::string& label) const {
@@ -359,24 +357,19 @@ ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
   }
 
   // Retire the stale ciphertext so leaked keys can't fetch it later (a
-  // revoked post already pulled it). The epoch bump plus the cache sweep
-  // guarantee no memoized state from the old puzzle generation can satisfy
-  // a request against the new one — and clear any DH-miss markers, so a
-  // revoked post resumes serving the moment its refresh lands.
+  // revoked post already pulled it).
   if (stored.revoked) {
     stored.revoked = false;
   } else {
     dh_.remove(old_url);
   }
-  ++stored.epoch;
-  if (cache_) cache_->invalidate_post(post_id);
   return ShareReceipt{post_id, ledger, object.size()};
 }
 
 void Session::revoke(osn::UserId sharer, const std::string& post_id) {
   // Same single-writer discipline as refresh: exclusive for the whole body,
   // so a concurrent access either completed against the live object or
-  // starts against the revoked state — never a cached half of each.
+  // starts against the revoked state.
   const sp::UniqueLock registry_lock(puzzles_mutex_);
   auto it = puzzles_.find(post_id);
   if (it == puzzles_.end()) throw std::out_of_range("Session::revoke: unknown post " + post_id);
@@ -388,13 +381,6 @@ void Session::revoke(osn::UserId sharer, const std::string& post_id) {
   SessionMetrics::get().revokes.inc();
   dh_.remove(stored.url);
   stored.revoked = true;
-  ++stored.epoch;
-  if (cache_) cache_->invalidate_post(post_id);
-}
-
-std::uint64_t Session::puzzle_epoch(const std::string& post_id) const {
-  const sp::SharedLock registry_lock(puzzles_mutex_);
-  return puzzles_.at(post_id).epoch;
 }
 
 AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
@@ -431,9 +417,9 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
   const bool is_c1 = stored.kind == SchemeKind::kConstruction1;
   if (root.recording()) root.add_attr("scheme", is_c1 ? "c1" : "c2");
   CpuTimer wall;
-  const AccessResult result =
-      is_c1 ? access_c1(post_id, stored, knowledge, ledger, op_rng, faults, trace)
-            : access_c2(post_id, stored, knowledge, ledger, op_rng, faults, trace);
+  AccessResult result = is_c1 ? access_c1(stored, knowledge, ledger, op_rng, faults, trace)
+                              : access_c2(stored, knowledge, ledger, op_rng, faults, trace);
+  result.cost = ledger;
   // End-to-end outcome series. `success()` (granted AND object recovered) is
   // the label, so a granted-but-tampered request counts as denied here.
   // Exemplar-carrying observe: when this request is traced, the latency
@@ -592,26 +578,34 @@ std::vector<AccessResult> Session::access_parallel(std::span<const AccessRequest
   return results;
 }
 
-AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& stored,
-                                const Knowledge& knowledge, net::CostLedger& ledger,
-                                crypto::Drbg& rng, net::FaultStream* faults,
-                                const obs::TraceContext& trace) const {
+std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_trips,
+                                                 net::CostLedger& ledger,
+                                                 net::FaultStream* faults) const {
+  const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
+  if (!delay.ok()) {
+    ledger.add_wait(injector_->plan().transfer_timeout_ms);
+    return delay.error();
+  }
+  ledger.add_network(delay.value());
+  ledger.add_bytes(bytes);
+  return std::nullopt;
+}
+
+net::Expected<Bytes> Session::fetch_object(const std::string& url, net::FaultStream* faults,
+                                           const obs::TraceContext& trace) const {
+  obs::Span fetch_tspan(trace, "dh.fetch");
+  const obs::TraceSpan fetch_span(SessionMetrics::get().dh_fetch);
+  net::Expected<Bytes> fetched = dh_.try_fetch(url, faults);
+  if (!fetched.ok()) fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
+  return fetched;
+}
+
+AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& knowledge,
+                                net::CostLedger& ledger, crypto::Drbg& rng,
+                                net::FaultStream* faults, const obs::TraceContext& trace) const {
   const Puzzle& puzzle = *stored.puzzle;
   SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
-  // One request/response exchange under the fault schedule: success charges
-  // the modeled delay + bytes, a timeout charges the plan's wasted wait and
-  // reports the error instead.
-  const auto exchange = [&](std::size_t bytes, int round_trips) -> std::optional<net::ServeError> {
-    const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
-    if (!delay.ok()) {
-      ledger.add_wait(injector_->plan().transfer_timeout_ms);
-      return delay.error();
-    }
-    ledger.add_network(delay.value());
-    ledger.add_bytes(bytes);
-    return std::nullopt;
-  };
 
   // -- SP: DisplayPuzzle; network: challenge download -------------------
   obs::Span display_tspan(trace, "c1.display");
@@ -619,9 +613,8 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   const auto challenge = Construction1::display_puzzle(puzzle, rng);
   display_span.stop();
   display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1)) {
+  if (const auto err = exchange(challenge.wire_size(), 1, ledger, faults)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
@@ -638,7 +631,6 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
-    result.cost = ledger;
     return result;
   }
 
@@ -650,17 +642,13 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   auto reply = Construction1::verify(puzzle, challenge, response.hashes);
   verify_span.stop();
   verify_tspan.end();
-  if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1)) {
+  if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1, ledger, faults)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   result.granted = reply.granted;
-  if (!reply.granted) {
-    result.cost = ledger;
-    return result;
-  }
+  if (!reply.granted) return result;
 
   // -- partial SP reply: some granted shares are lost in delivery. While
   //    >= k survive the request degrades gracefully (Access only needs
@@ -670,75 +658,31 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
     if (reply.shares.size() < puzzle.threshold) {
       result.granted = false;
       result.error = net::ServeError::kSpUnavailable;
-      result.cost = ledger;
       return result;
     }
   }
 
   // -- receiver local: verify the sharer's signature on (URL, k, K_Z) ----
-  // Memoized per (post, epoch, URL): the signature covers immutable puzzle
-  // state, so a hot post pays the two scalar multiplications once. Cache
-  // consulted only after the grant — it can shortcut work, never decisions.
   obs::Span sig_tspan(trace, "c1.sig_verify");
-  bool sig_ok = false;
-  bool sig_cached = false;
-  const std::string sig_entry_id =
-      cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kC1Sig, reply.url)
-             : std::string();
-  if (cache_) {
-    sig_cached = cache_->get(sig_entry_id, ServeCache::Kind::kC1Sig).has_value();
-    sig_ok = sig_cached;  // only verified signatures are ever inserted
-    sig_tspan.add_attr("cache", sig_cached ? "hit" : "miss");
-  }
-  if (!sig_cached) {
-    obs::TraceSpan sig_span(metrics.c1_sig_verify, ledger);
-    Puzzle verified_view = puzzle;  // fields as received from the SP
-    verified_view.url = reply.url;
-    sig_ok = c1_->verify_puzzle_signature(verified_view);
-    sig_span.stop();
-    if (sig_ok && cache_) cache_->put(sig_entry_id, ServeCache::Kind::kC1Sig, Bytes{1});
-  }
+  obs::TraceSpan sig_span(metrics.c1_sig_verify, ledger);
+  Puzzle verified_view = puzzle;  // fields as received from the SP
+  verified_view.url = reply.url;
+  const bool sig_ok = c1_->verify_puzzle_signature(verified_view);
+  sig_span.stop();
   sig_tspan.end();
   if (!sig_ok) {
     result.granted = false;
-    result.cost = ledger;
     return result;
   }
 
   // -- network: download O_{K_O} from the DH -----------------------------
-  // A negative-cache hit means this URL was authoritatively absent (e.g.
-  // the post is revoked): fail fast without paying the round trip. The
-  // refreshing re-upload bumps the epoch, making the marker unreachable.
-  const std::string neg_entry_id =
-      cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kDhNegative, reply.url)
-             : std::string();
-  if (cache_ && cache_->negative_hit(neg_entry_id)) {
-    result.error = net::ServeError::kDhMiss;
-    result.cost = ledger;
+  const net::Expected<Bytes> encrypted = fetch_object(reply.url, faults, trace);
+  if (!encrypted.ok()) {
+    result.error = encrypted.error();
     return result;
   }
-  Bytes encrypted;
-  {
-    obs::Span fetch_tspan(trace, "dh.fetch");
-    const obs::TraceSpan fetch_span(metrics.dh_fetch);
-    net::Expected<Bytes> fetched = dh_.try_fetch(reply.url, faults);
-    if (!fetched.ok()) {
-      // Injected miss, or a malicious SP pointing at a missing object.
-      fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
-      // Only an authoritative absence is worth remembering: an injected
-      // fault on a live blob must not poison the negative cache.
-      if (cache_ && fetched.error() == net::ServeError::kDhMiss && !dh_.exists(reply.url)) {
-        cache_->negative_put(neg_entry_id);
-      }
-      result.error = fetched.error();
-      result.cost = ledger;
-      return result;
-    }
-    encrypted = std::move(fetched).value();
-  }
-  if (const auto err = exchange(encrypted.size(), 1)) {
+  if (const auto err = exchange(encrypted.value().size(), 1, ledger, faults)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
@@ -746,7 +690,7 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   obs::Span access_tspan(trace, "c1.interpolate");
   obs::TraceSpan access_span(metrics.c1_interpolate, ledger);
   try {
-    result.object = c1_->access(puzzle, challenge, reply, knowledge, encrypted);
+    result.object = c1_->access(puzzle, challenge, reply, knowledge, encrypted.value());
   } catch (const std::exception&) {
     result.object = std::nullopt;  // delivered bytes too mangled to parse
   }
@@ -755,27 +699,15 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   // Granted but undecryptable = the delivered bytes are bad (injected
   // corruption or a tampering host), never a silent empty object.
   if (!result.object) result.error = net::ServeError::kCorruptedBlob;
-  result.cost = ledger;
   return result;
 }
 
-AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& stored,
-                                const Knowledge& knowledge, net::CostLedger& ledger,
-                                crypto::Drbg& rng, net::FaultStream* faults,
-                                const obs::TraceContext& trace) const {
+AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& knowledge,
+                                net::CostLedger& ledger, crypto::Drbg& rng,
+                                net::FaultStream* faults, const obs::TraceContext& trace) const {
   const auto& files = *stored.c2_files;
   SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
-  const auto exchange = [&](std::size_t bytes, int round_trips) -> std::optional<net::ServeError> {
-    const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
-    if (!delay.ok()) {
-      ledger.add_wait(injector_->plan().transfer_timeout_ms);
-      return delay.error();
-    }
-    ledger.add_network(delay.value());
-    ledger.add_bytes(bytes);
-    return std::nullopt;
-  };
 
   // -- network: download details (τ' questions) --------------------------
   obs::Span display_tspan(trace, "c2.display");
@@ -783,9 +715,8 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   const auto challenge = Construction2::display_puzzle(files.perturbed_tree, files.threshold);
   display_span.stop();
   display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1)) {
+  if (const auto err = exchange(challenge.wire_size(), 1, ledger, faults)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
@@ -801,7 +732,6 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
-    result.cost = ledger;
     return result;
   }
 
@@ -814,113 +744,47 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
                                            response, stored.url);
   verify_span.stop();
   verify_tspan.end();
-  if (const auto err = exchange(response.wire_size() + reply.wire_size(files), 1)) {
+  if (const auto err =
+          exchange(response.wire_size() + reply.wire_size(files), 1, ledger, faults)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   result.granted = reply.granted;
-  if (!reply.granted) {
-    result.cost = ledger;
-    return result;
-  }
+  if (!reply.granted) return result;
 
   // -- network: three file downloads (CT' from DH; PK, MK from SP), again
   //    one cold cURL connection each in the paper's Qt receiver -----------
   constexpr int kColdCurlRoundTrips = 3;
-  const std::string neg_entry_id =
-      cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kDhNegative, reply.url)
-             : std::string();
-  if (cache_ && cache_->negative_hit(neg_entry_id)) {
-    result.error = net::ServeError::kDhMiss;  // known-absent: skip the round trip
-    result.cost = ledger;
+  const net::Expected<Bytes> ciphertext = fetch_object(reply.url, faults, trace);
+  if (!ciphertext.ok()) {
+    result.error = ciphertext.error();
     return result;
   }
-  Bytes ciphertext;
-  {
-    obs::Span fetch_tspan(trace, "dh.fetch");
-    const obs::TraceSpan fetch_span(metrics.dh_fetch);
-    net::Expected<Bytes> fetched = dh_.try_fetch(reply.url, faults);
-    if (!fetched.ok()) {
-      fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
-      if (cache_ && fetched.error() == net::ServeError::kDhMiss && !dh_.exists(reply.url)) {
-        cache_->negative_put(neg_entry_id);
-      }
-      result.error = fetched.error();
-      result.cost = ledger;
+  for (const std::size_t bytes :
+       {ciphertext.value().size(), files.public_key.size(), files.master_key.size()}) {
+    if (const auto err = exchange(bytes, kColdCurlRoundTrips, ledger, faults)) {
+      result.error = err;
       return result;
     }
-    ciphertext = std::move(fetched).value();
-  }
-  if (const auto err = exchange(ciphertext.size(), kColdCurlRoundTrips)) {
-    result.error = err;
-    result.cost = ledger;
-    return result;
   }
 
   // -- receiver local: Reconstruct + KeyGen + Decrypt --------------------
-  // Memoized per (post, epoch): a successful access proved (via the
-  // envelope's HMAC-SHA256 tag) which DEM key seals this epoch's envelope,
-  // so hot posts skip the pairing-heavy phases AND the PK/MK downloads. The
-  // lookup happens only after Verify granted and the ciphertext arrived: a
-  // hit can never widen access, only cut the cost of access already granted.
-  const std::string dem_entry_id =
-      cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kC2Dem) : std::string();
-  if (cache_) {
-    if (std::optional<Bytes> dem = cache_->get(dem_entry_id, ServeCache::Kind::kC2Dem)) {
-      obs::Span access_tspan(trace, "c2.access");
-      access_tspan.add_attr("cache", "hit");
-      obs::TraceSpan access_span(metrics.c2_access, ledger);
-      result.object = Construction2::open_sealed(ciphertext, *dem);
-      crypto::secure_wipe(*dem);
-      access_span.stop();
-      access_tspan.end();
-      // A delivered-copy corruption fails the envelope tag exactly like the
-      // full path; the cached key itself stays valid for this epoch.
-      if (!result.object) result.error = net::ServeError::kCorruptedBlob;
-      result.cost = ledger;
-      return result;
-    }
-  }
-  if (const auto err = exchange(files.public_key.size(), kColdCurlRoundTrips)) {
-    result.error = err;
-    result.cost = ledger;
-    return result;
-  }
-  if (const auto err = exchange(files.master_key.size(), kColdCurlRoundTrips)) {
-    result.error = err;
-    result.cost = ledger;
-    return result;
-  }
-
   obs::Span access_tspan(trace, "c2.access");
-  if (cache_) access_tspan.add_attr("cache", "miss");
   obs::TraceSpan access_span(metrics.c2_access, ledger);
-  Bytes dem_key;
   try {
     // CP-ABE KeyGen's scalar multiplications and the batched leaf pairings
     // fork-join over leaf_pool_; helper pool.task spans nest under this one.
     const obs::ContextGuard access_guard(access_tspan.context());
     result.object = c2_->access(
-        ciphertext, files.public_key, files.master_key, knowledge, rng,
-        [this](std::span<const std::function<void()>> jobs) { leaf_pool_.run_all(jobs); },
-        cache_ ? &dem_key : nullptr);
+        ciphertext.value(), files.public_key, files.master_key, knowledge, rng,
+        [this](std::span<const std::function<void()>> jobs) { leaf_pool_.run_all(jobs); });
   } catch (const std::exception&) {
     result.object = std::nullopt;  // delivered bytes too mangled to parse
   }
   access_span.stop();
   access_tspan.end();
   if (!result.object) result.error = net::ServeError::kCorruptedBlob;
-  // Fill only from a fully successful access: access() hands the key out
-  // only after the envelope authenticated, so a fault mid-pipeline (partial
-  // delivery, corrupted blob, wrong key) can never cache a poisoned entry.
-  if (cache_ && result.object && !dem_key.empty()) {
-    cache_->put(dem_entry_id, ServeCache::Kind::kC2Dem, std::move(dem_key));
-  } else {
-    crypto::secure_wipe(dem_key);
-  }
-  result.cost = ledger;
   return result;
 }
 

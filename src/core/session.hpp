@@ -23,7 +23,6 @@
 
 #include "core/construction1.hpp"
 #include "core/construction2.hpp"
-#include "core/serve_cache.hpp"
 #include "core/thread_pool.hpp"
 #include "net/faults.hpp"
 #include "net/simnet.hpp"
@@ -81,11 +80,6 @@ struct SessionConfig {
   net::RetryPolicy retry;
   /// nullopt = in-memory hosts (the pre-persistence behavior, bit for bit).
   std::optional<PersistenceConfig> persistence;
-  /// Hot-path serving cache (serve_cache.hpp): memoized C1 signature checks,
-  /// C2 DEM keys, and DH-miss markers, keyed by post + epoch. nullopt = no
-  /// cache tier (the pre-cache serving path, bit for bit). Refresh and
-  /// revoke invalidate — a stale grant is a correctness bug.
-  std::optional<CacheConfig> cache;
 };
 
 class Session {
@@ -134,12 +128,10 @@ class Session {
   /// Paper §V dynamic-context revocation: the sharer pulls the encrypted
   /// object from the DH, so granted verifications can no longer complete —
   /// in-flight and future accesses fail with kDhMiss until the sharer
-  /// refresh()es the post with a fresh object/puzzle. Bumps the puzzle
-  /// epoch and invalidates every cached entry for the post (the serving
-  /// cache must never satisfy a request for a revoked object). Idempotent;
-  /// only the original sharer may revoke (throws std::logic_error
-  /// otherwise). The SP record stays: the puzzle is still displayed, the
-  /// paper's ACL lives at the object, not the challenge.
+  /// refresh()es the post with a fresh object/puzzle. Idempotent; only the
+  /// original sharer may revoke (throws std::logic_error otherwise). The SP
+  /// record stays: the puzzle is still displayed, the paper's ACL lives at
+  /// the object, not the challenge.
   void revoke(osn::UserId sharer, const std::string& post_id);
 
   // ---- receiving -------------------------------------------------------
@@ -193,13 +185,6 @@ class Session {
   /// The session's fault schedule (null when configured fault-free). Chaos
   /// tests use it to cross-check injected-fault counts and schedule digests.
   [[nodiscard]] const net::FaultInjector* fault_injector() const { return injector_.get(); }
-  /// The serving cache (null when configured cache-free). Exposed for
-  /// hit-rate reporting and the invariant suites; mutating it directly from
-  /// outside the serving path voids the stale-grant guarantees.
-  [[nodiscard]] ServeCache* serve_cache() const { return cache_.get(); }
-  /// Current puzzle epoch for a post (bumped by refresh/revoke) — cache
-  /// invariant tests pin that churn rotates it.
-  [[nodiscard]] std::uint64_t puzzle_epoch(const std::string& post_id) const;
 
  private:
   struct StoredPuzzle {
@@ -211,9 +196,6 @@ class Session {
     // C2 state (what the SP holds: τ', PK, MK, URL).
     std::optional<Construction2::UploadResult> c2_files;
     std::string url;
-    /// Bumped by refresh/revoke; part of every serving-cache key, so stale
-    /// entries become unreachable even before invalidation sweeps them.
-    std::uint64_t epoch = 0;
     /// True between revoke() and the restoring refresh(): the DH blob is
     /// gone, so there is no old URL to retire on refresh.
     bool revoked = false;
@@ -238,15 +220,26 @@ class Session {
   // the registry shared-locked for the whole call — annotated, so Clang
   // rejects any future path that drops the lock before the access finishes.
   // `trace` is the request's span context; phase spans attach under it.
-  // `post_id` keys the serving cache together with stored.epoch.
-  AccessResult access_c1(const std::string& post_id, const StoredPuzzle& stored,
-                         const Knowledge& knowledge, net::CostLedger& ledger, crypto::Drbg& rng,
-                         net::FaultStream* faults, const obs::TraceContext& trace) const
-      SP_REQUIRES_SHARED(puzzles_mutex_);
-  AccessResult access_c2(const std::string& post_id, const StoredPuzzle& stored,
-                         const Knowledge& knowledge, net::CostLedger& ledger, crypto::Drbg& rng,
-                         net::FaultStream* faults, const obs::TraceContext& trace) const
-      SP_REQUIRES_SHARED(puzzles_mutex_);
+  // Both charge `ledger`; access() copies it into the result.
+  AccessResult access_c1(const StoredPuzzle& stored, const Knowledge& knowledge,
+                         net::CostLedger& ledger, crypto::Drbg& rng, net::FaultStream* faults,
+                         const obs::TraceContext& trace) const SP_REQUIRES_SHARED(puzzles_mutex_);
+  AccessResult access_c2(const StoredPuzzle& stored, const Knowledge& knowledge,
+                         net::CostLedger& ledger, crypto::Drbg& rng, net::FaultStream* faults,
+                         const obs::TraceContext& trace) const SP_REQUIRES_SHARED(puzzles_mutex_);
+
+  /// One request/response exchange under the fault schedule: success charges
+  /// the modeled delay and bytes to `ledger`; a timeout charges the plan's
+  /// wasted wait and returns the error instead.
+  std::optional<net::ServeError> exchange(std::size_t bytes, int round_trips,
+                                          net::CostLedger& ledger,
+                                          net::FaultStream* faults) const;
+
+  /// The DH download of the sealed object at `url`, under a "dh.fetch"
+  /// span. A miss (injected, a revoked object, or a malicious SP pointing
+  /// at nothing) marks the span and comes back as the error.
+  net::Expected<Bytes> fetch_object(const std::string& url, net::FaultStream* faults,
+                                    const obs::TraceContext& trace) const;
 
   SessionConfig config_;
   ec::Curve curve_;
@@ -266,11 +259,6 @@ class Session {
   /// only around registry insertion, refresh for its whole body.
   mutable sp::SharedMutex puzzles_mutex_;
   std::map<std::string, StoredPuzzle> puzzles_ SP_GUARDED_BY(puzzles_mutex_);  ///< SP-side protocol state
-  /// Hot-path serving cache (null = cache-free session). Internally sharded
-  /// and locked; accessed under the registry's shared lock on the serving
-  /// path and its exclusive lock from refresh/revoke, so invalidation is
-  /// never concurrent with a fill for the same request.
-  mutable std::unique_ptr<ServeCache> cache_;
   /// Helpers for the receiver's C2 KeyGen jobs and leaf Miller loops
   /// (ThreadPool::run_all; the SP's Verify runs on the request thread).
   /// Declared last so it is destroyed first; every run_all finishes within

@@ -115,20 +115,13 @@ const char* to_string(SpanStatus status) {
 
 // ---------------------------------------------------------------- Span
 
-std::uint64_t reserve_span_id(const TraceContext& ctx) {
-  if (!ctx.buf_) return 0;
-  return ctx.buf_->next_span.fetch_add(1, std::memory_order_relaxed);
-}
-
 Span::Span(const TraceContext& parent, std::string_view name)
     : Span(parent, name, parent.sampled() ? Tracer::now_ns() : 0) {}
 
-Span::Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
-           std::uint64_t reserved_id) {
+Span::Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns) {
   if (!parent.sampled()) return;
   buf_ = parent.buf_;
-  rec_.span_id = reserved_id != 0 ? reserved_id
-                                  : buf_->next_span.fetch_add(1, std::memory_order_relaxed);
+  rec_.span_id = buf_->next_span.fetch_add(1, std::memory_order_relaxed);
   rec_.parent_id = parent.span_;
   rec_.name.assign(name);
   rec_.start_ns = start_ns != 0 ? start_ns : Tracer::now_ns();

@@ -189,7 +189,6 @@ class TraceContext {
   friend class Span;
   friend class Tracer;
   friend class ContextGuard;
-  friend std::uint64_t reserve_span_id(const TraceContext&);
 
   TraceContext(std::shared_ptr<detail::TraceBuffer> buf, std::uint64_t span)
       : buf_(std::move(buf)), span_(span) {}
@@ -197,10 +196,6 @@ class TraceContext {
   std::shared_ptr<detail::TraceBuffer> buf_;
   std::uint64_t span_ = 0;
 };
-
-/// Pre-allocates a span id under `ctx` (0 when unsampled) so a later worker
-/// can materialize the span while earlier spans already link to it.
-[[nodiscard]] std::uint64_t reserve_span_id(const TraceContext& ctx);
 
 /// RAII span. Move-only; ends (and records itself) on destruction or
 /// explicit end(). All mutators no-op when the span is not recording.
@@ -210,9 +205,8 @@ class Span {
   /// Child span under `parent`, started now.
   Span(const TraceContext& parent, std::string_view name);
   /// Child span with an explicit start timestamp (queue-wait spans measured
-  /// from enqueue time) and optionally a pre-reserved id (0 = allocate).
-  Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
-       std::uint64_t reserved_id = 0);
+  /// from enqueue time).
+  Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns);
 
   Span(Span&& other) noexcept;
   Span& operator=(Span&& other) noexcept;

@@ -347,6 +347,91 @@ TEST_F(SessionConcurrencyTest, C2GrantsAboveThresholdShareTheLeafPool) {
   }
 }
 
+TEST_F(SessionConcurrencyTest, ServingPathUnderRefreshAndRevokeChurn) {
+  // Eight receivers read both posts through the full serving path while the
+  // sharer churns them: a plain refresh, then revoke-then-refresh, each
+  // round. Refresh re-uploads the same plaintext, so every grant must
+  // return the shared bytes, and the only failure a revoked post may cause
+  // is kDhMiss. Phases advance on reader progress, never on timing: each
+  // waits until readers saw its outcome on both posts, so every run sees
+  // both grants and misses.
+  const std::array<std::string, 2> posts{c1_post_, c2_post_};
+  const std::array<Bytes, 2> objects{to_bytes("c1 object"), to_bytes("c2 object")};
+  std::array<std::atomic<std::size_t>, 2> grants{};
+  std::array<std::atomic<std::size_t>, 2> misses{};
+  std::atomic<std::size_t> wrong{0};  // other bytes, or a failure other than kDhMiss
+  std::atomic<std::size_t> served{0};  // accesses completed, whatever the outcome
+  std::atomic<bool> writer_waiting{false};
+  std::atomic<bool> done{false};
+  const Knowledge knows = Knowledge::full(ctx_);
+
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t i = t; !done.load(); ++i) {
+        // The registry lock prefers readers, so eight busy ones could starve
+        // the writer: stand aside while it waits.
+        while (writer_waiting.load() && !done.load()) std::this_thread::yield();
+        const std::size_t p = i % 2;
+        const auto result = session_.access(receivers_[t], posts[p], knows, net::pc_profile());
+        if (result.success()) {
+          grants[p].fetch_add(1);
+          if (*result.object != objects[p]) wrong.fetch_add(1);
+        } else if (result.granted && result.error == net::ServeError::kDhMiss) {
+          misses[p].fetch_add(1);
+        } else {
+          wrong.fetch_add(1);
+        }
+        served.fetch_add(1);
+      }
+    });
+  }
+  // Blocks until readers record one more `seen` outcome on each post. The
+  // first access after a write shows its outcome, so running out of a
+  // generous access budget means the write did not take effect: fail the
+  // phase rather than hang.
+  const auto await = [&served](const std::array<std::atomic<std::size_t>, 2>& seen) {
+    const std::size_t from0 = seen[0].load();
+    const std::size_t from1 = seen[1].load();
+    const std::size_t budget = served.load() + 256;
+    while (seen[0].load() == from0 || seen[1].load() == from1) {
+      if (served.load() >= budget) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  // One write on both posts; in-flight reads finish first (exclusive lock).
+  const auto churn = [&](bool revoke) {
+    writer_waiting.store(true);
+    for (std::size_t p = 0; p < 2; ++p) {
+      if (revoke) {
+        session_.revoke(sharer_, posts[p]);
+      } else {
+        session_.refresh(sharer_, posts[p], objects[p], ctx_, net::pc_profile());
+      }
+    }
+    writer_waiting.store(false);
+  };
+  bool phases_ok = await(grants);
+  for (int round = 0; round < 3; ++round) {
+    churn(false);
+    phases_ok = await(grants) && phases_ok;
+    churn(true);
+    phases_ok = await(misses) && phases_ok;
+    churn(false);
+    phases_ok = await(grants) && phases_ok;
+  }
+  done.store(true);
+  for (std::thread& th : readers) th.join();
+  EXPECT_TRUE(phases_ok) << "a phase's outcome never showed within its access budget";
+  EXPECT_EQ(wrong.load(), 0u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_GE(grants[p].load(), 1u) << posts[p];
+    EXPECT_GE(misses[p].load(), 1u) << posts[p];
+  }
+}
+
 TEST(ConcurrencyHammer, RunAllEightThreadsShareOnePool) {
   // Eight request threads fork-join over ONE pool (the Session topology for
   // C2 leaf pairings). Every call must complete with exactly its own jobs,

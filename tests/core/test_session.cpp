@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
 #include "support/fixtures.hpp"
 
 namespace sp::core {
@@ -245,6 +246,49 @@ TEST_F(SessionTest, RefreshRejectsNonSharerAndUnknownPost) {
                std::logic_error);
   EXPECT_THROW(session_.refresh(sharer_, "puzzle-999", to_bytes("x"), ctx, net::pc_profile()),
                std::out_of_range);
+}
+
+TEST_F(SessionTest, RevokeIsIdempotentAndSharerOnly) {
+  auto& revokes = obs::MetricsRegistry::global().counter("sp_revoke_requests_total");
+  const Context ctx = party_context();
+  const auto receipt =
+      session_.share_c1(sharer_, to_bytes("obj"), ctx, 2, 4, net::pc_profile());
+  EXPECT_THROW(session_.revoke(friend_, receipt.post_id), std::logic_error);
+  EXPECT_THROW(session_.revoke(sharer_, "puzzle-999"), std::out_of_range);
+  const auto before = revokes.value();
+  session_.revoke(sharer_, receipt.post_id);
+  session_.revoke(sharer_, receipt.post_id);  // second revoke is a no-op
+  EXPECT_EQ(revokes.value() - before, 1u);
+}
+
+TEST_F(SessionTest, RevokedPostsMissAtTheDhUntilRefreshed) {
+  // Revoke pulls the object, not the puzzle: Verify still grants a
+  // knowledgeable receiver, but the DH has nothing to serve until the
+  // sharer refreshes the post.
+  const Context ctx = party_context();
+  const std::string c1_post =
+      session_.share_c1(sharer_, to_bytes("c1 v1"), ctx, 2, 4, net::pc_profile()).post_id;
+  const std::string c2_post =
+      session_.share_c2(sharer_, to_bytes("c2 v1"), ctx, 2, net::pc_profile()).post_id;
+  for (const std::string& post : {c1_post, c2_post}) {
+    session_.revoke(sharer_, post);
+    const auto result =
+        session_.access(friend_, post, Knowledge::full(ctx), net::pc_profile());
+    EXPECT_TRUE(result.granted) << post;
+    EXPECT_FALSE(result.object.has_value()) << post;
+    EXPECT_EQ(result.error, net::ServeError::kDhMiss) << post;
+  }
+  EXPECT_EQ(session_.storage_host().object_count(), 0u);
+
+  session_.refresh(sharer_, c1_post, to_bytes("c1 v2"), ctx, net::pc_profile());
+  session_.refresh(sharer_, c2_post, to_bytes("c2 v2"), ctx, net::pc_profile());
+  EXPECT_EQ(session_.storage_host().object_count(), 2u);
+  const auto c1 = session_.access(friend_, c1_post, Knowledge::full(ctx), net::pc_profile());
+  const auto c2 = session_.access(friend_, c2_post, Knowledge::full(ctx), net::pc_profile());
+  ASSERT_TRUE(c1.success());
+  ASSERT_TRUE(c2.success());
+  EXPECT_EQ(*c1.object, to_bytes("c1 v2"));
+  EXPECT_EQ(*c2.object, to_bytes("c2 v2"));
 }
 
 TEST_F(SessionTest, MaliciousDhTamperCausesDetectedFailure) {

@@ -65,7 +65,6 @@ TEST_F(TraceTest, DisabledTracerIsInert) {
   Span root = tracer.start_trace("noop");
   EXPECT_FALSE(root.recording());
   EXPECT_FALSE(root.context().sampled());
-  EXPECT_EQ(sp::obs::reserve_span_id(root.context()), 0u);
   // Every mutator must be a safe no-op on a non-recording span.
   root.set_status(SpanStatus::kTerminal);
   root.add_attr("k", "v");
@@ -153,23 +152,20 @@ TEST_F(TraceTest, RootEndSealsTheTraceAndDropsStragglers) {
   EXPECT_EQ(traces.front().spans.front().name, "request");
 }
 
-TEST_F(TraceTest, ReservedSpanIdMaterializesWithThatId) {
+TEST_F(TraceTest, ExplicitStartTimestampIsRecorded) {
   auto& tracer = Tracer::global();
   Span root = tracer.start_trace("request");
-  const TraceContext ctx = root.context();
-  const std::uint64_t reserved = sp::obs::reserve_span_id(ctx);
-  EXPECT_GT(reserved, 1u);
+  const std::uint64_t root_id = root.span_id();
   const std::uint64_t start = Tracer::now_ns();
-  Span job(ctx, "job", start, reserved);
-  EXPECT_EQ(job.span_id(), reserved);
-  job.end();
+  Span wait(root.context(), "wait", start);
+  wait.end();
   root.end();
   const auto traces = tracer.drain();
   ASSERT_EQ(traces.size(), 1u);
-  const SpanRecord* rec = find(traces.front(), "job");
+  const SpanRecord* rec = find(traces.front(), "wait");
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->span_id, reserved);
   EXPECT_EQ(rec->start_ns, start);
+  EXPECT_EQ(rec->parent_id, root_id);
 }
 
 TEST_F(TraceTest, ContextGuardInstallsAndRestores) {

@@ -1,92 +1,15 @@
-// Property suite for the workload generator (PR 10 satellite): the
-// generator is test infrastructure, so it gets the full treatment —
-// byte-identical determinism, distribution-shape bounds, and lazy-vs-oracle
-// agreement.
+// Property suite for the Zipf popularity sampler that perfbench draws its
+// post picks from: head-rank frequencies and tail mass against theory, and
+// the single-rank and steep-skew edges.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 #include <vector>
 
-#include "workload/driver.hpp"
 #include "workload/generator.hpp"
 
 namespace sp::workload {
 namespace {
-
-WorkloadConfig small_config(const std::string& seed) {
-  WorkloadConfig cfg;
-  cfg.graph.users = 5000;
-  cfg.graph.seed = seed;
-  cfg.catalog_posts = 500;
-  return cfg;
-}
-
-// ---------------------------------------------------------- determinism
-
-TEST(WorkloadGenerator, SameSeedByteIdenticalTrace) {
-  TraceGenerator a(small_config("seed-A"));
-  TraceGenerator b(small_config("seed-A"));
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(TraceGenerator::encode(a.next()), TraceGenerator::encode(b.next())) << "event " << i;
-  }
-}
-
-TEST(WorkloadGenerator, DifferentSeedsDiverge) {
-  TraceGenerator a(small_config("seed-A"));
-  TraceGenerator b(small_config("seed-B"));
-  bool diverged = false;
-  for (int i = 0; i < 200 && !diverged; ++i) {
-    diverged = TraceGenerator::encode(a.next()) != TraceGenerator::encode(b.next());
-  }
-  EXPECT_TRUE(diverged);
-}
-
-TEST(WorkloadGenerator, GraphQueriesArePureFunctions) {
-  const GraphConfig cfg{.users = 100000, .seed = "pure"};
-  const LazyGraph g1(cfg);
-  const LazyGraph g2(cfg);
-  for (std::uint64_t u : {0ULL, 1ULL, 31337ULL, 99999ULL}) {
-    ASSERT_EQ(g1.out_degree(u), g2.out_degree(u));
-    ASSERT_EQ(g1.out_friends(u), g2.out_friends(u));
-  }
-}
-
-// ----------------------------------------------------- degree distribution
-
-// KS-style bound on the out-degree tail: the configured bounded Pareto has
-// P(D >= d) = (min/d)^(gamma-1) well below the clip. With n = 20000 users
-// the empirical CCDF at any fixed point has sd <= 0.0036, so |diff| < 0.02
-// is a > 5-sigma bound — a real shape regression trips it, noise cannot.
-TEST(WorkloadGenerator, DegreeDistributionMatchesPowerLawExponent) {
-  GraphConfig cfg;
-  cfg.users = 20000;
-  cfg.gamma = 2.5;
-  cfg.min_degree = 4;
-  cfg.max_degree = 4096;
-  cfg.seed = "degrees";
-  const LazyGraph graph(cfg);
-  const double alpha = cfg.gamma - 1.0;
-  for (const double d : {8.0, 16.0, 32.0, 64.0}) {
-    std::size_t at_least = 0;
-    for (std::uint64_t u = 0; u < cfg.users; ++u) {
-      if (static_cast<double>(graph.out_degree(u)) >= d) ++at_least;
-    }
-    const double empirical = static_cast<double>(at_least) / static_cast<double>(cfg.users);
-    const double theoretical = std::pow(static_cast<double>(cfg.min_degree) / d, alpha);
-    EXPECT_NEAR(empirical, theoretical, 0.02) << "CCDF at degree " << d;
-  }
-  // And the hard clip really is hard.
-  for (std::uint64_t u = 0; u < cfg.users; ++u) {
-    const std::uint64_t degree = graph.out_degree(u);
-    ASSERT_GE(degree, cfg.min_degree);
-    ASSERT_LE(degree, cfg.max_degree);
-  }
-}
-
-// ------------------------------------------------------- zipf frequencies
 
 TEST(WorkloadGenerator, ZipfFrequenciesWithinTolerance) {
   constexpr std::uint64_t kRanks = 1000;
@@ -127,124 +50,6 @@ TEST(WorkloadGenerator, ZipfSingleRankAndSteepSkewEdges) {
   for (int i = 0; i < 2000; ++i) head += steep.sample(rng) == 0 ? 1 : 0;
   // At s = 3, rank 0 holds ~83% of the mass.
   EXPECT_GT(head, 1500u);
-}
-
-// ------------------------------------------------- lazy vs oracle agreement
-
-// Materialize the full symmetric adjacency of a small graph and check the
-// lazy membership test agrees everywhere — the O(1)-RAM path must be the
-// same graph, not an approximation of it.
-TEST(WorkloadGenerator, LazyAdjacencyAgreesWithMaterializedOracle) {
-  GraphConfig cfg;
-  cfg.users = 300;
-  cfg.min_degree = 2;
-  cfg.max_degree = 32;
-  cfg.seed = "oracle";
-  const LazyGraph graph(cfg);
-  std::vector<std::set<std::uint64_t>> oracle(cfg.users);
-  for (std::uint64_t u = 0; u < cfg.users; ++u) {
-    for (const std::uint64_t v : graph.out_friends(u)) {
-      ASSERT_NE(u, v) << "self-edge";
-      ASSERT_LT(v, cfg.users);
-      oracle[u].insert(v);
-      oracle[v].insert(u);
-    }
-  }
-  for (std::uint64_t u = 0; u < cfg.users; ++u) {
-    for (std::uint64_t v = 0; v < cfg.users; ++v) {
-      ASSERT_EQ(graph.are_friends(u, v), oracle[u].count(v) == 1) << u << "~" << v;
-    }
-  }
-}
-
-TEST(WorkloadGenerator, ReceiverIsAlwaysAFriendOfTheSharer) {
-  TraceGenerator gen(small_config("friends"));
-  for (int i = 0; i < 500; ++i) {
-    const Event event = gen.next();
-    if (event.kind != Event::Kind::kAccess) continue;
-    ASSERT_TRUE(gen.graph().are_friends(event.sharer, event.receiver))
-        << "sharer " << event.sharer << " receiver " << event.receiver;
-  }
-}
-
-TEST(WorkloadGenerator, ChurnFractionsRoughlyHonored) {
-  WorkloadConfig cfg = small_config("churn");
-  cfg.refresh_fraction = 0.10;
-  cfg.revoke_fraction = 0.05;
-  TraceGenerator gen(cfg);
-  std::map<Event::Kind, std::size_t> kinds;
-  constexpr int kEvents = 20000;
-  for (int i = 0; i < kEvents; ++i) ++kinds[gen.next().kind];
-  EXPECT_NEAR(static_cast<double>(kinds[Event::Kind::kRefresh]) / kEvents, 0.10, 0.01);
-  EXPECT_NEAR(static_cast<double>(kinds[Event::Kind::kRevoke]) / kEvents, 0.05, 0.01);
-}
-
-// ------------------------------------------------------ virtual-time driver
-
-TEST(WorkloadDriver, SingleServerQueueingMatchesHandComputation) {
-  // Two requests arriving 10ms apart, each 30ms of CPU: the second queues
-  // 20ms behind the first. Overlap adds to latency but not to the queue.
-  const std::vector<double> gaps = {1.0, 1.0};  // unit gaps at 100 rps = 10ms
-  const std::vector<double> cpu = {30.0, 30.0};
-  const std::vector<double> overlap = {5.0, 0.0};
-  const SimPoint point = simulate_open_loop(gaps, cpu, overlap, 1, 100.0);
-  EXPECT_EQ(point.completed, 2u);
-  EXPECT_DOUBLE_EQ(point.max_ms, 50.0);   // queued 20 + cpu 30
-  EXPECT_DOUBLE_EQ(point.p50_ms, 35.0);   // cpu 30 + overlap 5
-}
-
-TEST(WorkloadDriver, MoreServersNeverHurtLatency) {
-  TraceGenerator gen(small_config("sim"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 400; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(event.c2 ? 12.0 : 4.0);
-    overlap.push_back(20.0);
-  }
-  const SimPoint two = simulate_open_loop(gaps, cpu, overlap, 2, 300.0);
-  const SimPoint eight = simulate_open_loop(gaps, cpu, overlap, 8, 300.0);
-  EXPECT_LE(eight.p99_ms, two.p99_ms);
-  EXPECT_LE(eight.p50_ms, two.p50_ms);
-}
-
-TEST(WorkloadDriver, CapacitySearchFindsTheKnee) {
-  // Long trace: past saturation the backlog must have room to build, or the
-  // finite run ends before the overload shows up in the p99.
-  TraceGenerator gen(small_config("capacity"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 5000; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(8.0);
-    overlap.push_back(10.0);
-  }
-  const CapacityResult result = find_capacity(gaps, cpu, overlap, 4, /*slo=*/100.0);
-  ASSERT_GT(result.capacity_rps, 0.0);
-  EXPECT_LE(result.at_capacity.p99_ms, 100.0);
-  // The knee must sit below the theoretical service bound c/E[S] = 500 rps
-  // and above a trivially safe 10% of it.
-  EXPECT_LT(result.capacity_rps, 500.0);
-  EXPECT_GT(result.capacity_rps, 50.0);
-  // Just past capacity the SLO really breaks (the search is tight).
-  const SimPoint beyond = simulate_open_loop(gaps, cpu, overlap, 4, result.capacity_rps * 1.10);
-  EXPECT_GT(beyond.p99_ms, 100.0);
-}
-
-TEST(WorkloadDriver, DeterministicAcrossCalls) {
-  TraceGenerator gen(small_config("replay"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 200; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(5.0 + static_cast<double>(event.post_rank % 7));
-    overlap.push_back(15.0);
-  }
-  const SimPoint a = simulate_open_loop(gaps, cpu, overlap, 4, 200.0);
-  const SimPoint b = simulate_open_loop(gaps, cpu, overlap, 4, 200.0);
-  EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_DOUBLE_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_DOUBLE_EQ(a.achieved_rps, b.achieved_rps);
 }
 
 }  // namespace
