@@ -14,6 +14,7 @@
 #include "ec/pairing.hpp"
 #include "ec/params.hpp"
 #include "field/fp.hpp"
+#include "sig/schnorr.hpp"
 #include "sss/lagrange.hpp"
 #include "sss/shamir.hpp"
 
@@ -111,14 +112,44 @@ BENCHMARK(BM_ScalarMul);
 void BM_ScalarMulFixedBase(benchmark::State& state) {
   const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
   crypto::Drbg rng("bm-mul-fb");
-  const auto g = curve.random_group_element(rng);
-  curve.precompute_fixed_base(g);
+  const ec::FixedBase table(curve, curve.random_group_element(rng));
   const auto k = crypto::BigInt::from_bytes(rng.bytes(20));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(curve.mul(g, k));
+    benchmark::DoNotOptimize(table.mul(k));
   }
 }
 BENCHMARK(BM_ScalarMulFixedBase);
+
+// One FixedBase table build: what a long-lived generator pays once, and
+// what a one-use base (CP-ABE's h and f) would pay for nothing.
+void BM_FixedBaseBuild(benchmark::State& state) {
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
+  crypto::Drbg rng("bm-fb-build");
+  const auto base = curve.random_group_element(rng);
+  for (auto _ : state) {
+    const ec::FixedBase table(curve, base);
+    benchmark::DoNotOptimize(&table);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FixedBaseBuild)->Unit(benchmark::kMillisecond);
+
+// Schnorr Verify, as a receiver runs it on every C1 access: g^s from the
+// generator's table minus e·pk by wNAF, compared with R inversion-free.
+void BM_SchnorrVerify(benchmark::State& state) {
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
+  const sig::Schnorr schnorr(curve, curve.hash_to_group(crypto::to_bytes("sp-schnorr-g")));
+  crypto::Drbg rng("bm-schnorr-verify");
+  const sig::KeyPair kp = schnorr.keygen(rng);
+  const auto msg = rng.bytes(100);
+  const sig::Signature sig = schnorr.sign(kp, msg);
+  for (auto _ : state) {
+    const bool ok = schnorr.verify(kp.public_key, msg, sig);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) state.SkipWithError("valid signature rejected");
+  }
+}
+BENCHMARK(BM_SchnorrVerify)->Unit(benchmark::kMicrosecond);
 
 void BM_ScalarMulBinary(benchmark::State& state) {
   const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));

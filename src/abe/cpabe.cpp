@@ -55,7 +55,7 @@ std::string get_str(std::span<const std::uint8_t> data, std::size_t& off) {
 namespace {
 // FIFO caps for the lazy memo caches: enough for every distinct generator
 // and attribute a serving workload revisits, bounded against key churn
-// (same policy as the fixed-base and Miller-line table registries).
+// (same policy as the Miller-line table registry).
 constexpr std::size_t kMaxEggCache = 8;
 constexpr std::size_t kMaxAttrCache = 256;
 }  // namespace
@@ -67,14 +67,11 @@ BigInt CpAbe::rand_scalar(crypto::Drbg& rng) const {
   return BigInt::random_below(curve_->order() - BigInt{1}, rb) + BigInt{1};
 }
 
-ec::Point CpAbe::generator() const {
-  const sp::MutexLock lock(cache_mutex_);
-  if (!generator_) {
-    generator_ = curve_->hash_to_group(crypto::to_bytes("sp-cpabe-generator"));
-    // g is raised to a fresh scalar in Setup, KeyGen and every Encrypt leaf;
-    // the window table amortizes across all of them (process-wide cache).
-    curve_->precompute_fixed_base(*generator_);
-  }
+const ec::FixedBase& CpAbe::generator() const {
+  std::call_once(generator_once_, [this] {
+    generator_ = std::make_unique<const ec::FixedBase>(
+        *curve_, curve_->hash_to_group(crypto::to_bytes("sp-cpabe-generator")));
+  });
   return *generator_;
 }
 
@@ -135,34 +132,24 @@ ec::Point CpAbe::hash_attr(const std::string& attribute) const {
 }
 
 std::pair<PublicKey, MasterKey> CpAbe::setup(crypto::Drbg& rng) const {
-  const ec::Point g = generator();
+  const ec::FixedBase& g = generator();
   const BigInt alpha = rand_scalar(rng);
   const BigInt beta = rand_scalar(rng);
   PublicKey pk;
-  pk.g = g;
-  pk.h = curve_->mul(g, beta);
-  pk.f = curve_->mul(g, BigInt::mod_inv(beta, curve_->order()));
-  // h carries the per-share exponent in every Encrypt (C = h^s); f is the
-  // delegation base. Register both alongside g for fixed-base windowing,
-  // and give the long-lived params Miller-line tables so any pairing
-  // against them (e(g,g) on a fresh CpAbe instance, delegation checks)
-  // skips the Miller point arithmetic process-wide.
-  curve_->precompute_fixed_base(pk.h);
-  curve_->precompute_fixed_base(pk.f);
-  pairing_.precompute(g);
-  pairing_.precompute(pk.h);
-  pairing_.precompute(pk.f);
-  pk.e_gg_alpha = e_gg(g).pow(alpha);
+  pk.g = g.base();
+  pk.h = g.mul(beta);
+  pk.f = g.mul(BigInt::mod_inv(beta, curve_->order()));
+  pk.e_gg_alpha = e_gg(pk.g).pow(alpha);
   MasterKey mk;
   mk.beta = beta;
-  mk.g_alpha = curve_->mul(g, alpha);
+  mk.g_alpha = g.mul(alpha);
   return {pk, mk};
 }
 
 PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& attributes,
                          crypto::Drbg& rng, const ParallelRunner& runner) const {
   if (attributes.empty()) throw std::invalid_argument("CpAbe::keygen: empty attribute set");
-  const ec::Point g = generator();
+  const ec::FixedBase& g = generator();
   const BigInt r = rand_scalar(rng);
   PrivateKey sk;
   // Every draw happens here, r first and then one r_j per distinct
@@ -181,7 +168,7 @@ PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& at
     draws.push_back({&it->first, rand_scalar(rng), &it->second});
   }
   // g^r is shared by D and every D_j, so it is computed before the fork.
-  const ec::Point g_r = curve_->mul(g, r);
+  const ec::Point g_r = g.mul(r);
   std::vector<std::function<void()>> jobs;
   jobs.reserve(draws.size() + 1);
   // D = g^((α+r)/β): g^α is in MK, so compute (g^α · g^r)^(1/β).
@@ -192,7 +179,7 @@ PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& at
   for (const AttrDraw& draw : draws) {
     jobs.emplace_back([this, &draw, &g, &g_r] {
       draw.out->dj = curve_->add(g_r, curve_->mul(hash_attr(*draw.attr), draw.rj));
-      draw.out->dj_prime = curve_->mul(g, draw.rj);
+      draw.out->dj_prime = g.mul(draw.rj);
     });
   }
   if (runner) {
@@ -206,14 +193,13 @@ PrivateKey CpAbe::keygen(const MasterKey& mk, const std::vector<std::string>& at
 void CpAbe::share_secret(const AccessTree::Node& node, const BigInt& value, std::size_t& next_id,
                          Ciphertext& ct, crypto::Drbg& rng) const {
   const std::size_t my_id = next_id++;
-  const ec::Point g = generator();
   if (node.is_leaf()) {
     if (node.leaf->perturbed) {
       throw std::invalid_argument("CpAbe::encrypt: policy leaf is perturbed (encrypt first, "
                                   "perturb after)");
     }
     Ciphertext::LeafCt leaf_ct;
-    leaf_ct.cy = curve_->mul(g, value);
+    leaf_ct.cy = generator().mul(value);
     leaf_ct.cy_prime = curve_->mul(hash_attr(node.leaf->canonical()), value);
     ct.leaves.emplace(my_id, std::move(leaf_ct));
     return;

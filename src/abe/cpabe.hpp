@@ -18,6 +18,8 @@
 
 #include <deque>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -69,7 +71,9 @@ class CpAbe {
   explicit CpAbe(const ec::Curve& curve);
 
   /// Setup: samples α, β and produces the key pair. (The paper's sharer
-  /// runs cpabe-setup per shared object.)
+  /// runs cpabe-setup per shared object.) h and f are one-use bases, so
+  /// Setup builds no table for them: C = h^s is Encrypt's one generic
+  /// multiplication, and f is never multiplied or paired.
   [[nodiscard]] std::pair<PublicKey, MasterKey> setup(crypto::Drbg& rng) const;
 
   /// Optional executor for independent scalar multiplications and Miller
@@ -147,9 +151,12 @@ class CpAbe {
   /// canonical attributes on every access request. FIFO-capped; counted by
   /// abe_attr_hash_{hits,builds}_total.
   [[nodiscard]] ec::Point hash_attr(const std::string& attribute) const;
-  /// The fixed public generator g (hash-to-group of a domain tag), cached
-  /// and registered for fixed-base scalar multiplication.
-  [[nodiscard]] ec::Point generator() const;
+  /// The fixed public generator g (hash-to-group of a domain tag) and its
+  /// FixedBase table, built together on first use, so a C1-only session
+  /// never pays the ~5 ms build at kFull. Setup, KeyGen's g^r and g^(r_j),
+  /// and Encrypt's leaf g^(q_y(0)) multiply through it; after the first
+  /// call, reading it takes no lock.
+  [[nodiscard]] const ec::FixedBase& generator() const;
   /// e(g, g) for the given generator, cached — Setup and every Encrypt need
   /// it, and the pairing is the single most expensive primitive. FIFO-capped
   /// (one entry per distinct generator under key churn).
@@ -194,12 +201,14 @@ class CpAbe {
 
   const ec::Curve* curve_;
   ec::Pairing pairing_;
-  /// One mutex for all lazy caches: CpAbe is const-shared across serving
+  /// Written once, under generator_once_; immutable after.
+  mutable std::once_flag generator_once_;
+  mutable std::unique_ptr<const ec::FixedBase> generator_;
+  /// One mutex for the memo caches: CpAbe is const-shared across serving
   /// threads (Construction 2 calls keygen/encrypt/decrypt concurrently), so
   /// the mutable memo state below must be guarded. No lock is held across
-  /// a pairing or scalar multiplication except the one being memoized.
+  /// a pairing or scalar multiplication.
   mutable sp::Mutex cache_mutex_;
-  mutable std::optional<ec::Point> generator_ SP_GUARDED_BY(cache_mutex_);
   /// e(g,g) keyed by serialized generator; FIFO-capped (kMaxEggCache).
   mutable std::unordered_map<std::string, Fp2> e_gg_cache_ SP_GUARDED_BY(cache_mutex_);
   mutable std::deque<std::string> e_gg_fifo_ SP_GUARDED_BY(cache_mutex_);

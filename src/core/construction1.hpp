@@ -103,6 +103,9 @@ class Construction1 {
                                             std::span<const std::uint8_t> encrypted_object) const;
 
   [[nodiscard]] field::FpCtxPtr field() const { return field_; }
+  /// The sharer-signature scheme; its generator's table is built once here,
+  /// and Session keys every user with it.
+  [[nodiscard]] const sig::Schnorr& schnorr() const { return schnorr_; }
 
  private:
   /// K_O = H(M_O). Wipes the fixed-width encoding of M_O it hashes; the

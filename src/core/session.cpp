@@ -171,8 +171,7 @@ osn::UserId Session::register_user(const std::string& name) {
   // leave an unwiped secret on the stack); keygen under the lock is fine —
   // registration is rare compared to serving.
   const sp::MutexLock lock(keys_mutex_);
-  user_keys_.emplace(id, sig::Schnorr(curve_, curve_.hash_to_group(crypto::to_bytes("sp-schnorr-g")))
-                             .keygen(key_rng));
+  user_keys_.emplace(id, c1_->schnorr().keygen(key_rng));
   return id;
 }
 

@@ -1,12 +1,9 @@
 #include "ec/curve.hpp"
 
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "crypto/sha256.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
+#include "obs/metrics.hpp"
 
 namespace sp::ec {
 
@@ -193,124 +190,11 @@ std::vector<int> wnaf4(BigInt k) {
   return digits;
 }
 
-// Fixed-base window table for a long-lived base point B: row j holds the
-// affine points d·16^j·B for d = 1..15, so B^k costs one mixed addition per
-// non-zero nibble of k and no doublings at all. Entries are never infinity:
-// q is prime and > 16, so q never divides d·16^j.
-struct FixedBaseTable {
-  std::size_t rows = 0;
-  std::vector<Point> entries;  // rows × 15, entry(j, d) = d·16^j·B
-
-  [[nodiscard]] const Point& at(std::size_t j, unsigned d) const {
-    return entries[j * 15 + (d - 1)];
-  }
-};
-
-FixedBaseTable build_fixed_base(const Point& base, const BigInt& q) {
-  FixedBaseTable t;
-  t.rows = (q.bit_length() + 3) / 4;
-  std::vector<Jac> jacs;
-  jacs.reserve(t.rows * 15);
-  Jac row_base = to_jac(base);  // 16^j · B
-  for (std::size_t j = 0; j < t.rows; ++j) {
-    const std::size_t start = jacs.size();
-    jacs.push_back(row_base);
-    for (unsigned d = 2; d <= 15; ++d) {
-      jacs.push_back(d % 2 == 0 ? jac_dbl(jacs[start + d / 2 - 1])
-                                : jac_add(jacs[start + d - 2], row_base));
-    }
-    if (j + 1 < t.rows) row_base = jac_dbl(jacs[start + 7]);  // 2·(8·16^j·B)
-  }
-  t.entries = jac_to_affine_batch(jacs);
-  return t;
-}
-
-// Process-wide table registry. Keyed by (p, base) so tables outlive the
-// Curve/Session that built them; FIFO eviction bounds memory if a workload
-// registers many distinct bases. One magic-static instance so the guarded
-// members and their mutex share a lifetime (and the analysis can tie them
-// together via SP_GUARDED_BY).
-constexpr std::size_t kMaxFixedBaseTables = 64;
-
-struct FixedBaseRegistry {
-  sp::Mutex mutex;
-  std::unordered_map<std::string, std::shared_ptr<const FixedBaseTable>> map
-      SP_GUARDED_BY(mutex);
-  std::deque<std::string> fifo SP_GUARDED_BY(mutex);
-
-  static FixedBaseRegistry& get() {
-    static FixedBaseRegistry* const instance = new FixedBaseRegistry();  // leaked on purpose
-    return *instance;
-  }
-};
-
-std::shared_ptr<const FixedBaseTable> find_fixed_base(const std::string& key) {
-  FixedBaseRegistry& reg = FixedBaseRegistry::get();
-  const sp::MutexLock lock(reg.mutex);
-  auto it = reg.map.find(key);
-  return it == reg.map.end() ? nullptr : it->second;
-}
-
-void register_fixed_base(const std::string& key, std::shared_ptr<const FixedBaseTable> table) {
-  FixedBaseRegistry& reg = FixedBaseRegistry::get();
-  const sp::MutexLock lock(reg.mutex);
-  if (reg.map.find(key) == reg.map.end()) {
-    reg.fifo.push_back(key);
-    if (reg.fifo.size() > kMaxFixedBaseTables) {
-      reg.map.erase(reg.fifo.front());
-      reg.fifo.pop_front();
-    }
-  }
-  reg.map[key] = std::move(table);
-}
-
-}  // namespace
-
-std::string Curve::table_key(const Point& base) const {
-  // p disambiguates equal coordinate bytes across fields; serialize() embeds
-  // the field byte length, so (p, 0x04||x||y) is collision-free.
-  const Bytes pb = params_.fp->p().to_bytes();
-  const Bytes bb = serialize(base);
-  std::string id(pb.begin(), pb.end());
-  id.append(bb.begin(), bb.end());
-  return id;
-}
-
-void Curve::precompute_fixed_base(const Point& base) const {
-  if (base.is_infinity()) return;
-  const std::string id = table_key(base);
-  if (find_fixed_base(id)) return;
-  auto table = std::make_shared<const FixedBaseTable>(build_fixed_base(base, params_.q));
-  register_fixed_base(id, std::move(table));
-}
-
-bool Curve::has_fixed_base(const Point& base) const {
-  if (base.is_infinity()) return false;
-  return find_fixed_base(table_key(base)) != nullptr;
-}
-
-Point Curve::mul(const Point& pt, const BigInt& k) const {
-  if (k.is_negative()) return mul(negate(pt), -k);
-  if (k.is_zero() || pt.is_infinity()) return Point{};
-
-  // Fixed-base path: one mixed addition per non-zero nibble, no doublings.
-  if (const auto table = find_fixed_base(table_key(pt))) {
-    const std::size_t nnibs = (k.bit_length() + 3) / 4;
-    if (nnibs <= table->rows) {
-      Jac acc{};
-      for (std::size_t j = 0; j < nnibs; ++j) {
-        unsigned d = 0;
-        for (unsigned b = 0; b < 4; ++b) {
-          d |= static_cast<unsigned>(k.bit(4 * j + b)) << b;
-        }
-        if (d != 0) acc = jac_add_affine(acc, table->at(j, d));
-      }
-      return jac_to_affine(acc);
-    }
-    // Scalar wider than the table (k >= 16^rows ≥ q): fall through to wNAF.
-  }
-
-  // Generic path: width-4 wNAF with an odd-multiple table {1,3,5,7}·P.
+// Width-4 wNAF k·P in Jacobian coordinates, with an odd-multiple table
+// {1,3,5,7}·P.
+Jac wnaf_mul(const Point& pt, const BigInt& k) {
+  if (k.is_negative()) return jac_neg(wnaf_mul(pt, -k));
+  if (k.is_zero() || pt.is_infinity()) return Jac{};
   const std::vector<int> digits = wnaf4(k);
 
   Jac odd[4];
@@ -326,7 +210,23 @@ Point Curve::mul(const Point& pt, const BigInt& k) const {
     if (d > 0) acc = jac_add(acc, odd[(d - 1) / 2]);
     else if (d < 0) acc = jac_add(acc, jac_neg(odd[(-d - 1) / 2]));
   }
-  return jac_to_affine(acc);
+  return acc;
+}
+
+// ec_scalar_muls_total{path}: "fixed_base" for a FixedBase table, "generic"
+// for wNAF. Each series is looked up once and cached.
+obs::Counter& scalar_muls(const char* path) {
+  return obs::MetricsRegistry::global().counter(
+      "ec_scalar_muls_total", "Scalar multiplications by path", {{"path", path}});
+}
+obs::Counter& generic_muls() { static obs::Counter& c = scalar_muls("generic"); return c; }
+obs::Counter& fixed_base_muls() { static obs::Counter& c = scalar_muls("fixed_base"); return c; }
+
+}  // namespace
+
+Point Curve::mul(const Point& pt, const BigInt& k) const {
+  generic_muls().inc();
+  return jac_to_affine(wnaf_mul(pt, k));
 }
 
 Point Curve::mul_binary(const Point& pt, const BigInt& k) const {
@@ -395,6 +295,67 @@ Point Curve::deserialize(std::span<const std::uint8_t> data) const {
            Fp::from_bytes(params_.fp, data.subspan(1 + flen, flen)));
   if (!on_curve(pt)) throw std::invalid_argument("Curve::deserialize: point not on curve");
   return pt;
+}
+
+namespace {
+
+// k·B from a FixedBase's entries, in Jacobian coordinates: one mixed
+// addition per non-zero nibble of k. Precondition: 0 <= k < 16^rows.
+Jac table_mul(const std::vector<Point>& entries, const BigInt& k) {
+  Jac acc{};
+  const std::size_t nibbles = (k.bit_length() + 3) / 4;
+  for (std::size_t j = 0; j < nibbles; ++j) {
+    unsigned d = 0;
+    for (unsigned b = 0; b < 4; ++b) d |= static_cast<unsigned>(k.bit(4 * j + b)) << b;
+    if (d != 0) acc = jac_add_affine(acc, entries[j * 15 + (d - 1)]);
+  }
+  return acc;
+}
+
+}  // namespace
+
+FixedBase::FixedBase(const Curve& curve, Point base)
+    : curve_(&curve), base_(std::move(base)), rows_((curve.order().bit_length() + 3) / 4) {
+  if (base_.is_infinity() || !curve_->on_curve(base_)) {
+    throw std::invalid_argument("FixedBase: bad base point");
+  }
+  // Entries are never infinity: q is prime and > 16, so q never divides
+  // d·16^j.
+  std::vector<Jac> jacs;
+  jacs.reserve(rows_ * 15);
+  Jac row_base = to_jac(base_);  // 16^j · B
+  for (std::size_t j = 0; j < rows_; ++j) {
+    const std::size_t start = jacs.size();
+    jacs.push_back(row_base);
+    for (unsigned d = 2; d <= 15; ++d) {
+      jacs.push_back(d % 2 == 0 ? jac_dbl(jacs[start + d / 2 - 1])
+                                : jac_add(jacs[start + d - 2], row_base));
+    }
+    if (j + 1 < rows_) row_base = jac_dbl(jacs[start + 7]);  // 2·(8·16^j·B)
+  }
+  entries_ = jac_to_affine_batch(jacs);
+}
+
+bool FixedBase::in_table(const BigInt& k) const {
+  return !k.is_negative() && (k.bit_length() + 3) / 4 <= rows_;
+}
+
+Point FixedBase::mul(const BigInt& k) const {
+  if (!in_table(k)) return curve_->mul(base_, k);
+  fixed_base_muls().inc();
+  return jac_to_affine(table_mul(entries_, k));
+}
+
+bool FixedBase::mul_sub_equals(const BigInt& s, const Point& p, const BigInt& e,
+                               const Point& r) const {
+  if (!in_table(s)) return mul(s) == curve_->add(r, curve_->mul(p, e));
+  fixed_base_muls().inc();
+  generic_muls().inc();
+  const Jac diff = jac_add(table_mul(entries_, s), jac_neg(wnaf_mul(p, e)));
+  if (diff.inf || r.is_infinity()) return diff.inf && r.is_infinity();
+  // A finite Jacobian point never has Z = 0, so x = X/Z² and y = Y/Z³.
+  const Fp z2 = diff.z * diff.z;
+  return diff.x == r.x() * z2 && diff.y == r.y() * z2 * diff.z;
 }
 
 }  // namespace sp::ec

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "field/fp2.hpp"
 
@@ -61,23 +62,16 @@ class Curve {
   [[nodiscard]] Point negate(const Point& pt) const;
   [[nodiscard]] Point add(const Point& a, const Point& b) const;
   [[nodiscard]] Point dbl(const Point& a) const;
-  /// Scalar multiplication: width-4 wNAF over Jacobian coordinates, with a
-  /// fixed-base windowed table when `pt` has been registered via
-  /// precompute_fixed_base(). Not constant-time — this is a research
-  /// reproduction, not a hardened implementation.
+  /// Scalar multiplication: width-4 wNAF over Jacobian coordinates, for any
+  /// point. A long-lived base is faster through the FixedBase its owner
+  /// holds. Not constant-time — this is a research reproduction, not a
+  /// hardened implementation. Counted as
+  /// ec_scalar_muls_total{path="generic"}.
   [[nodiscard]] Point mul(const Point& pt, const BigInt& k) const;
   /// Plain binary double-and-add — the pre-wNAF algorithm, kept as the
-  /// randomized-equivalence oracle (tests/ec/test_scalar_mul.cpp).
+  /// randomized-equivalence oracle (tests/ec/test_scalar_mul.cpp). Not
+  /// counted.
   [[nodiscard]] Point mul_binary(const Point& pt, const BigInt& k) const;
-
-  /// Builds (or refreshes) a fixed-base window table for `base` in a
-  /// process-wide cache keyed by (p, base); subsequent mul(base, k) calls
-  /// use it. Tables survive across Curve instances so long-lived generators
-  /// (CP-ABE g/h/f, the Schnorr generator) pay the build cost once per
-  /// process, not once per Session. Thread-safe; no-op for infinity.
-  void precompute_fixed_base(const Point& base) const;
-  /// True when mul(base, ·) would hit a cached fixed-base table.
-  [[nodiscard]] bool has_fixed_base(const Point& base) const;
 
   /// Deterministically maps bytes to a point in the order-q subgroup
   /// (try-and-increment x, then cofactor clearing). Never returns infinity.
@@ -91,9 +85,48 @@ class Curve {
 
  private:
   [[nodiscard]] Fp rhs(const Fp& x) const;  // x³ + x
-  [[nodiscard]] std::string table_key(const Point& base) const;
 
   CurveParams params_;
+};
+
+/// Immutable fixed-base window table for one long-lived base point B: row j
+/// holds d·16^j·B for d = 1..15, so k·B costs one mixed addition per
+/// non-zero nibble of k and no doublings. The object that owns B builds the
+/// table once and holds it (sig::Schnorr and abe::CpAbe, for their
+/// generators); there is no shared registry, so nothing evicts it and a
+/// multiplication takes no lock. One build costs ~4.7 ms at kFull
+/// (BM_FixedBaseBuild), so a base multiplied only once or twice is cheaper
+/// through Curve::mul. `curve` must outlive the table.
+class FixedBase {
+ public:
+  /// `base` must lie in the order-q subgroup; infinity or an off-curve
+  /// point throws std::invalid_argument.
+  FixedBase(const Curve& curve, Point base);
+
+  [[nodiscard]] const Point& base() const { return base_; }
+
+  /// k·B for 0 <= k < 16^rows (every scalar mod q fits); a negative or
+  /// wider k takes Curve::mul's wNAF. Counted as
+  /// ec_scalar_muls_total{path="fixed_base"}.
+  [[nodiscard]] Point mul(const BigInt& k) const;
+
+  /// s·B − e·P == R, decided without a field inversion: s·B from the table
+  /// and e·P by wNAF, both in Jacobian coordinates, and the difference
+  /// (X, Y, Z) compared with the affine R as X = x_R·Z², Y = y_R·Z³. The
+  /// same verdict as mul(s) == R + Curve::mul(P, e) for every input. This
+  /// is Schnorr Verify's equation; it counts one fixed_base and one generic
+  /// multiplication.
+  [[nodiscard]] bool mul_sub_equals(const BigInt& s, const Point& p, const BigInt& e,
+                                    const Point& r) const;
+
+ private:
+  /// 0 <= k < 16^rows_: k's nibbles all index table rows.
+  [[nodiscard]] bool in_table(const BigInt& k) const;
+
+  const Curve* curve_;
+  Point base_;
+  std::size_t rows_;
+  std::vector<Point> entries_;  // rows_ × 15, never infinity
 };
 
 }  // namespace sp::ec

@@ -75,7 +75,7 @@ void register_miller_table(const std::string& key, std::shared_ptr<const MillerT
 }
 
 // (p, P) registry key; serialize() embeds the field byte length, so the
-// concatenation is collision-free (same scheme as Curve::table_key).
+// concatenation is collision-free.
 std::string miller_key(const Curve& curve, const Point& p) {
   const crypto::Bytes pb = curve.fp()->p().to_bytes();
   const crypto::Bytes bb = curve.serialize(p);
@@ -336,9 +336,9 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
     evaluable[i] = 1;
     ++evaluated;
     auto eval = [this, &term, &values, i] {
-      // Long-lived first arguments (ciphertext components, CP-ABE params)
-      // are exactly the ones that recur across requests; a table pays back
-      // from its second use (header comment).
+      // Long-lived first arguments (ciphertext components) are exactly the
+      // ones that recur across requests; a table pays back from its second
+      // use (header comment).
       precompute(term.p);
       Fp2 m = miller(term.p, term.q);
       values[i] = term.inverse ? m.conj() : m;

@@ -24,7 +24,9 @@
 // loop's tangent/chord line coefficients depend only on P, so they are
 // recorded once and each later ê(P, ·) replays them against φ(Q), skipping
 // all of the point arithmetic. Tables live in a process-wide FIFO-capped
-// registry keyed by (p, P) — same policy as the fixed-base scalar tables.
+// registry keyed by (p, P). In the library only product() builds them, so
+// the registry holds CP-ABE ciphertext components (C, C_y, C_y'), the first
+// arguments that recur across requests.
 #pragma once
 
 #include <functional>

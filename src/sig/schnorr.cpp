@@ -8,20 +8,14 @@
 
 namespace sp::sig {
 
+// FixedBase rejects an infinity or off-curve generator.
 Schnorr::Schnorr(const ec::Curve& curve, ec::Point generator)
-    : curve_(&curve), g_(std::move(generator)) {
-  if (g_.is_infinity() || !curve_->on_curve(g_)) {
-    throw std::invalid_argument("Schnorr: bad generator");
-  }
-  // Every keygen/sign/verify exponentiates g_; the process-wide window
-  // table makes those fixed-base multiplications.
-  curve_->precompute_fixed_base(g_);
-}
+    : curve_(&curve), g_(curve, std::move(generator)) {}
 
 KeyPair Schnorr::keygen(crypto::Drbg& rng) const {
   auto rb = [&rng](std::size_t n) { return rng.bytes(n); };
   BigInt x = BigInt::random_below(curve_->order() - BigInt{1}, rb) + BigInt{1};
-  return KeyPair{x, curve_->mul(g_, x)};
+  return KeyPair{x, g_.mul(x)};
 }
 
 BigInt Schnorr::challenge(const ec::Point& r, const ec::Point& pk,
@@ -53,7 +47,7 @@ Signature Schnorr::sign(const KeyPair& kp, std::span<const std::uint8_t> msg) co
     if (!k.is_zero()) break;
   }
   crypto::secure_wipe(stretch);
-  const ec::Point r = curve_->mul(g_, k);
+  const ec::Point r = g_.mul(k);
   const BigInt e = challenge(r, kp.public_key, msg);
   const BigInt s = (k + e * kp.secret).mod(curve_->order());
   // A recovered nonce recovers the signing key: wipe it the moment s exists.
@@ -67,10 +61,8 @@ bool Schnorr::verify(const ec::Point& public_key, std::span<const std::uint8_t> 
   if (public_key.is_infinity() || !curve_->on_curve(public_key)) return false;
   if (sig.s.is_negative() || sig.s >= curve_->order()) return false;
   const BigInt e = challenge(sig.r, public_key, msg);
-  // g^s == R + e·pk
-  const ec::Point lhs = curve_->mul(g_, sig.s);
-  const ec::Point rhs = curve_->add(sig.r, curve_->mul(public_key, e));
-  return lhs == rhs;
+  // g^s == R + e·pk, checked as g^s − e·pk == R.
+  return g_.mul_sub_equals(sig.s, public_key, e, sig.r);
 }
 
 Bytes Schnorr::serialize(const Signature& sig) const {

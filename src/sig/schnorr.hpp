@@ -24,14 +24,22 @@ struct Signature {
   BigInt s;     ///< response k + e·x (mod q)
 };
 
+/// Holds its generator's FixedBase table, built once in the constructor
+/// (~4.7 ms at kFull): keygen, sign and verify take g^x from it. Build one
+/// Schnorr per generator and share it; Construction1 holds the one every
+/// Session user is keyed with.
 class Schnorr {
  public:
   /// `generator` must be a fixed public generator of the order-q subgroup
-  /// (conventionally Curve::hash_to_group("sp-schnorr-g")).
+  /// (conventionally Curve::hash_to_group("sp-schnorr-g")); infinity or an
+  /// off-curve point throws std::invalid_argument.
   Schnorr(const ec::Curve& curve, ec::Point generator);
 
   [[nodiscard]] KeyPair keygen(crypto::Drbg& rng) const;
   [[nodiscard]] Signature sign(const KeyPair& kp, std::span<const std::uint8_t> msg) const;
+  /// Checks R and pk on the curve and not infinity, 0 <= s < q, and then
+  /// g^s = R + e·pk as one combination with no field inversion
+  /// (FixedBase::mul_sub_equals).
   [[nodiscard]] bool verify(const ec::Point& public_key, std::span<const std::uint8_t> msg,
                             const Signature& sig) const;
 
@@ -41,14 +49,14 @@ class Schnorr {
   [[nodiscard]] Bytes serialize_public(const ec::Point& pk) const;
   [[nodiscard]] ec::Point deserialize_public(std::span<const std::uint8_t> data) const;
 
-  [[nodiscard]] const ec::Point& generator() const { return g_; }
+  [[nodiscard]] const ec::Point& generator() const { return g_.base(); }
 
  private:
   [[nodiscard]] BigInt challenge(const ec::Point& r, const ec::Point& pk,
                                  std::span<const std::uint8_t> msg) const;
 
   const ec::Curve* curve_;
-  ec::Point g_;
+  ec::FixedBase g_;
 };
 
 }  // namespace sp::sig

@@ -630,5 +630,28 @@ TEST_F(CpAbeTest, WarmKeygenHitsTheAttributeHashMemo) {
   EXPECT_EQ(builds.value(), warm_builds);
 }
 
+// Setup multiplies only through the generator's FixedBase and builds no
+// Miller-line table: h and f are one-use bases, and e(g,g) is memoized.
+TEST(CpAbeTables, SetupBuildsNoTables) {
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kToy));
+  const CpAbe scheme(curve);
+  Drbg rng("cpabe-setup-tables");
+  obs::Counter& miller_builds =
+      obs::MetricsRegistry::global().counter("crypto_miller_table_builds_total");
+  obs::Counter& fixed_base =
+      obs::MetricsRegistry::global().counter("ec_scalar_muls_total", "", {{"path", "fixed_base"}});
+  obs::Counter& generic =
+      obs::MetricsRegistry::global().counter("ec_scalar_muls_total", "", {{"path", "generic"}});
+  const std::uint64_t builds0 = miller_builds.value();
+  (void)scheme.setup(rng);  // first use: hashes g and builds its table
+  const std::uint64_t fixed0 = fixed_base.value();
+  const std::uint64_t generic0 = generic.value();
+  (void)scheme.setup(rng);
+  (void)scheme.setup(rng);
+  EXPECT_EQ(miller_builds.value(), builds0);
+  EXPECT_EQ(fixed_base.value() - fixed0, 6U);  // h, f and g^alpha per call
+  EXPECT_EQ(generic.value(), generic0);
+}
+
 }  // namespace
 }  // namespace sp::abe

@@ -13,8 +13,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "abe/cpabe.hpp"
 #include "core/session.hpp"
 #include "core/thread_pool.hpp"
 #include "support/fixtures.hpp"
@@ -519,6 +521,56 @@ TEST(ConcurrencyHammer, RunAllFromWorkersAndOutsideCallersTogether) {
   pool.wait_idle();
   EXPECT_EQ(calls.load(), static_cast<int>(kThreads) * 10);
   EXPECT_EQ(ran.load(), static_cast<int>(kThreads) * 10 * 5);
+}
+
+// CpAbe builds its generator's FixedBase on first use. Eight threads make
+// that first call on one fresh instance, half KeyGen and half Encrypt; every
+// result must be byte-identical to a sequential run on another instance
+// over the same curve, and every ciphertext must open under a key from the
+// fresh instance.
+TEST(CpAbeFirstUse, EightThreadsKeygenAndEncryptOnAFreshInstance) {
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kToy));
+  const abe::CpAbe reference(curve);
+  crypto::Drbg setup_rng("cpabe-first-use");
+  const auto keys = reference.setup(setup_rng);
+  const abe::PublicKey& pk = keys.first;
+  const abe::MasterKey& mk = keys.second;
+  const std::vector<std::pair<std::string, std::string>> qa = {
+      {"q1", "a1"}, {"q2", "a2"}, {"q3", "a3"}};
+  const abe::AccessTree policy = abe::AccessTree::puzzle_policy(qa, 2);
+  std::vector<std::string> attrs;
+  for (const auto& [q, a] : qa) attrs.push_back(abe::LeafAttribute{q, a, false}.canonical());
+  const auto thread_rng = [](std::size_t t) {
+    return crypto::Drbg("cpabe-first-use-" + std::to_string(t));
+  };
+  std::vector<Bytes> want(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    crypto::Drbg rng = thread_rng(t);
+    want[t] = t % 2 == 0 ? reference.serialize(reference.keygen(mk, attrs, rng))
+                         : reference.serialize(reference.encrypt_key(pk, policy, rng).first);
+  }
+
+  const abe::CpAbe fresh(curve);
+  std::vector<Bytes> got(kThreads);
+  std::vector<Bytes> dem_keys(kThreads);
+  run_threads([&](std::size_t t) {
+    crypto::Drbg rng = thread_rng(t);
+    if (t % 2 == 0) {
+      got[t] = fresh.serialize(fresh.keygen(mk, attrs, rng));
+    } else {
+      auto [ct, dem_key] = fresh.encrypt_key(pk, policy, rng);
+      got[t] = fresh.serialize(ct);
+      dem_keys[t] = std::move(dem_key);
+    }
+  });
+  const abe::PrivateKey sk = fresh.deserialize_private_key(got[0]);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want[t]) << "thread " << t;
+    if (t % 2 == 1) {
+      EXPECT_EQ(fresh.decrypt_key(pk, sk, fresh.deserialize_ciphertext(got[t])), dem_keys[t])
+          << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

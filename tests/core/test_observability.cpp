@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "support/fixtures.hpp"
 
@@ -183,6 +187,42 @@ TEST_F(ObservabilityTest, ShareAndRefreshCountersIncrement) {
   session_.refresh(sharer_, receipt.post_id, to_bytes("object v2"), ctx, net::pc_profile());
   EXPECT_EQ(refreshes.value(), refreshes0 + 1);
   EXPECT_EQ(shares_c1.value(), shares0 + 1);  // refresh is not a share
+}
+
+// ec_scalar_muls_total{path}: the generator tables are owned by Schnorr and
+// CpAbe, so no amount of C2 traffic evicts them. A granted C1 access is one
+// Schnorr Verify: one fixed-base and one generic multiplication.
+TEST_F(ObservabilityTest, GrantedC1AccessCostsOneFixedBaseAndOneGenericMul) {
+  auto& fixed_base = counter("ec_scalar_muls_total", {{"path", "fixed_base"}});
+  auto& generic = counter("ec_scalar_muls_total", {{"path", "generic"}});
+  const Context ctx = party_context();
+  const auto receipt =
+      session_.share_c1(sharer_, to_bytes("object"), ctx, 2, 4, net::pc_profile());
+  const auto access_muls = [&] {
+    const auto fixed0 = fixed_base.value();
+    const auto generic0 = generic.value();
+    const auto result =
+        session_.access(friend_, receipt.post_id, Knowledge::full(ctx), net::pc_profile());
+    EXPECT_TRUE(result.success());
+    return std::pair{fixed_base.value() - fixed0, generic.value() - generic0};
+  };
+  const std::pair<std::uint64_t, std::uint64_t> one_each{1, 1};
+  EXPECT_EQ(access_muls(), one_each);
+  for (int i = 0; i < 70; ++i) {
+    (void)session_.share_c2(sharer_, to_bytes("c2 object " + std::to_string(i)), ctx, 2,
+                            net::pc_profile());
+  }
+  EXPECT_EQ(access_muls(), one_each);
+}
+
+TEST_F(ObservabilityTest, RegisterUserCostsOneFixedBaseMul) {
+  auto& fixed_base = counter("ec_scalar_muls_total", {{"path", "fixed_base"}});
+  auto& generic = counter("ec_scalar_muls_total", {{"path", "generic"}});
+  const auto fixed0 = fixed_base.value();
+  const auto generic0 = generic.value();
+  (void)session_.register_user("late joiner");
+  EXPECT_EQ(fixed_base.value() - fixed0, 1U);
+  EXPECT_EQ(generic.value() - generic0, 0U);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -46,32 +47,52 @@ TEST(ScalarMul, FixedBaseMatchesGeneric) {
   const Curve& curve = toy_curve();
   Drbg rng("fixed-base-equiv");
   const Point base = curve.random_group_element(rng);
-  EXPECT_FALSE(curve.has_fixed_base(base));
-  curve.precompute_fixed_base(base);
-  ASSERT_TRUE(curve.has_fixed_base(base));
+  const FixedBase table(curve, base);
+  EXPECT_EQ(table.base(), base);
   for (int i = 0; i < 50; ++i) {
     const BigInt k = BigInt::from_bytes(rng.bytes(1 + (i * 5) % 12)).mod(curve.order());
-    EXPECT_EQ(curve.mul(base, k), curve.mul_binary(base, k)) << "i=" << i;
+    EXPECT_EQ(table.mul(k), curve.mul_binary(base, k)) << "i=" << i;
   }
   // Edge scalars through the table path too.
   for (const auto& k : {BigInt{0}, BigInt{1}, BigInt{15}, BigInt{16}, curve.order() - BigInt{1}}) {
-    EXPECT_EQ(curve.mul(base, k), curve.mul_binary(base, k)) << "k=" << k.to_dec();
+    EXPECT_EQ(table.mul(k), curve.mul_binary(base, k)) << "k=" << k.to_dec();
   }
   // q·B = O exercises the cancellation inside the table accumulation.
-  EXPECT_TRUE(curve.mul(base, curve.order()).is_infinity());
+  EXPECT_TRUE(table.mul(curve.order()).is_infinity());
+  EXPECT_THROW(FixedBase(curve, Point{}), std::invalid_argument);
 }
 
-TEST(ScalarMul, FixedBaseSharedAcrossCurveInstances) {
-  // The registry is keyed by (p, base), not by Curve identity: a second
-  // Curve over the same preset sees the first one's table.
+TEST(ScalarMul, MulSubEqualsMatchesTheAffineEquation) {
   const Curve& curve = toy_curve();
-  Drbg rng("fixed-base-shared");
+  Drbg rng("mul-sub-equals");
   const Point base = curve.random_group_element(rng);
-  curve.precompute_fixed_base(base);
-  const Curve other(preset_params(ParamPreset::kToy));
-  EXPECT_TRUE(other.has_fixed_base(base));
-  const BigInt k = BigInt::from_bytes(rng.bytes(10)).mod(curve.order());
-  EXPECT_EQ(other.mul(base, k), curve.mul_binary(base, k));
+  const FixedBase table(curve, base);
+  const BigInt& q = curve.order();
+  auto oracle = [&](const BigInt& s, const Point& p, const BigInt& e, const Point& r) {
+    return curve.mul_binary(base, s) == curve.add(r, curve.mul_binary(p, e));
+  };
+  for (int i = 0; i < 50; ++i) {
+    const Point p = curve.random_group_element(rng);
+    const BigInt s = BigInt::from_bytes(rng.bytes(8)).mod(q);
+    const BigInt e = BigInt::from_bytes(rng.bytes(8)).mod(q);
+    const Point r = curve.add(curve.mul_binary(base, s), curve.negate(curve.mul_binary(p, e)));
+    EXPECT_TRUE(table.mul_sub_equals(s, p, e, r)) << "i=" << i;
+    // −R shares R's x, so this pins the Y comparison.
+    EXPECT_FALSE(table.mul_sub_equals(s, p, e, curve.negate(r))) << "i=" << i;
+    const Point wrong = curve.add(r, base);
+    EXPECT_FALSE(table.mul_sub_equals(s, p, e, wrong)) << "i=" << i;
+    EXPECT_EQ(table.mul_sub_equals(s, p, e, wrong), oracle(s, p, e, wrong)) << "i=" << i;
+  }
+  // Edges: e = 0 and s = 0 (one side infinity), a difference that is
+  // infinity (P = B, e = s), and s·B = −e·P, which doubles inside the sum.
+  const Point p = curve.random_group_element(rng);
+  const BigInt s = BigInt::from_bytes(rng.bytes(8)).mod(q);
+  EXPECT_TRUE(table.mul_sub_equals(s, p, BigInt{0}, curve.mul_binary(base, s)));
+  EXPECT_TRUE(table.mul_sub_equals(BigInt{0}, p, s, curve.negate(curve.mul_binary(p, s))));
+  EXPECT_TRUE(table.mul_sub_equals(s, base, s, Point{}));
+  EXPECT_FALSE(table.mul_sub_equals(s, base, s, base));
+  EXPECT_FALSE(table.mul_sub_equals(s, base, s + BigInt{1}, Point{}));
+  EXPECT_TRUE(table.mul_sub_equals(s, base, q - s, curve.mul_binary(base, s + s)));
 }
 
 TEST(ScalarMul, JacobianPairingMatchesAffineReference) {
@@ -89,8 +110,8 @@ TEST(ScalarMul, JacobianPairingMatchesAffineReference) {
 }
 
 TEST(ScalarMul, PresetParamsConcurrentFirstUse) {
-  // preset_params is a magic static; hammer it (and the fixed-base registry)
-  // from several threads and check every caller agrees.
+  // preset_params is a magic static; hammer it from several threads and
+  // check every caller agrees.
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<const CurveParams*> seen(kThreads, nullptr);
@@ -102,7 +123,6 @@ TEST(ScalarMul, PresetParamsConcurrentFirstUse) {
       const Curve curve(params);
       Drbg rng("preset-concurrency");  // same seed in every thread
       const Point base = curve.random_group_element(rng);
-      curve.precompute_fixed_base(base);
       products[t] = curve.mul(base, BigInt{123456789});
     });
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
 #include "ec/params.hpp"
 
 namespace sp::sig {
@@ -93,6 +94,58 @@ TEST_F(SchnorrTest, EmptyMessageSignable) {
   const KeyPair kp = scheme_.keygen(rng_);
   const Signature sig = scheme_.sign(kp, {});
   EXPECT_TRUE(scheme_.verify(kp.public_key, {}, sig));
+}
+
+// Verify decides g^s = R + e·pk as one inversion-free combination. The
+// oracle is the affine equation behind the same range check, computed with
+// mul_binary and add.
+class SchnorrVerifyOracle : public SchnorrTest {
+ protected:
+  [[nodiscard]] bool affine_verify(const ec::Point& pk, const crypto::Bytes& msg,
+                                   const Signature& sig) const {
+    if (sig.s.is_negative() || sig.s >= curve_.order()) return false;
+    crypto::Sha256 h;
+    h.update(curve_.serialize(sig.r));
+    h.update(curve_.serialize(pk));
+    h.update(msg);
+    const crypto::BigInt e = crypto::BigInt::from_bytes(h.finish()).mod(curve_.order());
+    return curve_.mul_binary(scheme_.generator(), sig.s) ==
+           curve_.add(sig.r, curve_.mul_binary(pk, e));
+  }
+};
+
+TEST_F(SchnorrVerifyOracle, AgreesWithTheAffineEquationOnRandomDraws) {
+  for (int i = 0; i < 128; ++i) {
+    const KeyPair kp = scheme_.keygen(rng_);
+    const KeyPair other = scheme_.keygen(rng_);
+    const crypto::Bytes msg = rng_.bytes(1 + i % 40);
+    crypto::Bytes other_msg = msg;
+    other_msg.back() ^= 0x01;
+    const Signature sig = scheme_.sign(kp, msg);
+    Signature bumped = sig;
+    bumped.s = (sig.s + crypto::BigInt{1}).mod(curve_.order());
+    Signature negated = sig;
+    negated.r = curve_.negate(sig.r);
+    struct Case {
+      const char* name;
+      const ec::Point& pk;
+      const crypto::Bytes& msg;
+      const Signature& sig;
+      bool valid;
+    };
+    const Case cases[] = {
+        {"valid", kp.public_key, msg, sig, true},
+        {"s+1", kp.public_key, msg, bumped, false},
+        {"other message", kp.public_key, other_msg, sig, false},
+        {"other key", other.public_key, msg, sig, false},
+        {"-R", kp.public_key, msg, negated, false},
+    };
+    for (const Case& c : cases) {
+      const bool verdict = scheme_.verify(c.pk, c.msg, c.sig);
+      EXPECT_EQ(verdict, c.valid) << c.name << " i=" << i;
+      EXPECT_EQ(verdict, affine_verify(c.pk, c.msg, c.sig)) << c.name << " i=" << i;
+    }
+  }
 }
 
 }  // namespace
