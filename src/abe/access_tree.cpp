@@ -13,34 +13,13 @@ namespace {
 // Unit separator keeps "ab"+"c" and "a"+"bc" distinct.
 constexpr char kSep = '\x1f';
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off) {
-  if (off + 4 > data.size()) throw std::invalid_argument("AccessTree: truncated");
-  const std::uint32_t v = (std::uint32_t{data[off]} << 24) | (std::uint32_t{data[off + 1]} << 16) |
-                          (std::uint32_t{data[off + 2]} << 8) | std::uint32_t{data[off + 3]};
-  off += 4;
-  return v;
-}
-
-void put_str(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string get_str(std::span<const std::uint8_t> data, std::size_t& off) {
-  const std::uint32_t len = get_u32(data, off);
-  if (off + len > data.size()) throw std::invalid_argument("AccessTree: truncated string");
-  std::string s(data.begin() + static_cast<std::ptrdiff_t>(off),
-                data.begin() + static_cast<std::ptrdiff_t>(off + len));
-  off += len;
-  return s;
-}
+// Decoding bounds: τ' reaches a receiver inside CT' from the DH, so its
+// bytes are untrusted. Puzzle policies have height 1 and BSW07 policies stay
+// shallow, so a deeper tree is rejected before it can exhaust the stack.
+constexpr std::size_t kMaxDepth = 64;
+// The smallest encoded node: an interior node's flag, threshold and child
+// count (a leaf takes at least 10 bytes).
+constexpr std::size_t kMinNodeBytes = 9;
 
 }  // namespace
 
@@ -170,12 +149,12 @@ Bytes AccessTree::serialize() const {
     out.push_back(node.is_leaf() ? 1 : 0);
     if (node.is_leaf()) {
       out.push_back(node.leaf->perturbed ? 1 : 0);
-      put_str(out, node.leaf->question);
-      put_str(out, node.leaf->answer);
+      crypto::put_str(out, node.leaf->question);
+      crypto::put_str(out, node.leaf->answer);
       return;
     }
-    put_u32(out, static_cast<std::uint32_t>(node.threshold));
-    put_u32(out, static_cast<std::uint32_t>(node.children.size()));
+    crypto::put_u32(out, static_cast<std::uint32_t>(node.threshold));
+    crypto::put_u32(out, static_cast<std::uint32_t>(node.children.size()));
     for (const Node& child : node.children) walk(child);
   };
   walk(root_);
@@ -184,7 +163,8 @@ Bytes AccessTree::serialize() const {
 
 AccessTree AccessTree::deserialize(std::span<const std::uint8_t> data) {
   std::size_t off = 0;
-  std::function<Node()> walk = [&]() -> Node {
+  std::function<Node(std::size_t)> walk = [&](std::size_t depth) -> Node {
+    if (depth > kMaxDepth) throw std::invalid_argument("AccessTree: deeper than 64 levels");
     if (off >= data.size()) throw std::invalid_argument("AccessTree: truncated");
     const bool is_leaf = data[off++] == 1;
     Node node;
@@ -192,19 +172,22 @@ AccessTree AccessTree::deserialize(std::span<const std::uint8_t> data) {
       if (off >= data.size()) throw std::invalid_argument("AccessTree: truncated");
       LeafAttribute attr;
       attr.perturbed = data[off++] == 1;
-      attr.question = get_str(data, off);
-      attr.answer = get_str(data, off);
+      attr.question = crypto::get_str(data, off);
+      attr.answer = crypto::get_str(data, off);
       node.leaf = std::move(attr);
       return node;
     }
-    node.threshold = get_u32(data, off);
-    const std::uint32_t n = get_u32(data, off);
-    if (n > data.size()) throw std::invalid_argument("AccessTree: implausible child count");
+    node.threshold = crypto::get_u32(data, off);
+    const std::uint32_t n = crypto::get_u32(data, off);
+    // Checked before reserve, so a short input cannot reserve 2^32 nodes.
+    if (std::size_t{n} * kMinNodeBytes > data.size() - off) {
+      throw std::invalid_argument("AccessTree: more children than the input holds");
+    }
     node.children.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) node.children.push_back(walk());
+    for (std::uint32_t i = 0; i < n; ++i) node.children.push_back(walk(depth + 1));
     return node;
   };
-  Node root = walk();
+  Node root = walk(0);
   if (off != data.size()) throw std::invalid_argument("AccessTree: trailing bytes");
   return AccessTree(std::move(root));
 }

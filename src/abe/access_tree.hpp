@@ -84,6 +84,8 @@ class AccessTree {
   /// Wire format (length-prefixed binary); byte-size accounting feeds the
   /// network model.
   [[nodiscard]] Bytes serialize() const;
+  /// Throws std::invalid_argument on malformed input, on a tree deeper than
+  /// 64 levels, and on a child count the remaining bytes cannot hold.
   static AccessTree deserialize(std::span<const std::uint8_t> data);
 
   friend bool operator==(const AccessTree& a, const AccessTree& b);

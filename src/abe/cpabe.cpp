@@ -9,50 +9,6 @@
 namespace sp::abe {
 
 namespace {
-
-using crypto::Bytes;
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off) {
-  if (off + 4 > data.size()) throw std::invalid_argument("CpAbe: truncated");
-  const std::uint32_t v = (std::uint32_t{data[off]} << 24) | (std::uint32_t{data[off + 1]} << 16) |
-                          (std::uint32_t{data[off + 2]} << 8) | std::uint32_t{data[off + 3]};
-  off += 4;
-  return v;
-}
-
-void put_blob(Bytes& out, const Bytes& blob) {
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Bytes get_blob(std::span<const std::uint8_t> data, std::size_t& off) {
-  const std::uint32_t len = get_u32(data, off);
-  if (off + len > data.size()) throw std::invalid_argument("CpAbe: truncated blob");
-  Bytes blob(data.begin() + static_cast<std::ptrdiff_t>(off),
-             data.begin() + static_cast<std::ptrdiff_t>(off + len));
-  off += len;
-  return blob;
-}
-
-void put_str(Bytes& out, const std::string& s) {
-  put_blob(out, Bytes(s.begin(), s.end()));
-}
-
-std::string get_str(std::span<const std::uint8_t> data, std::size_t& off) {
-  Bytes b = get_blob(data, off);
-  return std::string(b.begin(), b.end());
-}
-
-}  // namespace
-
-namespace {
 // FIFO caps for the lazy memo caches: enough for every distinct generator
 // and attribute a serving workload revisits, bounded against key churn
 // (same policy as the Miller-line table registry).
@@ -434,48 +390,48 @@ Ciphertext CpAbe::swap_policy(Ciphertext ct, AccessTree new_policy) {
 
 Bytes CpAbe::serialize(const PublicKey& pk) const {
   Bytes out;
-  put_blob(out, curve_->serialize(pk.g));
-  put_blob(out, curve_->serialize(pk.h));
-  put_blob(out, curve_->serialize(pk.f));
-  put_blob(out, pk.e_gg_alpha.to_bytes());
+  crypto::put_blob(out, curve_->serialize(pk.g));
+  crypto::put_blob(out, curve_->serialize(pk.h));
+  crypto::put_blob(out, curve_->serialize(pk.f));
+  crypto::put_blob(out, pk.e_gg_alpha.to_bytes());
   return out;
 }
 
 PublicKey CpAbe::deserialize_public_key(std::span<const std::uint8_t> data) const {
   std::size_t off = 0;
   PublicKey pk;
-  pk.g = curve_->deserialize(get_blob(data, off));
-  pk.h = curve_->deserialize(get_blob(data, off));
-  pk.f = curve_->deserialize(get_blob(data, off));
-  pk.e_gg_alpha = Fp2::from_bytes(curve_->fp(), get_blob(data, off));
+  pk.g = curve_->deserialize(crypto::get_blob(data, off));
+  pk.h = curve_->deserialize(crypto::get_blob(data, off));
+  pk.f = curve_->deserialize(crypto::get_blob(data, off));
+  pk.e_gg_alpha = Fp2::from_bytes(curve_->fp(), crypto::get_blob(data, off));
   if (off != data.size()) throw std::invalid_argument("CpAbe: trailing bytes in public key");
   return pk;
 }
 
 Bytes CpAbe::serialize(const MasterKey& mk) const {
   Bytes out;
-  put_blob(out, mk.beta.to_bytes(curve_->fp()->byte_length()));
-  put_blob(out, curve_->serialize(mk.g_alpha));
+  crypto::put_blob(out, mk.beta.to_bytes(curve_->fp()->byte_length()));
+  crypto::put_blob(out, curve_->serialize(mk.g_alpha));
   return out;
 }
 
 MasterKey CpAbe::deserialize_master_key(std::span<const std::uint8_t> data) const {
   std::size_t off = 0;
   MasterKey mk;
-  mk.beta = BigInt::from_bytes(get_blob(data, off));
-  mk.g_alpha = curve_->deserialize(get_blob(data, off));
+  mk.beta = BigInt::from_bytes(crypto::get_blob(data, off));
+  mk.g_alpha = curve_->deserialize(crypto::get_blob(data, off));
   if (off != data.size()) throw std::invalid_argument("CpAbe: trailing bytes in master key");
   return mk;
 }
 
 Bytes CpAbe::serialize(const PrivateKey& sk) const {
   Bytes out;
-  put_blob(out, curve_->serialize(sk.d));
-  put_u32(out, static_cast<std::uint32_t>(sk.attrs.size()));
+  crypto::put_blob(out, curve_->serialize(sk.d));
+  crypto::put_u32(out, static_cast<std::uint32_t>(sk.attrs.size()));
   for (const auto& [attr, ak] : sk.attrs) {
-    put_str(out, attr);
-    put_blob(out, curve_->serialize(ak.dj));
-    put_blob(out, curve_->serialize(ak.dj_prime));
+    crypto::put_str(out, attr);
+    crypto::put_blob(out, curve_->serialize(ak.dj));
+    crypto::put_blob(out, curve_->serialize(ak.dj_prime));
   }
   return out;
 }
@@ -483,13 +439,13 @@ Bytes CpAbe::serialize(const PrivateKey& sk) const {
 PrivateKey CpAbe::deserialize_private_key(std::span<const std::uint8_t> data) const {
   std::size_t off = 0;
   PrivateKey sk;
-  sk.d = curve_->deserialize(get_blob(data, off));
-  const std::uint32_t n = get_u32(data, off);
+  sk.d = curve_->deserialize(crypto::get_blob(data, off));
+  const std::uint32_t n = crypto::get_u32(data, off);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string attr = get_str(data, off);
+    const std::string attr = crypto::get_str(data, off);
     PrivateKey::AttrKey ak;
-    ak.dj = curve_->deserialize(get_blob(data, off));
-    ak.dj_prime = curve_->deserialize(get_blob(data, off));
+    ak.dj = curve_->deserialize(crypto::get_blob(data, off));
+    ak.dj_prime = curve_->deserialize(crypto::get_blob(data, off));
     sk.attrs.emplace(attr, std::move(ak));
   }
   if (off != data.size()) throw std::invalid_argument("CpAbe: trailing bytes in private key");
@@ -498,14 +454,14 @@ PrivateKey CpAbe::deserialize_private_key(std::span<const std::uint8_t> data) co
 
 Bytes CpAbe::serialize(const Ciphertext& ct) const {
   Bytes out;
-  put_blob(out, ct.policy.serialize());
-  put_blob(out, ct.c_tilde.to_bytes());
-  put_blob(out, curve_->serialize(ct.c));
-  put_u32(out, static_cast<std::uint32_t>(ct.leaves.size()));
+  crypto::put_blob(out, ct.policy.serialize());
+  crypto::put_blob(out, ct.c_tilde.to_bytes());
+  crypto::put_blob(out, curve_->serialize(ct.c));
+  crypto::put_u32(out, static_cast<std::uint32_t>(ct.leaves.size()));
   for (const auto& [id, leaf] : ct.leaves) {
-    put_u32(out, static_cast<std::uint32_t>(id));
-    put_blob(out, curve_->serialize(leaf.cy));
-    put_blob(out, curve_->serialize(leaf.cy_prime));
+    crypto::put_u32(out, static_cast<std::uint32_t>(id));
+    crypto::put_blob(out, curve_->serialize(leaf.cy));
+    crypto::put_blob(out, curve_->serialize(leaf.cy_prime));
   }
   return out;
 }
@@ -513,15 +469,15 @@ Bytes CpAbe::serialize(const Ciphertext& ct) const {
 Ciphertext CpAbe::deserialize_ciphertext(std::span<const std::uint8_t> data) const {
   std::size_t off = 0;
   Ciphertext ct;
-  ct.policy = AccessTree::deserialize(get_blob(data, off));
-  ct.c_tilde = Fp2::from_bytes(curve_->fp(), get_blob(data, off));
-  ct.c = curve_->deserialize(get_blob(data, off));
-  const std::uint32_t n = get_u32(data, off);
+  ct.policy = AccessTree::deserialize(crypto::get_blob(data, off));
+  ct.c_tilde = Fp2::from_bytes(curve_->fp(), crypto::get_blob(data, off));
+  ct.c = curve_->deserialize(crypto::get_blob(data, off));
+  const std::uint32_t n = crypto::get_u32(data, off);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::size_t id = get_u32(data, off);
+    const std::size_t id = crypto::get_u32(data, off);
     Ciphertext::LeafCt leaf;
-    leaf.cy = curve_->deserialize(get_blob(data, off));
-    leaf.cy_prime = curve_->deserialize(get_blob(data, off));
+    leaf.cy = curve_->deserialize(crypto::get_blob(data, off));
+    leaf.cy_prime = curve_->deserialize(crypto::get_blob(data, off));
     ct.leaves.emplace(id, std::move(leaf));
   }
   if (off != data.size()) throw std::invalid_argument("CpAbe: trailing bytes in ciphertext");

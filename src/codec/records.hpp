@@ -1,34 +1,25 @@
-// Versioned codecs for the protocol objects the SP and DH persist (ROADMAP
-// item 1, docs/WIRE_FORMAT.md has the field-by-field layouts):
+// The storage layer's record codecs (docs/WIRE_FORMAT.md has the layouts):
+// the frame record types, and the ShardedStore record envelope, which is
+// the WAL's unit of replay. An envelope carries an operation (put / erase /
+// observe), a keyspace, a sequence number for id-counter recovery, the
+// record id and the value bytes.
 //
-//  * Construction 1 puzzle records Z_O (core::Puzzle);
-//  * Construction 2 file sets — τ' access tree, PK, MK, ciphertext, k
-//    (core::Construction2::UploadResult);
-//  * SP observation-log entries (channel + data);
-//  * DH blobs (URL + ciphertext);
-//  * ShardedStore record envelopes — the WAL's unit of replay: an operation
-//    (put / erase / observe), a keyspace, a sequence number for id-counter
-//    recovery, the record id and the value bytes.
+// The hosts treat an envelope value as opaque bytes: the SP stores a
+// Puzzle::serialize() or AccessTree::serialize() record, or an observed
+// message, and the DH stores the blob it was handed. So this library knows
+// no protocol object, and it links only sp_crypto and sp_obs.
 //
-// Every encoder emits one complete frame (codec/wire.hpp): magic, version,
-// record type, length, payload, CRC32C. Every decoder validates the frame,
-// checks the record type, and rejects trailing bytes — so a decoded object
-// re-encodes byte-identically (the round-trip property tests pin this).
-//
-// Codecs live below sp::core in the link order: this library uses the core
-// structs header-only (plain aggregates) and links only sp_crypto + sp_abe,
-// so sp_storage and sp_osn can depend on it without a cycle.
+// encode_envelope emits one complete frame (codec/wire.hpp): magic,
+// version, record type, length, payload, CRC32C. The decoders validate the
+// frame, check the version and record type, and reject trailing bytes, so a
+// decoded envelope re-encodes byte-identically.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 
-#include "abe/access_tree.hpp"
 #include "codec/wire.hpp"
-#include "core/construction2.hpp"
-#include "core/puzzle.hpp"
 #include "crypto/bytes.hpp"
 
 namespace sp::codec {
@@ -37,12 +28,14 @@ namespace sp::codec {
 /// append (docs/WIRE_FORMAT.md).
 enum class RecordType : std::uint8_t {
   kEnvelope = 1,     ///< ShardedStore record envelope (WAL unit)
-  kC1Puzzle = 2,     ///< Construction 1 Z_O
-  kC2FileSet = 3,    ///< Construction 2 {τ', PK, MK, CT', k}
-  kObservation = 4,  ///< SP observation-log entry
-  kDhBlob = 5,       ///< DH object at rest
+  // Retired: 2-5 and 7 framed protocol objects that nothing produces any
+  // more. They stay reserved and are never reused.
+  kC1Puzzle = 2,
+  kC2FileSet = 3,
+  kObservation = 4,
+  kDhBlob = 5,
   kSegment = 6,      ///< segment-file body (src/storage/segment.cpp)
-  kAccessTree = 7,   ///< standalone τ/τ' (rides inside kC2FileSet too)
+  kAccessTree = 7,
   kTraceSpan = 8,    ///< one trace span (codec/trace_records.hpp)
 };
 
@@ -71,36 +64,5 @@ struct Envelope {
 [[nodiscard]] Envelope decode_envelope(std::span<const std::uint8_t> data);
 /// Payload-level decoder for frames already parsed out of a log stream.
 [[nodiscard]] Envelope decode_envelope_payload(const Frame& f);
-
-// ------------------------------------------------------- protocol objects
-
-[[nodiscard]] Bytes encode_c1_puzzle(const core::Puzzle& puzzle);
-[[nodiscard]] core::Puzzle decode_c1_puzzle(std::span<const std::uint8_t> data);
-
-[[nodiscard]] Bytes encode_access_tree(const abe::AccessTree& tree);
-[[nodiscard]] abe::AccessTree decode_access_tree(std::span<const std::uint8_t> data);
-
-[[nodiscard]] Bytes encode_c2_file_set(const core::Construction2::UploadResult& files);
-[[nodiscard]] core::Construction2::UploadResult decode_c2_file_set(
-    std::span<const std::uint8_t> data);
-
-struct ObservationRecord {
-  std::string channel;
-  Bytes data;
-
-  friend bool operator==(const ObservationRecord&, const ObservationRecord&) = default;
-};
-[[nodiscard]] Bytes encode_observation(std::string_view channel,
-                                       std::span<const std::uint8_t> data);
-[[nodiscard]] ObservationRecord decode_observation(std::span<const std::uint8_t> data);
-
-struct DhBlobRecord {
-  std::string url;
-  Bytes blob;
-
-  friend bool operator==(const DhBlobRecord&, const DhBlobRecord&) = default;
-};
-[[nodiscard]] Bytes encode_dh_blob(std::string_view url, std::span<const std::uint8_t> blob);
-[[nodiscard]] DhBlobRecord decode_dh_blob(std::span<const std::uint8_t> data);
 
 }  // namespace sp::codec

@@ -1,6 +1,7 @@
-// Canonical wire primitives for the durable SP/DH storage layer (ROADMAP
-// item 1). Everything that crosses a process boundary — WAL records, segment
-// files, protocol objects at rest — is built from these three pieces:
+// Canonical wire primitives for the durable SP/DH storage layer. WAL
+// records, segment files and trace dumps are built from these three pieces
+// (the protocol objects inside an envelope's value use crypto/bytes.hpp's
+// big-endian field codec instead):
 //
 //  * little-endian fixed-width integers (the paper's deployment targets are
 //    all LE; spelling the byte order out keeps files portable anyway);

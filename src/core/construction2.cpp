@@ -8,39 +8,6 @@
 
 namespace sp::core {
 
-namespace {
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off) {
-  if (off + 4 > data.size()) throw std::invalid_argument("Construction2: truncated");
-  const std::uint32_t v = (std::uint32_t{data[off]} << 24) | (std::uint32_t{data[off + 1]} << 16) |
-                          (std::uint32_t{data[off + 2]} << 8) | std::uint32_t{data[off + 3]};
-  off += 4;
-  return v;
-}
-
-void put_blob(Bytes& out, const Bytes& blob) {
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Bytes get_blob(std::span<const std::uint8_t> data, std::size_t& off) {
-  const std::uint32_t len = get_u32(data, off);
-  if (off + len > data.size()) throw std::invalid_argument("Construction2: truncated blob");
-  Bytes blob(data.begin() + static_cast<std::ptrdiff_t>(off),
-             data.begin() + static_cast<std::ptrdiff_t>(off + len));
-  off += len;
-  return blob;
-}
-
-}  // namespace
-
 Construction2::Construction2(const ec::Curve& curve) : scheme_(curve) {}
 
 std::size_t Construction2::UploadResult::sp_upload_size() const {
@@ -79,8 +46,8 @@ Construction2::UploadResult Construction2::upload(std::span<const std::uint8_t> 
   // Hybrid payload: CT' plus the sealed object under the KEM key.
   const Bytes iv = rng.bytes(16);
   Bytes ct_file;
-  put_blob(ct_file, scheme_.serialize(ct_prime));
-  put_blob(ct_file, crypto::seal(dem_key, iv, object));
+  crypto::put_blob(ct_file, scheme_.serialize(ct_prime));
+  crypto::put_blob(ct_file, crypto::seal(dem_key, iv, object));
 
   UploadResult out;
   out.perturbed_tree = tau_prime;
@@ -174,8 +141,8 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
     pk = scheme_.deserialize_public_key(public_key_file);
     mk = scheme_.deserialize_master_key(master_key_file);
     std::size_t off = 0;
-    ct = scheme_.deserialize_ciphertext(get_blob(ciphertext_file, off));
-    envelope = get_blob(ciphertext_file, off);
+    ct = scheme_.deserialize_ciphertext(crypto::get_blob(ciphertext_file, off));
+    envelope = crypto::get_blob(ciphertext_file, off);
     if (off != ciphertext_file.size()) return std::nullopt;
   } catch (const std::invalid_argument&) {
     return std::nullopt;

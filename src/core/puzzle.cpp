@@ -4,83 +4,50 @@
 
 namespace sp::core {
 
-namespace {
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off) {
-  if (off + 4 > data.size()) throw std::invalid_argument("Puzzle: truncated");
-  const std::uint32_t v = (std::uint32_t{data[off]} << 24) | (std::uint32_t{data[off + 1]} << 16) |
-                          (std::uint32_t{data[off + 2]} << 8) | std::uint32_t{data[off + 3]};
-  off += 4;
-  return v;
-}
-
-void put_blob(Bytes& out, std::span<const std::uint8_t> blob) {
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Bytes get_blob(std::span<const std::uint8_t> data, std::size_t& off) {
-  const std::uint32_t len = get_u32(data, off);
-  if (off + len > data.size()) throw std::invalid_argument("Puzzle: truncated blob");
-  Bytes blob(data.begin() + static_cast<std::ptrdiff_t>(off),
-             data.begin() + static_cast<std::ptrdiff_t>(off + len));
-  off += len;
-  return blob;
-}
-
-}  // namespace
-
 Bytes Puzzle::signed_payload() const {
   // Only the fields a receiver eventually holds (URL_O, k, K_Z) — the
   // paper's countermeasure signs exactly the components whose tampering
   // causes silent DoS. Blinded-share tampering is detected downstream by
   // the authenticated decryption failing.
   Bytes out;
-  put_blob(out, crypto::to_bytes(url));
-  put_u32(out, static_cast<std::uint32_t>(threshold));
-  put_blob(out, puzzle_key);
+  crypto::put_str(out, url);
+  crypto::put_u32(out, static_cast<std::uint32_t>(threshold));
+  crypto::put_blob(out, puzzle_key);
   return out;
 }
 
 Bytes Puzzle::serialize() const {
   Bytes out;
-  put_blob(out, crypto::to_bytes(url));
-  put_u32(out, static_cast<std::uint32_t>(threshold));
-  put_blob(out, puzzle_key);
-  put_u32(out, static_cast<std::uint32_t>(entries.size()));
+  crypto::put_str(out, url);
+  crypto::put_u32(out, static_cast<std::uint32_t>(threshold));
+  crypto::put_blob(out, puzzle_key);
+  crypto::put_u32(out, static_cast<std::uint32_t>(entries.size()));
   for (const PuzzleEntry& e : entries) {
-    put_blob(out, crypto::to_bytes(e.question));
-    put_blob(out, e.answer_hash);
-    put_blob(out, e.blinded_share);
+    crypto::put_str(out, e.question);
+    crypto::put_blob(out, e.answer_hash);
+    crypto::put_blob(out, e.blinded_share);
   }
-  put_blob(out, sharer_public_key);
-  put_blob(out, signature);
+  crypto::put_blob(out, sharer_public_key);
+  crypto::put_blob(out, signature);
   return out;
 }
 
 Puzzle Puzzle::deserialize(std::span<const std::uint8_t> data) {
   std::size_t off = 0;
   Puzzle p;
-  p.url = crypto::to_string(get_blob(data, off));
-  p.threshold = get_u32(data, off);
-  p.puzzle_key = get_blob(data, off);
-  const std::uint32_t n = get_u32(data, off);
+  p.url = crypto::get_str(data, off);
+  p.threshold = crypto::get_u32(data, off);
+  p.puzzle_key = crypto::get_blob(data, off);
+  const std::uint32_t n = crypto::get_u32(data, off);
   for (std::uint32_t i = 0; i < n; ++i) {
     PuzzleEntry e;
-    e.question = crypto::to_string(get_blob(data, off));
-    e.answer_hash = get_blob(data, off);
-    e.blinded_share = get_blob(data, off);
+    e.question = crypto::get_str(data, off);
+    e.answer_hash = crypto::get_blob(data, off);
+    e.blinded_share = crypto::get_blob(data, off);
     p.entries.push_back(std::move(e));
   }
-  p.sharer_public_key = get_blob(data, off);
-  p.signature = get_blob(data, off);
+  p.sharer_public_key = crypto::get_blob(data, off);
+  p.signature = crypto::get_blob(data, off);
   if (off != data.size()) throw std::invalid_argument("Puzzle: trailing bytes");
   return p;
 }

@@ -3,9 +3,9 @@
 //   Z_O = { <q_1, H(a_1, K_Z), a_1 ⊕ d_1>, ..., <q_n, H(a_n, K_Z), a_n ⊕ d_n>,
 //           n, k, K_Z, URL_O }
 //
-// plus the sharer's signature over the tamper-sensitive fields (URL_O, K_Z,
-// k and the question/hash list) — the §VI-A countermeasure against a
-// malicious SP mounting DoS by rewriting them.
+// plus the sharer's signature over URL_O, k and K_Z — the §VI-A
+// countermeasure against a malicious SP mounting DoS by rewriting them.
+// docs/WIRE_FORMAT.md has the byte layout.
 #pragma once
 
 #include <string>
@@ -35,8 +35,7 @@ struct Puzzle {
 
   [[nodiscard]] std::size_t n() const { return entries.size(); }
 
-  /// The byte string the sharer signs (everything a malicious SP could
-  /// usefully rewrite).
+  /// The byte string the sharer signs: URL_O, k and K_Z.
   [[nodiscard]] Bytes signed_payload() const;
 
   /// Wire format; its size is what the Fig. 10 sharer network model charges.

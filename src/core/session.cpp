@@ -121,6 +121,12 @@ struct SessionMetrics {
 
 namespace {
 
+/// Each of Construction 2's file transfers is a separately spawned cURL
+/// HTTPS request in the paper: a cold connection (DNS + TCP + TLS ≈ 3 round
+/// trips), the "additional overhead caused by the cURL library" the paper
+/// blames for I2's network delay. C1's single warm-browser XHR pays 1.
+constexpr int kColdCurlRoundTrips = 3;
+
 storage::DurableStore::Options host_store_options(const PersistenceConfig& p, const char* sub) {
   storage::DurableStore::Options opts;
   opts.dir = p.dir + "/" + sub;
@@ -177,54 +183,90 @@ osn::UserId Session::register_user(const std::string& name) {
 
 void Session::befriend(osn::UserId a, osn::UserId b) { graph_.befriend(a, b); }
 
-ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t> object,
-                               const Context& ctx, std::size_t k, std::size_t n,
-                               const net::DeviceProfile& device, osn::Visibility visibility) {
+const sig::KeyPair& Session::keys_of(osn::UserId user) {
   // Map nodes are stable and keys are never erased, so the reference stays
   // valid after the lookup lock drops.
-  const sig::KeyPair* keys = nullptr;
-  {
-    const sp::MutexLock lock(keys_mutex_);
-    keys = &user_keys_.at(sharer);
-  }
-  crypto::Drbg op_rng = fork_rng("share-c1");
-  net::CostLedger ledger(device);
+  const sp::MutexLock lock(keys_mutex_);
+  return user_keys_.at(user);
+}
+
+Session::Published Session::publish_c1(const sig::KeyPair& keys,
+                                       std::span<const std::uint8_t> object, const Context& ctx,
+                                       std::size_t k, std::size_t n, net::CostLedger& ledger,
+                                       crypto::Drbg& rng) {
   SessionMetrics& metrics = SessionMetrics::get();
-  metrics.shares_c1.inc();
 
   // -- local: Upload subroutine (crypto) --------------------------------
   obs::TraceSpan upload_span(metrics.c1_upload, ledger);
-  auto result = c1_->upload(object, ctx, k, n, *keys, op_rng);
+  auto result = c1_->upload(object, ctx, k, n, keys, rng);
   upload_span.stop();
 
   // -- network: store O_{K_O} at the DH ---------------------------------
   ledger.add_network(network_.transfer_ms(result.encrypted_object.size()));
   ledger.add_bytes(result.encrypted_object.size());
-  const std::string url = dh_.store(std::move(result.encrypted_object));
+  Published out;
+  out.entry.kind = SchemeKind::kConstruction1;
+  out.entry.url = dh_.store(std::move(result.encrypted_object));
 
   // -- local: patch URL_O and re-sign (DoS countermeasure) --------------
   obs::TraceSpan sign_span(metrics.c1_sign, ledger);
-  result.puzzle.url = url;
-  c1_->sign_puzzle(result.puzzle, *keys);
-  const Bytes record = result.puzzle.serialize();
+  result.puzzle.url = out.entry.url;
+  c1_->sign_puzzle(result.puzzle, keys);
+  out.record = result.puzzle.serialize();
   sign_span.stop();
 
   // -- network: upload Z_O to the SP ------------------------------------
-  ledger.add_network(network_.transfer_ms(record.size()));
-  ledger.add_bytes(record.size());
-  const std::string post_id = sp_.store_record(record);
+  ledger.add_network(network_.transfer_ms(out.record.size()));
+  ledger.add_bytes(out.record.size());
+  out.entry.puzzle = std::move(result.puzzle);
+  return out;
+}
 
-  StoredPuzzle stored;
-  stored.kind = SchemeKind::kConstruction1;
-  stored.sharer = sharer;
-  stored.visibility = visibility;
-  stored.puzzle = std::move(result.puzzle);
-  stored.url = url;
+Session::Published Session::publish_c2(std::span<const std::uint8_t> object, const Context& ctx,
+                                       std::size_t k, net::CostLedger& ledger,
+                                       crypto::Drbg& rng) {
+  // -- local: Setup + Encrypt + Perturb (the heavy CP-ABE work) ----------
+  obs::TraceSpan upload_span(SessionMetrics::get().c2_upload, ledger);
+  auto files = c2_->upload(object, ctx, k, rng);
+  upload_span.stop();
+
+  // -- network: the paper's four cURL uploads (details, pub, master -> SP;
+  //    ciphertext -> DH), each on a cold connection.
+  Published out;
+  out.record = files.perturbed_tree.serialize();
+  for (const std::size_t bytes :
+       {out.record.size(), files.public_key.size(), files.master_key.size()}) {
+    ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
+    ledger.add_bytes(bytes);
+  }
+  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
+  ledger.add_bytes(files.ciphertext.size());
+  out.entry.kind = SchemeKind::kConstruction2;
+  out.entry.url = dh_.store(files.ciphertext);
+
+  // SP view: τ' + PK + MK (it never sees τ or the object).
+  sp_.observe("c2-details", out.record);
+  sp_.observe("c2-public-key", files.public_key);
+  sp_.observe("c2-master-key", files.master_key);
+  out.entry.c2_files = std::move(files);
+  return out;
+}
+
+ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t> object,
+                               const Context& ctx, std::size_t k, std::size_t n,
+                               const net::DeviceProfile& device, osn::Visibility visibility) {
+  const sig::KeyPair& keys = keys_of(sharer);
+  crypto::Drbg op_rng = fork_rng("share-c1");
+  net::CostLedger ledger(device);
+  SessionMetrics::get().shares_c1.inc();
+  Published pub = publish_c1(keys, object, ctx, k, n, ledger, op_rng);
+  const std::string post_id = sp_.store_record(pub.record);
+  pub.entry.sharer = sharer;
+  pub.entry.visibility = visibility;
   {
     const sp::UniqueLock lock(puzzles_mutex_);
-    puzzles_.emplace(post_id, std::move(stored));
+    puzzles_.emplace(post_id, std::move(pub.entry));
   }
-
   graph_.post(osn::Post{sharer, post_id, "shared a social puzzle", visibility});
   return ShareReceipt{post_id, ledger, object.size()};
 }
@@ -234,46 +276,14 @@ ShareReceipt Session::share_c2(osn::UserId sharer, std::span<const std::uint8_t>
                                const net::DeviceProfile& device, osn::Visibility visibility) {
   crypto::Drbg op_rng = fork_rng("share-c2");
   net::CostLedger ledger(device);
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.shares_c2.inc();
-
-  // -- local: Setup + Encrypt + Perturb (the heavy CP-ABE work) ----------
-  obs::TraceSpan upload_span(metrics.c2_upload, ledger);
-  auto files = c2_->upload(object, ctx, k, op_rng);
-  upload_span.stop();
-
-  // -- network: the paper's four cURL uploads (details, pub, master -> SP;
-  //    ciphertext -> DH). Each file is a separately spawned cURL HTTPS
-  //    request (cold connection: DNS + TCP + TLS ≈ 3 round trips), which is
-  //    the "additional overhead caused by the cURL library" the paper blames
-  //    for I2's network delay. C1's single warm-browser XHR pays 1.
-  constexpr int kColdCurlRoundTrips = 3;
-  const Bytes details = files.perturbed_tree.serialize();
-  for (const std::size_t bytes :
-       {details.size(), files.public_key.size(), files.master_key.size()}) {
-    ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
-    ledger.add_bytes(bytes);
-  }
-  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
-  ledger.add_bytes(files.ciphertext.size());
-  const std::string url = dh_.store(files.ciphertext);
-
-  // SP view: τ' + PK + MK (it never sees τ or the object).
-  sp_.observe("c2-details", details);
-  sp_.observe("c2-public-key", files.public_key);
-  sp_.observe("c2-master-key", files.master_key);
-
-  StoredPuzzle stored;
-  stored.kind = SchemeKind::kConstruction2;
-  stored.sharer = sharer;
-  stored.visibility = visibility;
-  stored.c2_files = std::move(files);
-  stored.url = url;
-
-  const std::string post_id = sp_.store_record(details);
+  SessionMetrics::get().shares_c2.inc();
+  Published pub = publish_c2(object, ctx, k, ledger, op_rng);
+  const std::string post_id = sp_.store_record(pub.record);
+  pub.entry.sharer = sharer;
+  pub.entry.visibility = visibility;
   {
     const sp::UniqueLock lock(puzzles_mutex_);
-    puzzles_.emplace(post_id, std::move(stored));
+    puzzles_.emplace(post_id, std::move(pub.entry));
   }
   graph_.post(osn::Post{sharer, post_id, "shared a social puzzle (ABE)", visibility});
   return ShareReceipt{post_id, ledger, object.size()};
@@ -296,64 +306,16 @@ ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
   const std::string old_url = stored.url;
   net::CostLedger ledger(device);
   crypto::Drbg op_rng = fork_rng("refresh-" + post_id);
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.refreshes.inc();
+  SessionMetrics::get().refreshes.inc();
 
-  if (stored.kind == SchemeKind::kConstruction1) {
-    const sig::KeyPair* keys = nullptr;
-    {
-      const sp::MutexLock lock(keys_mutex_);
-      keys = &user_keys_.at(sharer);
-    }
-    const std::size_t k = stored.puzzle->threshold;
-    const std::size_t n = stored.puzzle->n();
-
-    obs::TraceSpan upload_span(metrics.c1_upload, ledger);
-    auto result = c1_->upload(object, ctx, k, n, *keys, op_rng);
-    upload_span.stop();
-
-    ledger.add_network(network_.transfer_ms(result.encrypted_object.size()));
-    ledger.add_bytes(result.encrypted_object.size());
-    const std::string url = dh_.store(std::move(result.encrypted_object));
-
-    obs::TraceSpan sign_span(metrics.c1_sign, ledger);
-    result.puzzle.url = url;
-    c1_->sign_puzzle(result.puzzle, *keys);
-    const Bytes record = result.puzzle.serialize();
-    sign_span.stop();
-
-    ledger.add_network(network_.transfer_ms(record.size()));
-    ledger.add_bytes(record.size());
-    sp_.replace_record(post_id, record);
-
-    stored.puzzle = std::move(result.puzzle);
-    stored.url = url;
-  } else {
-    const std::size_t k = stored.c2_files->threshold;
-
-    obs::TraceSpan upload_span(metrics.c2_upload, ledger);
-    auto files = c2_->upload(object, ctx, k, op_rng);
-    upload_span.stop();
-
-    constexpr int kColdCurlRoundTrips = 3;
-    const Bytes details = files.perturbed_tree.serialize();
-    for (const std::size_t bytes :
-         {details.size(), files.public_key.size(), files.master_key.size()}) {
-      ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
-      ledger.add_bytes(bytes);
-    }
-    ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
-    ledger.add_bytes(files.ciphertext.size());
-    const std::string url = dh_.store(files.ciphertext);
-
-    sp_.observe("c2-details", details);
-    sp_.observe("c2-public-key", files.public_key);
-    sp_.observe("c2-master-key", files.master_key);
-    sp_.replace_record(post_id, details);
-
-    stored.c2_files = std::move(files);
-    stored.url = url;
-  }
+  Published pub = stored.kind == SchemeKind::kConstruction1
+                      ? publish_c1(keys_of(sharer), object, ctx, stored.puzzle->threshold,
+                                   stored.puzzle->n(), ledger, op_rng)
+                      : publish_c2(object, ctx, stored.c2_files->threshold, ledger, op_rng);
+  sp_.replace_record(post_id, pub.record);
+  stored.puzzle = std::move(pub.entry.puzzle);
+  stored.c2_files = std::move(pub.entry.c2_files);
+  stored.url = std::move(pub.entry.url);
 
   // Retire the stale ciphertext so leaked keys can't fetch it later (a
   // revoked post already pulled it).
@@ -754,7 +716,6 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
 
   // -- network: three file downloads (CT' from DH; PK, MK from SP), again
   //    one cold cURL connection each in the paper's Qt receiver -----------
-  constexpr int kColdCurlRoundTrips = 3;
   const net::Expected<Bytes> ciphertext = fetch_object(reply.url, faults, trace);
   if (!ciphertext.ok()) {
     result.error = ciphertext.error();

@@ -188,8 +188,8 @@ class Session {
 
  private:
   struct StoredPuzzle {
-    SchemeKind kind;
-    osn::UserId sharer;
+    SchemeKind kind = SchemeKind::kConstruction1;
+    osn::UserId sharer = 0;
     osn::Visibility visibility = osn::Visibility::kFriends;
     // C1 state.
     std::optional<Puzzle> puzzle;
@@ -200,6 +200,28 @@ class Session {
     /// gone, so there is no old URL to retire on refresh.
     bool revoked = false;
   };
+
+  /// What one run of the sharer pipeline publishes: the SP record (Z_O for
+  /// C1, τ' for C2) and the registry entry's scheme state and URL. share_*
+  /// stores both under a new post id; refresh replaces a post's.
+  struct Published {
+    /// Passed to the SP by copy, which keeps it sized to fit: serialize()
+    /// leaves growth slack that would stay resident per post.
+    Bytes record;
+    StoredPuzzle entry;
+  };
+
+  /// The sharer pipeline share_* and refresh both run: Upload, the DH store,
+  /// and for C1 the URL patch and signature. Charges `ledger` for every
+  /// upload, including the SP record the caller then stores.
+  Published publish_c1(const sig::KeyPair& keys, std::span<const std::uint8_t> object,
+                       const Context& ctx, std::size_t k, std::size_t n,
+                       net::CostLedger& ledger, crypto::Drbg& rng);
+  Published publish_c2(std::span<const std::uint8_t> object, const Context& ctx, std::size_t k,
+                       net::CostLedger& ledger, crypto::Drbg& rng);
+
+  /// A registered user's signing keys.
+  const sig::KeyPair& keys_of(osn::UserId user) SP_EXCLUDES(keys_mutex_);
 
   /// Forks a per-operation child DRBG under rng_mutex_ (Drbg::fork advances
   /// the parent stream, so unsynchronized forks would race). The child is

@@ -13,6 +13,15 @@ int hex_val(char c) {
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   throw std::invalid_argument("from_hex: invalid hex character");
 }
+
+/// The bytes after the u32 length prefix at `off`; advances past both.
+std::span<const std::uint8_t> get_field(std::span<const std::uint8_t> data, std::size_t& off) {
+  const std::uint32_t len = get_u32(data, off);
+  if (len > data.size() - off) throw std::invalid_argument("get_blob: truncated field");
+  const std::span<const std::uint8_t> field = data.subspan(off, len);
+  off += len;
+  return field;
+}
 }  // namespace
 
 std::string to_hex(std::span<const std::uint8_t> data) {
@@ -68,6 +77,41 @@ Bytes concat(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
   out.insert(out.end(), a.begin(), a.end());
   out.insert(out.end(), b.begin(), b.end());
   return out;
+}
+
+void put_u32(Bytes& out, std::uint32_t v) {
+  out.push_back(static_cast<std::uint8_t>(v >> 24));
+  out.push_back(static_cast<std::uint8_t>(v >> 16));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off) {
+  if (off + 4 > data.size()) throw std::invalid_argument("get_u32: truncated");
+  const std::uint32_t v = (std::uint32_t{data[off]} << 24) | (std::uint32_t{data[off + 1]} << 16) |
+                          (std::uint32_t{data[off + 2]} << 8) | std::uint32_t{data[off + 3]};
+  off += 4;
+  return v;
+}
+
+void put_blob(Bytes& out, std::span<const std::uint8_t> blob) {
+  put_u32(out, static_cast<std::uint32_t>(blob.size()));
+  out.insert(out.end(), blob.begin(), blob.end());
+}
+
+Bytes get_blob(std::span<const std::uint8_t> data, std::size_t& off) {
+  const auto field = get_field(data, off);
+  return Bytes(field.begin(), field.end());
+}
+
+void put_str(Bytes& out, std::string_view s) {
+  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+std::string get_str(std::span<const std::uint8_t> data, std::size_t& off) {
+  const auto field = get_field(data, off);
+  return std::string(field.begin(), field.end());
 }
 
 }  // namespace sp::crypto

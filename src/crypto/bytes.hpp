@@ -1,5 +1,6 @@
 // Byte-buffer utilities shared by every module: hex codecs, XOR blinding,
-// constant-time comparison, and string <-> bytes conversion.
+// constant-time comparison, string <-> bytes conversion, and the field codec
+// the protocol objects are written in.
 #pragma once
 
 #include <cstdint>
@@ -42,5 +43,18 @@ bool ct_equal(std::string_view a, std::string_view b);
 
 /// Concatenates buffers; used when building hash inputs like H(a_i || K_Z).
 Bytes concat(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
+
+// The field codec of the protocol objects the SP and DH hold (Z_O, τ', PK,
+// MK, CT'; docs/WIRE_FORMAT.md): a u32 is four bytes, most significant
+// first, and a blob or string is its u32 length followed by its bytes. Each
+// get_* reads the field at `off` and advances `off` past it; a field that
+// runs past the end of `data` throws std::invalid_argument.
+
+void put_u32(Bytes& out, std::uint32_t v);
+std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& off);
+void put_blob(Bytes& out, std::span<const std::uint8_t> blob);
+Bytes get_blob(std::span<const std::uint8_t> data, std::size_t& off);
+void put_str(Bytes& out, std::string_view s);
+std::string get_str(std::span<const std::uint8_t> data, std::size_t& off);
 
 }  // namespace sp::crypto

@@ -6,6 +6,7 @@
 
 #include "abe/cpabe.hpp"
 #include "core/construction1.hpp"
+#include "core/construction2.hpp"
 #include "core/puzzle.hpp"
 #include "ec/params.hpp"
 
@@ -120,6 +121,68 @@ TEST(WireRobustness, HugeLengthPrefixRejectedNotAllocated) {
   Bytes evil = {0xff, 0xff, 0xff, 0xff, 0x00};
   EXPECT_THROW(Puzzle::deserialize(evil), std::invalid_argument);
   EXPECT_THROW(abe::AccessTree::deserialize(evil), std::invalid_argument);
+}
+
+// A chain of `gates` one-child threshold gates above a single leaf, in
+// AccessTree::serialize()'s layout: 9 bytes a gate.
+Bytes gate_chain(std::size_t gates) {
+  Bytes out;
+  for (std::size_t i = 0; i < gates; ++i) {
+    out.push_back(0);            // interior node
+    crypto::put_u32(out, 1);     // threshold
+    crypto::put_u32(out, 1);     // child count
+  }
+  out.push_back(1);  // leaf
+  out.push_back(0);  // not perturbed
+  crypto::put_str(out, "q");
+  crypto::put_str(out, "a");
+  return out;
+}
+
+TEST(WireRobustness, AccessTreeDepthIsBoundedAt64) {
+  const Bytes deepest = gate_chain(64);
+  EXPECT_EQ(abe::AccessTree::deserialize(deepest).serialize(), deepest);
+  EXPECT_THROW(abe::AccessTree::deserialize(gate_chain(65)), std::invalid_argument);
+  // 1.8 MB of nesting must throw at level 65, not exhaust the stack.
+  EXPECT_THROW(abe::AccessTree::deserialize(gate_chain(200'000)), std::invalid_argument);
+}
+
+TEST(WireRobustness, HostileTreeFanOutRejected) {
+  // An interior node claiming 2^20 children in a 73-byte input: the decoder
+  // must refuse before reserving anything.
+  Bytes wire = {0};                  // interior node
+  crypto::put_u32(wire, 2);          // threshold
+  crypto::put_u32(wire, 1u << 20);   // child count
+  wire.resize(73, 0);
+  EXPECT_THROW(abe::AccessTree::deserialize(wire), std::invalid_argument);
+}
+
+TEST(WireRobustness, DeepCiphertextPolicyDeniesAccess) {
+  // A malicious DH serves CT' with its policy swapped for a 200,000-level
+  // chain; the receiver must deny, not crash.
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kToy));
+  const Construction2 c2(curve);
+  Drbg rng("deep-policy");
+  const Context ctx({{"q0", "a0"}, {"q1", "a1"}, {"q2", "a2"}});
+  const auto up = c2.upload(to_bytes("object"), ctx, 2, rng);
+  const Knowledge knowledge = Knowledge::full(ctx);
+  ASSERT_EQ(c2.access(up.ciphertext, up.public_key, up.master_key, knowledge, rng),
+            to_bytes("object"));
+
+  // Ciphertext file = blob(CT') ‖ blob(sealed object); CT' opens with
+  // blob(policy).
+  std::size_t off = 0;
+  const Bytes ct = crypto::get_blob(up.ciphertext, off);
+  const Bytes sealed = crypto::get_blob(up.ciphertext, off);
+  std::size_t ct_off = 0;
+  (void)crypto::get_blob(ct, ct_off);
+  Bytes hostile_ct;
+  crypto::put_blob(hostile_ct, gate_chain(200'000));
+  hostile_ct.insert(hostile_ct.end(), ct.begin() + static_cast<std::ptrdiff_t>(ct_off), ct.end());
+  Bytes hostile_file;
+  crypto::put_blob(hostile_file, hostile_ct);
+  crypto::put_blob(hostile_file, sealed);
+  EXPECT_EQ(c2.access(hostile_file, up.public_key, up.master_key, knowledge, rng), std::nullopt);
 }
 
 }  // namespace

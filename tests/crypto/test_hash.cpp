@@ -1,31 +1,14 @@
-// Known-answer tests for SHA-1 / SHA-256 / SHA3-256 / HMAC / HKDF against
+// Known-answer tests for SHA-256 / SHA3-256 / HMAC / HKDF against
 // FIPS 180-4, FIPS 202, RFC 4231 and RFC 5869 vectors.
 #include <gtest/gtest.h>
 
 #include "crypto/bytes.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/md5.hpp"
-#include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha3.hpp"
 
 namespace sp::crypto {
 namespace {
-
-TEST(Sha1, Fips180Vectors) {
-  EXPECT_EQ(to_hex(Sha1::hash(to_bytes(""))), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-  EXPECT_EQ(to_hex(Sha1::hash(to_bytes("abc"))), "a9993e364706816aba3e25717850c26c9cd0d89d");
-  EXPECT_EQ(to_hex(Sha1::hash(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1, MillionA) {
-  Sha1 h;
-  const Bytes chunk(1000, static_cast<std::uint8_t>('a'));
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  auto d = h.finish();
-  EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-}
 
 TEST(Sha256, Fips180Vectors) {
   EXPECT_EQ(to_hex(Sha256::hash(to_bytes(""))),
@@ -130,9 +113,9 @@ TEST(Hkdf, ExpandRejectsOversize) {
 }
 
 // Regression: update({}) used to pass the empty span's null data() to
-// memcpy when a partial block was buffered — UB flagged by UBSan
-// (sha256.cpp, sha1.cpp, md5.cpp). Empty updates must be no-ops at any
-// point in the stream, including mid-block.
+// memcpy when a partial block was buffered — UB flagged by UBSan in
+// sha256.cpp. Empty updates must be no-ops at any point in the stream,
+// including mid-block.
 TEST(StreamingHash, EmptyUpdateMidStreamIsANoOp) {
   const Bytes part = to_bytes("abc");  // shorter than a block, so it buffers
   {
@@ -142,20 +125,6 @@ TEST(StreamingHash, EmptyUpdateMidStreamIsANoOp) {
     h.update({});
     auto d = h.finish();
     EXPECT_EQ(Bytes(d.begin(), d.end()), Sha256::hash(part));
-  }
-  {
-    Sha1 h;
-    h.update(part);
-    h.update({});
-    auto d = h.finish();
-    EXPECT_EQ(Bytes(d.begin(), d.end()), Sha1::hash(part));
-  }
-  {
-    Md5 h;
-    h.update(part);
-    h.update({});
-    auto d = h.finish();
-    EXPECT_EQ(Bytes(d.begin(), d.end()), Md5::hash(part));
   }
   {
     Sha256 h;
