@@ -1,7 +1,7 @@
 // Surveillance audit: makes the paper's surveillance-resistance property
-// visible. Shares an object with both constructions, then dumps and scans
-// everything the service provider and the storage host ever saw, proving
-// the plaintext and the context answers appear nowhere.
+// visible. Shares an object with both constructions, lets a receiver open
+// both, then scans everything the service provider and the storage host
+// store, proving the plaintext and the context answers appear nowhere.
 #include <algorithm>
 #include <cstdio>
 
@@ -45,10 +45,10 @@ int main() {
   std::printf("receiver decrypted C1 share: %s\n", a1.success() ? "yes" : "NO");
   std::printf("receiver decrypted C2 share: %s\n\n", a2.success() ? "yes" : "NO");
 
-  // ...while the hosts' complete views stay clean.
+  // ...while everything the hosts store stays clean.
   auto& sp_host = session.service_provider();
-  std::printf("service provider view: %zu records, %zu observed messages\n",
-              sp_host.record_count(), sp_host.observations().size());
+  std::printf("service provider stores %zu records; storage host stores %zu blobs\n",
+              sp_host.record_count(), session.storage_host().object_count());
 
   struct Probe {
     const char* label;

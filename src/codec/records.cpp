@@ -21,6 +21,7 @@ Envelope decode_envelope_payload(const Frame& f) {
   Reader r(f.payload);
   Envelope env;
   const std::uint8_t op = r.u8();
+  // 3 (kObserve) is retired but stays accepted: see Envelope::Op.
   if (op < 1 || op > 3) throw CodecError("envelope: bad op");
   env.op = static_cast<Envelope::Op>(op);
   env.space = r.u8();

@@ -1,13 +1,13 @@
 // The storage layer's record codecs (docs/WIRE_FORMAT.md has the layouts):
 // the frame record types, and the ShardedStore record envelope, which is
-// the WAL's unit of replay. An envelope carries an operation (put / erase /
-// observe), a keyspace, a sequence number for id-counter recovery, the
-// record id and the value bytes.
+// the WAL's unit of replay. An envelope carries an operation (put / erase),
+// a keyspace, a sequence number for id-counter recovery, the record id and
+// the value bytes.
 //
 // The hosts treat an envelope value as opaque bytes: the SP stores a
-// Puzzle::serialize() or AccessTree::serialize() record, or an observed
-// message, and the DH stores the blob it was handed. So this library knows
-// no protocol object, and it links only sp_crypto and sp_obs.
+// Puzzle::serialize() or AccessTree::serialize() record, and the DH stores
+// the blob it was handed. So this library knows no protocol object, and it
+// links only sp_crypto and sp_obs.
 //
 // encode_envelope emits one complete frame (codec/wire.hpp): magic,
 // version, record type, length, payload, CRC32C. The decoders validate the
@@ -48,11 +48,14 @@ struct Envelope {
   enum class Op : std::uint8_t {
     kPut = 1,      ///< insert or overwrite `id` with `value`
     kErase = 2,    ///< remove `id`
-    kObserve = 3,  ///< append to the observation log (id = channel)
+    /// Retired: appended to the SP's observation log. Still decoded, so a
+    /// directory an older SP wrote stays readable (recovery drops a segment
+    /// whose frames fail to decode); nothing writes it any more.
+    kObserve = 3,
   };
 
   Op op = Op::kPut;
-  std::uint8_t space = 0;  ///< host-defined keyspace (records / observations / blobs)
+  std::uint8_t space = 0;  ///< host-defined keyspace (records / blobs)
   std::uint64_t seq = 0;
   std::string id;
   Bytes value;

@@ -47,7 +47,6 @@ struct SessionMetrics {
   obs::Counter& shares_c2;
   obs::Counter& refreshes;
   obs::Counter& revokes;
-  obs::Counter& access_retried;
   obs::Counter& access_denied;
   obs::Counter& access_granted;
 
@@ -102,8 +101,6 @@ struct SessionMetrics {
         reg.counter("sp_refresh_requests_total", "Puzzle refresh operations"),
         reg.counter("sp_revoke_requests_total",
                     "Puzzle revocations (object pulled from the DH pending refresh)"),
-        reg.counter("sp_access_retried_total",
-                    "Extra challenge draws taken by access_with_retries"),
         reg.counter("sp_access_denied_total",
                     "access_with_retries calls that exhausted every draw denied"),
         reg.counter("sp_access_granted_total",
@@ -242,12 +239,7 @@ Session::Published Session::publish_c2(std::span<const std::uint8_t> object, con
   ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
   ledger.add_bytes(files.ciphertext.size());
   out.entry.kind = SchemeKind::kConstruction2;
-  out.entry.url = dh_.store(files.ciphertext);
-
-  // SP view: τ' + PK + MK (it never sees τ or the object).
-  sp_.observe("c2-details", out.record);
-  sp_.observe("c2-public-key", files.public_key);
-  sp_.observe("c2-master-key", files.master_key);
+  out.entry.url = dh_.store(std::move(files.ciphertext));
   out.entry.c2_files = std::move(files);
   return out;
 }
@@ -480,7 +472,6 @@ AccessResult Session::access_with_retries_impl(osn::UserId receiver, const std::
     if (draws >= max_draws) break;
     ++draws;
     attempt.add_attr("redraw", "true");
-    metrics.access_retried.inc();
     metrics.retries_draw.inc();
   }
   result.cost = total;
@@ -596,8 +587,6 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   }
 
   // -- network: response up, reply down (one exchange) -------------------
-  // The SP's observation log gets everything the receiver sends.
-  for (const Bytes& h : response.hashes) sp_.observe("c1-response-hash", h);
   obs::Span verify_tspan(trace, "sp.verify");
   obs::TraceSpan verify_span(metrics.sp_verify);
   auto reply = Construction1::verify(puzzle, challenge, response.hashes);
@@ -696,9 +685,6 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
     return result;
   }
 
-  for (const std::string& h : response.answer_hashes) {
-    sp_.observe("c2-response-hash", crypto::to_bytes(h));
-  }
   obs::Span verify_tspan(trace, "sp.verify");
   obs::TraceSpan verify_span(metrics.sp_verify);
   const auto reply = Construction2::verify(files.perturbed_tree, files.threshold, challenge,

@@ -193,7 +193,8 @@ class Session {
     osn::Visibility visibility = osn::Visibility::kFriends;
     // C1 state.
     std::optional<Puzzle> puzzle;
-    // C2 state (what the SP holds: τ', PK, MK, URL).
+    // C2 state (what the SP holds: τ', k, PK and MK, plus the URL below).
+    // The ciphertext moved to the DH at publish, so its field stays empty.
     std::optional<Construction2::UploadResult> c2_files;
     std::string url;
     /// True between revoke() and the restoring refresh(): the DH blob is

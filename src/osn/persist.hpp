@@ -25,7 +25,9 @@ namespace sp::osn {
 enum class Space : std::uint8_t {
   kMeta = 0,            ///< counter carrier (value empty; only seq matters)
   kSpRecords = 1,       ///< ServiceProvider puzzle records
-  kSpObservations = 2,  ///< ServiceProvider observation log (op kObserve)
+  /// Retired: the SP's observation log, which older directories still hold.
+  /// Recovery skips it; nothing writes it, and the value is never reused.
+  kSpObservations = 2,
   kDhBlobs = 3,         ///< StorageHost encrypted objects
 };
 

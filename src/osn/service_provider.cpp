@@ -19,11 +19,9 @@ struct SpMetrics {
   obs::Counter& store;
   obs::Counter& replace;
   obs::Counter& read;
-  obs::Counter& observe;
   obs::Counter& tamper;
   obs::Counter& tamper_rejected;
   obs::Gauge& records;
-  obs::Gauge& observations;
 
   static SpMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
@@ -32,12 +30,10 @@ struct SpMetrics {
                     {{"op", "store_record"}}),
         reg.counter("osn_sp_requests_total", "", {{"op", "replace_record"}}),
         reg.counter("osn_sp_requests_total", "", {{"op", "record"}}),
-        reg.counter("osn_sp_requests_total", "", {{"op", "observe"}}),
         reg.counter("osn_sp_requests_total", "", {{"op", "tamper_record"}}),
         reg.counter("osn_sp_tamper_rejected_total",
                     "tamper_record calls rejected by the bounds check"),
         reg.gauge("osn_sp_records", "Puzzle records held across all SP instances"),
-        reg.gauge("osn_sp_observations", "Observation-log entries across all SP instances"),
     };
     return m;
   }
@@ -47,10 +43,7 @@ struct SpMetrics {
 
 ServiceProvider::ServiceProvider(storage::DurableStore::Options durable)
     : durable_(std::make_unique<storage::DurableStore>(std::move(durable))) {
-  // Per-space counter maxima: kSpRecords/kMeta seqs restore the id counter,
-  // kSpObservations seqs are the log's dense ordinals (dedup cursor — a
-  // checkpoint can leave an observation in both the segment and the next
-  // WAL, and appending it twice would corrupt the surveillance view).
+  // kSpRecords/kMeta seqs restore the id counter.
   std::uint64_t max_record_seq = 0;
   recovery_ = durable_->recover([&](const codec::Envelope& env) {
     switch (static_cast<Space>(env.space)) {
@@ -65,22 +58,14 @@ ServiceProvider::ServiceProvider(storage::DurableStore::Options durable)
           records_.erase(env.id);
         }
         break;
-      case Space::kSpObservations: {
-        if (env.op != codec::Envelope::Op::kObserve) break;
-        const sp::MutexLock lock(observations_mutex_);
-        if (env.seq > observations_.size()) {
-          observations_.push_back(Observation{env.id, env.value});
-        }
-        break;
-      }
       default:
-        break;  // unknown space: a newer writer's data, skip
+        // Unknown space (a newer writer's data) or a retired one: the
+        // observation log of older directories (keyspace 2) is skipped here.
+        break;
     }
   });
   next_.store(max_record_seq + 1, std::memory_order_relaxed);
   SpMetrics::get().records.add(static_cast<std::int64_t>(records_.size()));
-  const sp::MutexLock lock(observations_mutex_);
-  SpMetrics::get().observations.add(static_cast<std::int64_t>(observations_.size()));
 }
 
 ServiceProvider::~ServiceProvider() {
@@ -91,9 +76,7 @@ ServiceProvider::~ServiceProvider() {
     crypto::secure_wipe(rec);
     ++wiped;
   });
-  for (auto& obs_entry : observations_) crypto::secure_wipe(obs_entry.data);
   SpMetrics::get().records.sub(static_cast<std::int64_t>(wiped));
-  SpMetrics::get().observations.sub(static_cast<std::int64_t>(observations_.size()));
 }
 
 std::string ServiceProvider::store_record(Bytes record) {
@@ -139,26 +122,6 @@ void ServiceProvider::replace_record(const std::string& puzzle_id, Bytes record)
   if (durable_) durable_->wait(ticket);
 }
 
-void ServiceProvider::observe(const std::string& channel, Bytes data) const {
-  SpMetrics::get().observe.inc();
-  SpMetrics::get().observations.add(1);
-  const sp::MutexLock lock(observations_mutex_);
-  if (durable_) {
-    // The ordinal (dense, assigned under the log lock) is the recovery
-    // dedup cursor. Fire-and-forget: the hot verify path never blocks on an
-    // observation fsync; the append is ordered with every durable write.
-    durable_->append_framed_async(codec::encode_envelope(
-        codec::Envelope{codec::Envelope::Op::kObserve, space_byte(Space::kSpObservations),
-                        observations_.size() + 1, channel, data}));
-  }
-  observations_.push_back(Observation{channel, std::move(data)});
-}
-
-std::vector<ServiceProvider::Observation> ServiceProvider::observations() const {
-  const sp::MutexLock lock(observations_mutex_);
-  return observations_;
-}
-
 namespace {
 bool contains(std::span<const std::uint8_t> haystack, std::span<const std::uint8_t> needle) {
   if (needle.empty() || needle.size() > haystack.size()) return false;
@@ -172,12 +135,7 @@ bool ServiceProvider::view_contains(std::span<const std::uint8_t> needle) const 
   records_.for_each([&](const std::string&, const Bytes& rec) {
     if (contains(rec, needle)) found = true;
   });
-  if (found) return true;
-  const sp::MutexLock lock(observations_mutex_);
-  for (const auto& obs_entry : observations_) {
-    if (contains(obs_entry.data, needle)) return true;
-  }
-  return false;
+  return found;
 }
 
 bool ServiceProvider::serve_ok(net::FaultStream* faults) const {
@@ -237,11 +195,6 @@ void ServiceProvider::emit_state(const storage::DurableStore::Applier& emit) con
   records_.for_each([&](const std::string& id, const Bytes& rec) {
     emit(codec::Envelope{codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), 0, id, rec});
   });
-  const sp::MutexLock lock(observations_mutex_);
-  for (std::size_t i = 0; i < observations_.size(); ++i) {
-    emit(codec::Envelope{codec::Envelope::Op::kObserve, space_byte(Space::kSpObservations), i + 1,
-                         observations_[i].channel, observations_[i].data});
-  }
 }
 
 }  // namespace sp::osn

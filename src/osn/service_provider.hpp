@@ -1,31 +1,30 @@
-// Service provider SP (paper §IV-A): hosts puzzle records, runs the
-// construction-specific DisplayPuzzle/Verify logic (installed by sp::core),
-// and — being the semi-honest party of §VI-A — records everything it sees so
-// surveillance-resistance tests can audit its view.
+// Service provider SP (paper §IV-A): hosts puzzle records and serves the
+// construction-specific DisplayPuzzle/Verify logic (installed by sp::core).
+// It is the semi-honest party of §VI-A, and it keeps only what serving
+// reads: the records. A receiver's response is checked and dropped, so a
+// wrong guess leaves no trace at the SP.
 //
 // The SP stores opaque byte records per puzzle id; the *meaning* of a record
-// (Construction 1 puzzle Z_O vs Construction 2 file set) belongs to sp::core.
-// This mirrors the paper's deployment, where the Amazon-EC2 app stores rows
-// in MySQL without understanding the cryptography.
+// (Construction 1's puzzle Z_O vs Construction 2's perturbed tree τ')
+// belongs to sp::core. This mirrors the paper's deployment, where the
+// Amazon-EC2 app stores rows in MySQL without understanding the
+// cryptography.
 //
 // Thread safety: the SP is a serving front-end, so every member is safe to
 // call from any thread. Records live in a ShardedStore (id-hash striped
-// mutexes); the observation log is append-only behind its own mutex.
-// Accessors return copies/snapshots, never references into locked state.
+// mutexes). Accessors return copies/snapshots, never references into locked
+// state.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "crypto/bytes.hpp"
 #include "net/faults.hpp"
 #include "osn/sharded_store.hpp"
 #include "storage/store.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace sp::osn {
 
@@ -35,12 +34,11 @@ class ServiceProvider {
  public:
   ServiceProvider() = default;
   /// Durable SP: opens (or creates) the WAL/segment pair in `durable.dir`,
-  /// replays it to rebuild the record map, the observation log and the id
-  /// counter, then serves. Every store/replace/tamper afterwards is
-  /// acknowledged only once its envelope is durable per the WAL's fsync
-  /// policy; observations persist fire-and-forget (ordered, unacknowledged).
+  /// replays it to rebuild the record map and the id counter, then serves.
+  /// Every store/replace/tamper afterwards is acknowledged only once its
+  /// envelope is durable per the WAL's fsync policy.
   explicit ServiceProvider(storage::DurableStore::Options durable);
-  /// The SP's view holds answer hashes and blinded shares; even though the
+  /// The records hold answer hashes and blinded shares; even though the
   /// protocol keeps them useless to the SP, the simulation wipes them on
   /// teardown so test-process memory never accumulates puzzle material.
   ~ServiceProvider();
@@ -67,23 +65,8 @@ class ServiceProvider {
   /// unknown ids.
   void replace_record(const std::string& puzzle_id, Bytes record);
 
-  /// Appends to the SP's observation log — core calls this with every
-  /// message a user sends the SP (AnswerPuzzle responses etc.), so the
-  /// surveillance tests can scan the *complete* SP view. `const` because
-  /// observing is the SP passively recording traffic, not protocol state
-  /// changing — which is what lets the receiver-side serving path stay
-  /// const end to end.
-  void observe(const std::string& channel, Bytes data) const;
-
-  /// The SP's complete view: stored records + observed messages.
-  struct Observation {
-    std::string channel;
-    Bytes data;
-  };
-  /// Point-in-time copy of the log.
-  [[nodiscard]] std::vector<Observation> observations() const;
-  /// Convenience: true iff `needle` occurs in any record or observation —
-  /// the surveillance tests assert plaintext/context never does.
+  /// True iff `needle` occurs in any stored record — the surveillance tests
+  /// assert plaintext/context never does.
   [[nodiscard]] bool view_contains(std::span<const std::uint8_t> needle) const;
 
   // ---- fault hooks (chaos layer, DESIGN.md "Fault model") ----
@@ -115,16 +98,13 @@ class ServiceProvider {
   void checkpoint();
   /// checkpoint() iff the live WAL crossed the configured byte threshold.
   bool maybe_checkpoint();
-  /// Blocks until everything appended so far (observations included) is
-  /// durable.
+  /// Blocks until everything appended so far is durable.
   void sync();
 
  private:
   void emit_state(const storage::DurableStore::Applier& emit) const;
 
   ShardedStore<Bytes> records_;
-  mutable sp::Mutex observations_mutex_;
-  mutable std::vector<Observation> observations_ SP_GUARDED_BY(observations_mutex_);
   std::atomic<std::uint64_t> next_{1};
   std::unique_ptr<storage::DurableStore> durable_;  ///< null = in-memory host
   storage::DurableStore::RecoveryStats recovery_;

@@ -1,7 +1,7 @@
 // Storage service DH (paper §IV-A): logically separate from the SP, holds
 // only encrypted objects, publicly fetchable by URL. Includes the adversary
-// surface the security analysis (§VI-B) needs: an observation log (what a
-// curious DH has seen) and tamper/remove APIs (malicious-DH DoS).
+// surface the security analysis (§VI-B) needs: a snapshot of the stored
+// blobs (what a curious DH holds) and tamper/remove APIs (malicious-DH DoS).
 //
 // Thread safety: blobs live in a ShardedStore (URL-hash striped mutexes), so
 // concurrent store/fetch/tamper/remove from any number of threads is safe.
@@ -67,8 +67,8 @@ class StorageHost {
 
   // ---- adversary surface (tests only; a real DH has these powers too) ----
 
-  /// Everything this host has ever seen: a point-in-time copy of its
-  /// complete surveillance view.
+  /// Every blob this host stores: a point-in-time copy of its surveillance
+  /// view.
   [[nodiscard]] std::map<std::string, Bytes> observed_blobs() const { return blobs_.snapshot(); }
   /// Malicious DH: corrupt a stored object (flip a byte). Throws
   /// std::out_of_range when `byte_index` is outside the blob (empty blobs

@@ -169,10 +169,6 @@ void DurableStore::append(const codec::Envelope& env) {
   writer_->append(codec::encode_envelope(env));
 }
 
-void DurableStore::append_async(const codec::Envelope& env) {
-  writer_->append_async(codec::encode_envelope(env));
-}
-
 void DurableStore::flush() { writer_->flush(); }
 
 std::uint64_t DurableStore::epoch() const {

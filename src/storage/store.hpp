@@ -13,9 +13,9 @@
 //    the group-commit writer on the newest WAL when done. Stale files from
 //    epochs before the segment are deleted (a crash between checkpoint steps
 //    leaves them behind; they are fully superseded).
-//  * enqueue/wait/append/append_async — encode-free passthroughs to the
-//    WalWriter; callers hand in codec::Envelope mutations. The durability
-//    contract is the writer's (group commit, one fsync per batch).
+//  * enqueue/wait/append — encode-free passthroughs to the WalWriter;
+//    callers hand in codec::Envelope mutations. The durability contract is
+//    the writer's (group commit, one fsync per batch).
 //  * checkpoint(scan) — rotate the WAL to epoch E+1, stream the live state
 //    the caller's `scan` emits into seg-<E+1>.tmp, fsync, atomically rename
 //    to seg-<E+1>.spseg, fsync the directory, then delete the epoch-E files.
@@ -74,13 +74,11 @@ class DurableStore {
   [[nodiscard]] Ticket enqueue(const codec::Envelope& env);
   void wait(Ticket ticket);
   void append(const codec::Envelope& env);
-  void append_async(const codec::Envelope& env);
   void flush();
 
-  /// Pre-encoded variants: hosts encode outside their shard locks and hand
+  /// Pre-encoded variant: hosts encode outside their shard locks and hand
   /// the finished frame over while holding them (see osn/persist.hpp).
   [[nodiscard]] Ticket enqueue_framed(Bytes framed) { return writer_->enqueue(std::move(framed)); }
-  void append_framed_async(Bytes framed) { writer_->append_async(std::move(framed)); }
 
   /// `scan` must invoke the emit callback once per live record; see the
   /// ordering note in the file header. Serialized internally — concurrent

@@ -108,8 +108,6 @@ void WalWriter::wait(Ticket ticket) {
 
 void WalWriter::append(Bytes framed) { wait(enqueue(std::move(framed))); }
 
-void WalWriter::append_async(Bytes framed) { (void)enqueue(std::move(framed)); }
-
 void WalWriter::flush() {
   std::uint64_t last = 0;
   {

@@ -13,8 +13,6 @@
 // returns, the record is in the file per the fsync policy — kBatch means
 // fdatasync completed, kNever means write(2) completed (survives process
 // death, not power loss; the SIGKILL chaos tests run in this mode).
-// append_async() is fire-and-forget for the SP's passive observation log:
-// ordered with every other append, but nobody blocks on it.
 //
 // Crash kill points (chaos layer): with a FaultInjector configured, the
 // writer draws one PRF decision per record (FaultStream::next_crash). On a
@@ -82,8 +80,6 @@ class WalWriter {
   void wait(Ticket ticket);
   /// enqueue + wait.
   void append(Bytes framed);
-  /// Fire-and-forget enqueue (observation log).
-  void append_async(Bytes framed);
   /// Barrier: every record enqueued before the call is durable on return.
   void flush();
 

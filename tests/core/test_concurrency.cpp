@@ -158,16 +158,17 @@ TEST(ThreadPool, ConcurrentShutdownsAllBlockUntilWorkersJoin) {
   EXPECT_EQ(executed.load(), 4);
 }
 
-TEST(ConcurrencyHammer, ServiceProviderStoreRecordObserveTamper) {
+TEST(ConcurrencyHammer, ServiceProviderStoreRecordReplaceTamper) {
   osn::ServiceProvider sp;
   constexpr int kIters = 40;
-  run_threads([&sp](std::size_t t) {
+  std::vector<std::vector<std::string>> ids(kThreads);
+  run_threads([&sp, &ids](std::size_t t) {
     for (int i = 0; i < kIters; ++i) {
       const std::string id =
           sp.store_record(to_bytes("record-" + std::to_string(t) + "-" + std::to_string(i)));
+      ids[t].push_back(id);
       EXPECT_TRUE(sp.has_record(id));
       EXPECT_FALSE(sp.record(id).empty());
-      sp.observe("hammer-" + std::to_string(t), to_bytes("observation"));
       sp.replace_record(id, to_bytes("replaced-" + std::to_string(t)));
       sp.tamper_record(id, 0, to_bytes("T"));
       (void)sp.view_contains(to_bytes("replaced-" + std::to_string(t)));
@@ -175,9 +176,12 @@ TEST(ConcurrencyHammer, ServiceProviderStoreRecordObserveTamper) {
     }
   });
   EXPECT_EQ(sp.record_count(), kThreads * kIters);
-  EXPECT_EQ(sp.observations().size(), kThreads * kIters);
-  // Every record was tampered to start with 'T'.
-  for (const auto& obs : sp.observations()) EXPECT_FALSE(obs.channel.empty());
+  // Every record holds its own thread's replacement, tampered to start with 'T'.
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (const std::string& id : ids[t]) {
+      EXPECT_EQ(sp.record(id), to_bytes("Teplaced-" + std::to_string(t))) << id;
+    }
+  }
 }
 
 TEST(ConcurrencyHammer, StorageHostStoreFetchRemove) {

@@ -177,6 +177,31 @@ TEST_F(Construction2Test, TamperedCiphertextPayloadDetected) {
           .has_value());
 }
 
+TEST_F(Construction2Test, SpFilesHoldNoPlaintextOrAnswers) {
+  // τ', PK and MK are what the SP keeps for a C2 post. Distinctive mixed-case
+  // answers with padding make the raw and normalized forms differ, so each
+  // scan is meaningful.
+  const std::string plaintext = "C2-OBJECT-PLAINTEXT-3d9a";
+  const Context ctx({{"Where did we meet?", "  ANSWER-Paris-91c2 "},
+                     {"What did we eat?", "ANSWER-Pizza-55e1"},
+                     {"Who hosted?", "ANSWER-Alice-c0de"}});
+  const auto up = c2_.upload(to_bytes(plaintext), ctx, 2, rng_);
+  const auto contains = [](const Bytes& haystack, const Bytes& needle) {
+    return std::search(haystack.begin(), haystack.end(), needle.begin(), needle.end()) !=
+           haystack.end();
+  };
+  const Bytes tau_prime = up.perturbed_tree.serialize();
+  for (const Bytes* file : {&tau_prime, &up.public_key, &up.master_key}) {
+    EXPECT_FALSE(contains(*file, to_bytes(plaintext)));
+    for (const auto& p : ctx.pairs()) {
+      EXPECT_FALSE(contains(*file, to_bytes(p.answer))) << p.answer;
+      EXPECT_FALSE(contains(*file, to_bytes(Context::normalize_answer(p.answer)))) << p.answer;
+    }
+  }
+  // Questions are public: τ' carries them, so the scan sees.
+  EXPECT_TRUE(contains(tau_prime, to_bytes("Where did we meet?")));
+}
+
 TEST_F(Construction2Test, SpUploadSizeGrowsWithN) {
   std::size_t prev = 0;
   for (std::size_t n = 2; n <= 8; n += 2) {

@@ -49,7 +49,7 @@ TEST_F(ObservabilityTest, DeniedRetriesCountAndStayOutOfSuccessSeries) {
 
   auto& denied_total = counter("sp_access_denied_total");
   auto& granted_total = counter("sp_access_granted_total");
-  auto& retried_total = counter("sp_access_retried_total");
+  auto& retried_total = counter("sp_retries_total", {{"phase", "draw"}});
   auto& denied_requests = counter("sp_access_requests_total",
                                   {{"result", "denied"}, {"scheme", "c1"}});
   auto& granted_hist = outcome_hist("c1", "granted");

@@ -5,8 +5,16 @@
 //  - the documented weakness (malicious SP leaking per-answer verification
 //    bits to colluding users) is reproduced as a regression test
 //  - C2's perturbed tree hides answers from both hosts
+//
+// The SP keeps no log of its traffic, so each SP-view test scans what the
+// SP stores (view_contains) and, separately, the receiver's response
+// rebuilt here from the stored record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
+#include "abe/access_tree.hpp"
 #include "core/session.hpp"
 
 namespace sp::core {
@@ -36,6 +44,22 @@ SessionConfig toy_config(const std::string& seed) {
 /// Normalized answer bytes as they'd appear in any leaked buffer.
 Bytes norm(const std::string& answer) {
   return to_bytes(Context::normalize_answer(answer));
+}
+
+bool bytes_contain(std::span<const std::uint8_t> haystack, std::span<const std::uint8_t> needle) {
+  return !needle.empty() && needle.size() <= haystack.size() &&
+         std::search(haystack.begin(), haystack.end(), needle.begin(), needle.end()) !=
+             haystack.end();
+}
+
+/// One message the SP receives holds neither the object nor any answer,
+/// raw or normalized.
+void expect_no_secret(std::span<const std::uint8_t> message, const Context& ctx) {
+  EXPECT_FALSE(bytes_contain(message, to_bytes(kSecretObject)));
+  for (const auto& p : ctx.pairs()) {
+    EXPECT_FALSE(bytes_contain(message, to_bytes(p.answer))) << p.answer;
+    EXPECT_FALSE(bytes_contain(message, norm(p.answer))) << p.answer;
+  }
 }
 
 class SurveillanceTest : public ::testing::Test {
@@ -78,6 +102,20 @@ TEST_F(SurveillanceTest, C1SpViewContainsNoPlaintextOrAnswers) {
     // Questions ARE visible to the SP by design (it displays them).
     EXPECT_TRUE(sp.view_contains(to_bytes(p.question))) << p.question;
   }
+
+  // The receiver's response, for a challenge that shows all N questions of
+  // the stored record.
+  const Puzzle stored = Puzzle::deserialize(sp.record(receipt.post_id));
+  Construction1::Challenge every_question;
+  every_question.threshold = stored.threshold;
+  every_question.puzzle_key = stored.puzzle_key;
+  for (std::size_t i = 0; i < stored.n(); ++i) {
+    every_question.indices.push_back(i);
+    every_question.questions.push_back(stored.entries[i].question);
+  }
+  const auto response = Construction1::answer_puzzle(every_question, Knowledge::full(ctx));
+  ASSERT_EQ(response.hashes.size(), ctx.size());
+  for (const Bytes& h : response.hashes) expect_no_secret(h, ctx);
 }
 
 TEST_F(SurveillanceTest, C1DhViewContainsNoPlaintextOrAnswers) {
@@ -106,6 +144,13 @@ TEST_F(SurveillanceTest, C2SpViewContainsNoPlaintextOrAnswers) {
     EXPECT_FALSE(sp.view_contains(norm(p.answer)));
     EXPECT_TRUE(sp.view_contains(to_bytes(p.question)));
   }
+
+  // The receiver's response to every question of the stored τ'.
+  const auto tau_prime = abe::AccessTree::deserialize(sp.record(receipt.post_id));
+  const auto challenge = Construction2::display_puzzle(tau_prime, /*threshold=*/2);
+  const auto response = Construction2::answer_puzzle(challenge, Knowledge::full(ctx));
+  ASSERT_EQ(response.answer_hashes.size(), ctx.size());
+  for (const std::string& h : response.answer_hashes) expect_no_secret(to_bytes(h), ctx);
 }
 
 TEST_F(SurveillanceTest, C2DhViewContainsNoPlaintextOrAnswers) {

@@ -120,20 +120,14 @@ TEST(ServiceProvider, RecordStoreAndRetrieve) {
   EXPECT_THROW((void)sp.record("puzzle-999"), std::out_of_range);
 }
 
-TEST(ServiceProvider, ObservationLogAccumulates) {
-  ServiceProvider sp;
-  sp.observe("verify", to_bytes("hash1"));
-  sp.observe("verify", to_bytes("hash2"));
-  ASSERT_EQ(sp.observations().size(), 2u);
-  EXPECT_EQ(sp.observations()[0].channel, "verify");
-}
-
 TEST(ServiceProvider, ViewContainsScansEverything) {
   ServiceProvider sp;
   sp.store_record(to_bytes("record with NEEDLE inside"));
-  sp.observe("ch", to_bytes("another HAYSTACK message"));
+  const std::string replaced = sp.store_record(to_bytes("old STALE record"));
+  sp.replace_record(replaced, to_bytes("another HAYSTACK record"));
   EXPECT_TRUE(sp.view_contains(to_bytes("NEEDLE")));
   EXPECT_TRUE(sp.view_contains(to_bytes("HAYSTACK")));
+  EXPECT_FALSE(sp.view_contains(to_bytes("STALE")));  // replaced bytes are gone
   EXPECT_FALSE(sp.view_contains(to_bytes("plaintext-secret")));
   EXPECT_FALSE(sp.view_contains(to_bytes("")));  // empty needle never matches
 }

@@ -1,17 +1,21 @@
-// Host- and session-level persistence round trips (PR 8 tentpole): a durable
+// Host- and session-level persistence round trips: a durable
 // ServiceProvider / StorageHost closed cleanly and reopened on the same
-// directory must serve exactly the state it acknowledged — records,
-// observations, blobs, and the id counters that keep new ids from colliding
-// with recovered ones.
+// directory must serve exactly the state it acknowledged — records, blobs,
+// and the id counters that keep new ids from colliding with recovered ones.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
+#include "codec/records.hpp"
 #include "core/session.hpp"
+#include "osn/persist.hpp"
 #include "osn/service_provider.hpp"
 #include "osn/storage_host.hpp"
 #include "support/fixtures.hpp"
@@ -47,7 +51,18 @@ storage::DurableStore::Options fast_opts(const std::string& dir) {
   return opts;
 }
 
-TEST(ServiceProviderPersistence, RecordsObservationsAndCounterSurviveReopen) {
+/// Every byte of the file at `path`.
+Bytes read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+bool contains(const Bytes& haystack, const Bytes& needle) {
+  return std::search(haystack.begin(), haystack.end(), needle.begin(), needle.end()) !=
+         haystack.end();
+}
+
+TEST(ServiceProviderPersistence, RecordsAndCounterSurviveReopen) {
   TempDir tmp;
   std::string id1;
   std::string id2;
@@ -57,21 +72,14 @@ TEST(ServiceProviderPersistence, RecordsObservationsAndCounterSurviveReopen) {
     id1 = sp.store_record(to_bytes("record-one"));
     id2 = sp.store_record(to_bytes("record-two"));
     sp.replace_record(id1, to_bytes("record-one-refreshed"));
-    sp.observe("verify", to_bytes("answer traffic"));
-    sp.observe("upload", to_bytes("puzzle upload"));
     sp.sync();
   }
   {
     ServiceProvider sp(fast_opts(tmp.str()));
-    EXPECT_EQ(sp.recovery_stats().wal_records, 5u);  // 3 record puts + 2 observations
+    EXPECT_EQ(sp.recovery_stats().wal_records, 3u);  // 3 record puts
     EXPECT_EQ(sp.record_count(), 2u);
     EXPECT_EQ(sp.record(id1), to_bytes("record-one-refreshed"));
     EXPECT_EQ(sp.record(id2), to_bytes("record-two"));
-    const auto obs = sp.observations();
-    ASSERT_EQ(obs.size(), 2u);
-    EXPECT_EQ(obs[0].channel, "verify");
-    EXPECT_EQ(obs[1].channel, "upload");
-    EXPECT_EQ(obs[1].data, to_bytes("puzzle upload"));
     // The id counter continues past recovered ids: no collision, no reuse.
     const std::string id3 = sp.store_record(to_bytes("record-three"));
     EXPECT_NE(id3, id1);
@@ -94,25 +102,63 @@ TEST(ServiceProviderPersistence, TamperedStateIsWhatPersists) {
   EXPECT_EQ(sp.record(id), to_bytes("0123XY6789"));
 }
 
-TEST(ServiceProviderPersistence, CheckpointCompactsWithoutDuplicatingObservations) {
+TEST(ServiceProviderPersistence, DirectoryWithRetiredObservationLogStillOpens) {
+  // Older SPs logged every response hash a receiver sent: op-3 envelopes in
+  // keyspace 2, written between the record puts and re-emitted by every
+  // checkpoint. Such a directory must still open with all its records and
+  // its id counter, and its next checkpoint must drop the logged bytes.
+  // Recovery deletes a segment with a frame it cannot decode, so a decoder
+  // that stopped accepting op 3 would lose records 1 and 2 here.
   TempDir tmp;
+  const Bytes observed = to_bytes("OBSERVED-RESPONSE-HASH-5e1f");
+  const auto observation = [&](std::uint64_t ordinal) {
+    return codec::Envelope{codec::Envelope::Op::kObserve, space_byte(Space::kSpObservations),
+                           ordinal, "c1-response-hash", observed};
+  };
+  const auto record_put = [](std::uint64_t n) {
+    return codec::Envelope{codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), n,
+                           "puzzle-" + std::to_string(n), to_bytes("record-" + std::to_string(n))};
+  };
   {
-    ServiceProvider sp(fast_opts(tmp.str()));
-    sp.store_record(to_bytes("a"));
-    sp.observe("ch", to_bytes("before-checkpoint"));
-    sp.checkpoint();
-    // Post-checkpoint observations land in the new WAL; the pre-checkpoint
-    // one lives in the segment. Recovery must not double-apply either.
-    sp.observe("ch", to_bytes("after-checkpoint"));
-    sp.store_record(to_bytes("b"));
-    sp.sync();
+    storage::DurableStore store(fast_opts(tmp.str()));
+    (void)store.recover([](const codec::Envelope&) {});
+    store.append(record_put(1));
+    store.append(observation(1));
+    store.append(record_put(2));
+    store.append(observation(2));
+    store.checkpoint([&](const storage::DurableStore::Applier& emit) {
+      emit(codec::Envelope{codec::Envelope::Op::kPut, space_byte(Space::kMeta), 2, "sp-counter",
+                           {}});
+      emit(record_put(1));
+      emit(observation(1));
+      emit(record_put(2));
+      emit(observation(2));
+    });
+    store.append(observation(3));
+    store.append(record_put(3));
+    store.append(observation(4));  // an ordinal above every record seq
   }
+
   ServiceProvider sp(fast_opts(tmp.str()));
-  EXPECT_EQ(sp.record_count(), 2u);
-  const auto obs = sp.observations();
-  ASSERT_EQ(obs.size(), 2u);
-  EXPECT_EQ(obs[0].data, to_bytes("before-checkpoint"));
-  EXPECT_EQ(obs[1].data, to_bytes("after-checkpoint"));
+  EXPECT_EQ(sp.recovery_stats().segment_records, 5u);
+  EXPECT_EQ(sp.recovery_stats().wal_records, 3u);
+  ASSERT_EQ(sp.record_count(), 3u);
+  for (int n = 1; n <= 3; ++n) {
+    EXPECT_EQ(sp.record("puzzle-" + std::to_string(n)), to_bytes("record-" + std::to_string(n)));
+  }
+  // The counter follows the record seqs, never the log's ordinals.
+  EXPECT_EQ(sp.store_record(to_bytes("record-4")), "puzzle-4");
+  EXPECT_FALSE(sp.view_contains(observed));
+
+  sp.checkpoint();
+  bool records_on_disk = false;
+  for (const auto& entry : fs::recursive_directory_iterator(tmp.str())) {
+    if (!entry.is_regular_file()) continue;
+    const Bytes contents = read_file(entry.path());
+    EXPECT_FALSE(contains(contents, observed)) << entry.path();
+    records_on_disk = records_on_disk || contains(contents, to_bytes("record-3"));
+  }
+  EXPECT_TRUE(records_on_disk);  // the scan reads the files it checks
 }
 
 TEST(ServiceProviderPersistence, CounterSurvivesCheckpointOnlyHistory) {

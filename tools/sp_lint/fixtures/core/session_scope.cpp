@@ -16,7 +16,7 @@ void bad_net_under_keys_lock(Self& self) {
 
 void bad_sp_under_rng_lock() {
   const sp::MutexLock guard(rng_mutex_);
-  sp_.observe(channel, payload);  // expect: net-under-lock
+  (void)sp_.record(post_id);  // expect: net-under-lock
 }
 
 void bad_dh_under_lock_nested() {
@@ -48,5 +48,5 @@ void ok_refresh_under_registry_lock() {
 // Negative: readers under the registry SharedLock are exempt too.
 void ok_access_under_registry_lock() {
   const sp::SharedLock registry_guard(puzzles_mutex_);
-  sp_.observe(channel, payload);
+  (void)sp_.record(post_id);
 }
