@@ -1,6 +1,6 @@
 // Fault-sweep load generator (PR 5).
 //
-// Drives the 8-thread mixed C1/C2 serving load of bench_concurrent_access
+// Drives an 8-thread mixed C1/C2 serving load (one receiver per thread)
 // through the seeded fault-injection layer at uniform fault rates
 // {0, 1%, 5%, 10%}, with the session's RetryPolicy absorbing transient
 // faults. Per the fault determinism contract, thread t exclusively drives

@@ -6,12 +6,8 @@
 //   * cold-start recovery: best-of-3 reopen wall time and records/s,
 //   * mixed read/write throughput (3/4 fetch, 1/4 store; 4 threads) on an
 //     in-memory host vs the WAL-backed host reopened with fsync=batch,
-// and writes the whole report to BENCH_PR8.json.
-//
-// --access-json PATH inlines a bench_concurrent_access JSON report under
-// "concurrent_access"; that report carries the session-level WAL A/B and its
-// 1.25x p50 acceptance bar, so the committed artifact holds the full PR 8
-// acceptance story in one file.
+// and writes the whole report to BENCH_PR8.json. The session-level WAL A/B
+// and its 1.25x p50 bar are a ctest (tests/osn/test_persistence.cpp).
 //
 // Populate runs fsync=never: the durability story exercised here is crash
 // (SIGKILL) tolerance via the kernel page cache — the contract the recovery
@@ -19,18 +15,16 @@
 // The fsync cost itself shows up in the mixed-rw WAL arm, which reopens the
 // store with fsync=batch.
 //
-// Usage: bench_storage [--quick] [--posts N] [--out PATH] [--access-json PATH]
+// Usage: bench_storage [--quick] [--posts N] [--out PATH]
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,7 +136,6 @@ MixStats mixed_rw(StorageHost& dh, const std::vector<std::string>& urls, std::si
 int main(int argc, char** argv) {
   std::uint64_t posts = 1'000'000;
   std::string out_path = "BENCH_PR8.json";
-  std::string access_json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -151,11 +144,8 @@ int main(int argc, char** argv) {
       posts = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--access-json" && i + 1 < argc) {
-      access_json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--posts N] [--out PATH] [--access-json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--posts N] [--out PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -169,6 +159,8 @@ int main(int argc, char** argv) {
     sp::storage::DurableStore::Options o;
     o.dir = dir.string();
     o.wal.fsync = f;
+    // The bench places its one checkpoint itself, halfway through populate.
+    o.checkpoint_wal_bytes = std::numeric_limits<std::uint64_t>::max();
     return o;
   };
 
@@ -255,21 +247,6 @@ int main(int argc, char** argv) {
   fs::remove_all(dir, ec);
 
   // -- report --------------------------------------------------------------
-  std::string access_json = "null";
-  if (!access_json_path.empty()) {
-    std::ifstream in(access_json_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", access_json_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    access_json = buf.str();
-    while (!access_json.empty() && std::isspace(static_cast<unsigned char>(access_json.back()))) {
-      access_json.pop_back();
-    }
-  }
-
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -306,8 +283,7 @@ int main(int argc, char** argv) {
                mix_ops, kWriters);
   std::fprintf(out, "    \"memory\": %s,\n", mix_json(mem_stats).c_str());
   std::fprintf(out, "    \"wal_batch\": %s,\n", mix_json(wal_stats).c_str());
-  std::fprintf(out, "    \"p50_ratio\": %.3f\n  },\n", host_p50_ratio);
-  std::fprintf(out, "  \"concurrent_access\": %s\n}\n", access_json.c_str());
+  std::fprintf(out, "    \"p50_ratio\": %.3f\n  }\n}\n", host_p50_ratio);
   std::fclose(out);
   std::printf("# wrote %s\n", out_path.c_str());
   return 0;

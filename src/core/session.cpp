@@ -403,15 +403,8 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
 AccessResult Session::access_with_retries(osn::UserId receiver, const std::string& post_id,
                                           const Knowledge& knowledge,
                                           const net::DeviceProfile& device, int max_draws) const {
-  obs::Span root = obs::Tracer::global().start_trace("sp.request");
-  return access_with_retries_impl(receiver, post_id, knowledge, device, max_draws, root);
-}
-
-AccessResult Session::access_with_retries_impl(osn::UserId receiver, const std::string& post_id,
-                                               const Knowledge& knowledge,
-                                               const net::DeviceProfile& device, int max_draws,
-                                               obs::Span& root) const {
   if (max_draws < 1) throw std::invalid_argument("access_with_retries: max_draws >= 1");
+  obs::Span root = obs::Tracer::global().start_trace("sp.request");
   if (root.recording()) root.add_attr("receiver", static_cast<std::int64_t>(receiver));
   const obs::TraceContext root_ctx = root.context();
   SessionMetrics& metrics = SessionMetrics::get();
@@ -485,49 +478,6 @@ AccessResult Session::access_with_retries_impl(osn::UserId receiver, const std::
   }
   (result.success() ? metrics.access_granted : metrics.access_denied).inc();
   return result;
-}
-
-std::vector<AccessResult> Session::access_parallel(std::span<const AccessRequest> requests,
-                                                   std::size_t num_threads) const {
-  std::vector<AccessResult> results(requests.size());
-  if (requests.empty()) return results;
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, requests.size());
-  std::vector<std::exception_ptr> errors(requests.size());
-  {
-    // Queue bound = 2x workers: enough to keep every worker fed while the
-    // submitting thread applies back-pressure instead of buffering the
-    // whole batch.
-    ThreadPool pool(num_threads, 2 * num_threads);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      // The request's trace roots HERE, at submit time, and the root context
-      // is installed around submit() so the pool's queue-wait and execution
-      // spans land inside this request's trace. The worker lambda owns the
-      // root via shared_ptr: it ends when the lambda is destroyed, which the
-      // pool guarantees happens after its pool.task span ended — the root
-      // finishes last, so no child is sealed out as a straggler.
-      auto root = std::make_shared<obs::Span>(obs::Tracer::global().start_trace("sp.request"));
-      const obs::ContextGuard guard(root->context());
-      pool.submit([this, &requests, &results, &errors, i, root] {
-        try {
-          const AccessRequest& req = requests[i];
-          // Through the retry loop, so batch serving survives transient
-          // faults the same way sequential serving does.
-          results[i] = access_with_retries_impl(req.receiver, req.post_id, req.knowledge,
-                                                req.device, req.max_draws, *root);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-  return results;
 }
 
 std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_trips,

@@ -9,9 +9,9 @@
 // that bring their own transport.
 //
 // Concurrency model (DESIGN.md §"Concurrent serving core" has the full
-// story): the receiver-side path — access / access_with_retries /
-// access_parallel — is const and reentrant; any number of threads may serve
-// accesses concurrently, including while sharer-side writers (register_user,
+// story): the receiver-side path — access / access_with_retries — is const
+// and reentrant; any number of caller threads may serve accesses
+// concurrently, including while sharer-side writers (register_user,
 // befriend, share_*, refresh) run. Writers are individually thread-safe but
 // serialize against each other and against readers on the puzzle registry's
 // shared_mutex where they must.
@@ -75,8 +75,8 @@ struct SessionConfig {
   /// Fault schedule for the serving stack; nullopt = fault-free (the
   /// pre-chaos behavior, bit for bit).
   std::optional<net::FaultPlan> faults;
-  /// Retry/backoff/deadline policy applied by access_with_retries and
-  /// access_parallel to transient faults.
+  /// Retry/backoff/deadline policy access_with_retries applies to transient
+  /// faults.
   net::RetryPolicy retry;
   /// nullopt = in-memory hosts (the pre-persistence behavior, bit for bit).
   std::optional<PersistenceConfig> persistence;
@@ -157,23 +157,6 @@ class Session {
                                    const Knowledge& knowledge,
                                    const net::DeviceProfile& device, int max_draws = 8) const;
 
-  /// One receiver request inside an access_parallel batch.
-  struct AccessRequest {
-    osn::UserId receiver = 0;
-    std::string post_id;
-    Knowledge knowledge;
-    net::DeviceProfile device = net::pc_profile();
-    int max_draws = 1;  ///< challenge-draw budget (faults retry per RetryPolicy)
-  };
-
-  /// Fans a batch of access requests over a bounded-queue thread pool and
-  /// returns one result per request, in request order. `num_threads` == 0
-  /// picks hardware_concurrency (at least 1). A request that throws (unknown
-  /// post, OSN ACL violation) poisons only its own slot: after the whole
-  /// batch completes, the first captured exception is rethrown.
-  std::vector<AccessResult> access_parallel(std::span<const AccessRequest> requests,
-                                            std::size_t num_threads = 0) const;
-
   /// A user's view of their feed.
   [[nodiscard]] std::vector<osn::Post> feed_of(osn::UserId user) const {
     return graph_.feed_for(user);
@@ -228,16 +211,6 @@ class Session {
   /// the parent stream, so unsynchronized forks would race). The child is
   /// exclusively owned by the calling operation — no further locking.
   crypto::Drbg fork_rng(const std::string& label) const SP_EXCLUDES(rng_mutex_);
-
-  /// Body of access_with_retries under an externally owned root span:
-  /// access_parallel pre-creates each request's "sp.request" root at submit
-  /// time (so pool queue-wait spans land inside the request's trace) and
-  /// the worker lambda keeps it alive until the pool's execution span has
-  /// ended — the root must end last or pool.task would be sealed out.
-  AccessResult access_with_retries_impl(osn::UserId receiver, const std::string& post_id,
-                                        const Knowledge& knowledge,
-                                        const net::DeviceProfile& device, int max_draws,
-                                        obs::Span& root) const;
 
   // Both take `stored` as a reference into puzzles_, so the caller must keep
   // the registry shared-locked for the whole call — annotated, so Clang

@@ -21,7 +21,7 @@
 //                     paths (no exceptions on the hot path).
 //  * `RetryPolicy`  — max attempts, exponential backoff with seeded jitter,
 //                     and an overall per-request deadline, used by
-//                     Session::access_with_retries / access_parallel.
+//                     Session::access_with_retries.
 //
 // Determinism contract (DESIGN.md "Fault model & retry semantics"): a
 // request's fault outcomes depend only on (plan seed, receiver id, post id,

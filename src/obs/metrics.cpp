@@ -178,8 +178,7 @@ std::string hex32(std::uint64_t hi, std::uint64_t lo) {
 
 // ---------------------------------------------------------------- Histogram
 
-Histogram::Histogram(const std::atomic<bool>& enabled, std::vector<double> bounds)
-    : enabled_(enabled), bounds_(std::move(bounds)) {
+Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (bounds_.empty()) throw std::invalid_argument("Histogram: bounds must be non-empty");
   for (std::size_t i = 0; i < bounds_.size(); ++i) {
     if (!std::isfinite(bounds_[i]) || (i > 0 && bounds_[i] <= bounds_[i - 1])) {
@@ -196,7 +195,6 @@ Histogram::Histogram(const std::atomic<bool>& enabled, std::vector<double> bound
 }
 
 void Histogram::observe(double value_ms) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   if (!(value_ms >= 0)) value_ms = 0;  // also catches NaN
   // Bucket i holds v <= bounds_[i] (Prometheus `le`); past the last bound is
   // the implicit +Inf bucket.
@@ -217,7 +215,6 @@ void Histogram::observe_exemplar(double value_ms, std::uint64_t trace_hi,
                                  std::uint64_t trace_lo) {
   observe(value_ms);
   if ((trace_hi | trace_lo) == 0) return;
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   if (!(value_ms >= 0)) value_ms = 0;
   const auto micros = static_cast<std::uint64_t>(std::llround(value_ms * 1000.0));
   // Keep the largest observation: exemplars exist to explain the outlier a
@@ -405,7 +402,7 @@ Counter& MetricsRegistry::counter(const std::string& name, const std::string& he
   if (!series.counter) {
     series.labels = labels;
     std::sort(series.labels.begin(), series.labels.end());
-    series.counter.reset(new Counter(enabled_));
+    series.counter.reset(new Counter());
   }
   return *series.counter;
 }
@@ -432,7 +429,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
   if (!series.gauge) {
     series.labels = labels;
     std::sort(series.labels.begin(), series.labels.end());
-    series.gauge.reset(new Gauge(enabled_));
+    series.gauge.reset(new Gauge());
   }
   return *series.gauge;
 }
@@ -460,7 +457,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const std::string
   if (!series.histogram) {
     series.labels = labels;
     std::sort(series.labels.begin(), series.labels.end());
-    series.histogram.reset(new Histogram(enabled_, std::move(bounds)));
+    series.histogram.reset(new Histogram(std::move(bounds)));
   }
   return *series.histogram;
 }
@@ -546,9 +543,7 @@ std::string MetricsRegistry::to_prometheus() const {
 std::string MetricsRegistry::to_json() const {
   run_scrape_hooks();
   const sp::SharedLock lock(mutex_);
-  std::string out = "{\n  \"enabled\": ";
-  out += enabled() ? "true" : "false";
-  out += ",\n  \"metrics\": [";
+  std::string out = "{\n  \"metrics\": [";
   bool first_family = true;
   for (const auto& [name, fam] : families_) {
     out += first_family ? "\n" : ",\n";

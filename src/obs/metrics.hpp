@@ -16,10 +16,6 @@
 //    thread-id hash; a relaxed fetch_add on an uncontended cache line is the
 //    entire cost of `inc()`/`observe()`. Reads (exposition, percentiles)
 //    merge the shards — they are monitoring-path, not serving-path.
-//  * Near-zero when quiesced: `MetricsRegistry::set_enabled(false)` turns
-//    every instrument into a single relaxed load + branch, which is what the
-//    instrumentation-overhead bench (bench_concurrent_access) measures
-//    against.
 //  * Secret hygiene: metric names and label values are identifiers of code
 //    paths, NEVER data. Registration rejects anything outside a conservative
 //    charset/length so answer or key bytes cannot be smuggled into a label
@@ -76,7 +72,6 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void inc(std::uint64_t n = 1) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
     shards_[detail::shard_index()].value.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -88,12 +83,11 @@ class Counter {
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>& enabled) : enabled_(enabled) {}
+  Counter() = default;
   void reset() {
     for (auto& s : shards_) s.value.store(0, std::memory_order_relaxed);
   }
 
-  const std::atomic<bool>& enabled_;
   detail::PaddedU64 shards_[detail::kShards];
 };
 
@@ -104,24 +98,17 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void set(std::int64_t v) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t n) {
-    if (!enabled_.load(std::memory_order_relaxed)) return;
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void sub(std::int64_t n) { add(-n); }
 
   [[nodiscard]] std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>& enabled) : enabled_(enabled) {}
+  Gauge() = default;
   void reset() { value_.store(0, std::memory_order_relaxed); }
 
-  const std::atomic<bool>& enabled_;
   std::atomic<std::int64_t> value_{0};
 };
 
@@ -151,7 +138,6 @@ class Histogram {
   /// The current exemplar, if any observation carried a trace id.
   [[nodiscard]] std::optional<Exemplar> exemplar() const;
 
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t count() const;
   /// Sum of observed values in ms (microsecond-granular fixed point).
   [[nodiscard]] double sum_ms() const;
@@ -174,7 +160,7 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  Histogram(const std::atomic<bool>& enabled, std::vector<double> bounds);
+  explicit Histogram(std::vector<double> bounds);
   void reset();
 
   struct alignas(detail::kCacheLine) Shard {
@@ -183,7 +169,6 @@ class Histogram {
     std::atomic<std::uint64_t> sum_micros{0};
   };
 
-  const std::atomic<bool>& enabled_;
   std::vector<double> bounds_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<std::uint64_t> max_micros_{0};
@@ -219,12 +204,6 @@ class MetricsRegistry {
                        std::vector<double> bounds = Histogram::default_latency_bounds_ms(),
                        const Labels& labels = {});
 
-  /// Flips every instrument registered here between recording and no-op.
-  /// The no-op path (one relaxed load + branch) is what the instrumentation
-  /// overhead bench compares against.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   /// Zeroes every instrument. For bench A/B runs and tests only — call it
   /// quiesced; concurrent increments may straddle the sweep.
   void reset();
@@ -241,7 +220,7 @@ class MetricsRegistry {
   /// Prometheus text exposition format (families sorted by name, series
   /// sorted by label key; numbers via %.10g so integers print bare).
   [[nodiscard]] std::string to_prometheus() const;
-  /// JSON snapshot: {"enabled":…, "metrics":[{name,type,help,series:[…]}]}.
+  /// JSON snapshot: {"metrics":[{name,type,help,series:[…]}]}.
   /// Histogram series carry count/sum/max, p50/p95/p99 estimates and the
   /// cumulative buckets.
   [[nodiscard]] std::string to_json() const;
@@ -266,7 +245,6 @@ class MetricsRegistry {
                      const std::vector<double>* bounds) SP_REQUIRES(mutex_);
   void run_scrape_hooks() const SP_EXCLUDES(mutex_);
 
-  std::atomic<bool> enabled_{true};
   mutable sp::SharedMutex mutex_;  ///< guards the family map, not instrument state
   std::map<std::string, Family> families_ SP_GUARDED_BY(mutex_);
   std::vector<std::function<void()>> scrape_hooks_ SP_GUARDED_BY(mutex_);

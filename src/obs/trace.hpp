@@ -16,8 +16,8 @@
 //
 //  * Tracing disabled (the default): Tracer::start_trace is one relaxed
 //    load; every Span/TraceContext operation on an unsampled context is a
-//    null-pointer check. No clock reads, no allocation — the ≈0% arm of
-//    the bench A/B.
+//    null-pointer check. No clock reads, no allocation — the untraced
+//    slices perfbench's obs.trace_overhead_pct compares against.
 //  * Head-unsampled request (the 99% at 1% sampling): one relaxed load plus
 //    one thread-local PRNG step; everything downstream no-ops as above.
 //  * Sampled request: spans append to a per-request buffer under its own
@@ -51,20 +51,14 @@ class TraceSpan {
  public:
   /// Histogram-only phase (SP-side or network-side work that the receiver's
   /// ledger does not account as local time).
-  explicit TraceSpan(Histogram& hist) : hist_(&hist), active_(hist.enabled()) {
-    if (active_) start_ = Clock::now();
-  }
+  explicit TraceSpan(Histogram& hist) : hist_(&hist) {}
 
-  /// Phase that also charges the request's ledger. Always times: the ledger
-  /// is per-request protocol accounting, not metrics.
+  /// Phase that also charges the request's ledger.
   template <typename Ledger>
   TraceSpan(Histogram& hist, Ledger& ledger)
       : hist_(&hist),
         sink_(&ledger),
-        add_ms_([](void* sink, double ms) { static_cast<Ledger*>(sink)->add_local_measured(ms); }),
-        active_(true) {
-    start_ = Clock::now();
-  }
+        add_ms_([](void* sink, double ms) { static_cast<Ledger*>(sink)->add_local_measured(ms); }) {}
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -72,7 +66,7 @@ class TraceSpan {
   ~TraceSpan() { stop(); }
 
   /// Ends the span early (idempotent). Returns the measured wall ms, 0 when
-  /// the span never armed.
+  /// the span had already stopped.
   double stop() {
     if (!active_) return 0;
     active_ = false;
@@ -89,8 +83,8 @@ class TraceSpan {
   Histogram* hist_;
   void* sink_ = nullptr;
   void (*add_ms_)(void*, double) = nullptr;
-  bool active_;
-  Clock::time_point start_{};
+  bool active_ = true;
+  Clock::time_point start_ = Clock::now();
 };
 
 // ======================================================================
@@ -240,7 +234,7 @@ class Span {
 
 /// Installs `ctx` as the calling thread's current context for the guard's
 /// scope (restores the previous one on destruction). This is the async
-/// propagation glue: ThreadPool workers install the submitter's context,
+/// propagation glue: ThreadPool workers install the run_all caller's context,
 /// so layers that never see a TraceContext parameter (SP/DH ops, the WAL
 /// wait path) still attach to the right trace via Tracer::current().
 class ContextGuard {

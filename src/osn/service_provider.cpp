@@ -93,6 +93,7 @@ std::string ServiceProvider::store_record(Bytes record) {
     records_.put_then(id, std::move(record),
                       [&] { ticket = durable_->enqueue_framed(std::move(framed)); });
     durable_->wait(ticket);
+    maybe_checkpoint();
   } else {
     records_.put(id, std::move(record));
   }
@@ -119,7 +120,10 @@ void ServiceProvider::replace_record(const std::string& puzzle_id, Bytes record)
     stored = std::move(record);
     if (durable_) ticket = durable_->enqueue_framed(std::move(framed));
   });
-  if (durable_) durable_->wait(ticket);
+  if (durable_) {
+    durable_->wait(ticket);
+    maybe_checkpoint();
+  }
 }
 
 namespace {
@@ -178,9 +182,8 @@ void ServiceProvider::checkpoint() {
   durable_->checkpoint([this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
 }
 
-bool ServiceProvider::maybe_checkpoint() {
-  if (!durable_) return false;
-  return durable_->maybe_checkpoint(
+void ServiceProvider::maybe_checkpoint() {
+  durable_->maybe_checkpoint(
       [this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
 }
 

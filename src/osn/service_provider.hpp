@@ -95,13 +95,16 @@ class ServiceProvider {
     return recovery_;
   }
   /// Compacts WAL history into a fresh segment (store.hpp's protocol).
+  /// store_record and replace_record also do, once their write is
+  /// acknowledged, whenever the live WAL crossed the configured threshold.
   void checkpoint();
-  /// checkpoint() iff the live WAL crossed the configured byte threshold.
-  bool maybe_checkpoint();
   /// Blocks until everything appended so far is durable.
   void sync();
 
  private:
+  /// checkpoint() iff the live WAL crossed the configured byte threshold.
+  /// Called outside any shard lock.
+  void maybe_checkpoint();
   void emit_state(const storage::DurableStore::Applier& emit) const;
 
   ShardedStore<Bytes> records_;

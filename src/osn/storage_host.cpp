@@ -107,6 +107,7 @@ std::string StorageHost::store(Bytes blob) {
     blobs_.put_then(url, std::move(blob),
                     [&] { ticket = durable_->enqueue_framed(std::move(framed)); });
     durable_->wait(ticket);
+    maybe_checkpoint();
   } else {
     blobs_.put(url, std::move(blob));
   }
@@ -184,7 +185,10 @@ void StorageHost::remove(const std::string& url) {
       ticket = durable_->enqueue_framed(std::move(framed));
       queued = true;
     });
-    if (queued) durable_->wait(ticket);
+    if (queued) {
+      durable_->wait(ticket);
+      maybe_checkpoint();
+    }
   } else {
     gone = blobs_.take(url);
   }
@@ -201,9 +205,8 @@ void StorageHost::checkpoint() {
   durable_->checkpoint([this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
 }
 
-bool StorageHost::maybe_checkpoint() {
-  if (!durable_) return false;
-  return durable_->maybe_checkpoint(
+void StorageHost::maybe_checkpoint() {
+  durable_->maybe_checkpoint(
       [this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
 }
 

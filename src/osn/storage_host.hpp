@@ -87,12 +87,17 @@ class StorageHost {
   [[nodiscard]] const storage::DurableStore::RecoveryStats& recovery_stats() const {
     return recovery_;
   }
+  /// Compacts WAL history into a fresh segment (store.hpp's protocol).
+  /// store and remove also do, once their write is acknowledged, whenever
+  /// the live WAL crossed the configured threshold.
   void checkpoint();
-  bool maybe_checkpoint();
   /// Blocks until everything appended so far is durable.
   void sync();
 
  private:
+  /// checkpoint() iff the live WAL crossed the configured byte threshold.
+  /// Called outside any shard lock.
+  void maybe_checkpoint();
   void emit_state(const storage::DurableStore::Applier& emit) const;
 
   ShardedStore<Bytes> blobs_;

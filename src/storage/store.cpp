@@ -179,6 +179,10 @@ std::uint64_t DurableStore::epoch() const {
 void DurableStore::checkpoint(const Scanner& scan) {
   if (!writer_) throw std::logic_error("DurableStore::checkpoint: recover() first");
   const sp::MutexLock lock(admin_mutex_);
+  checkpoint_locked(scan);
+}
+
+void DurableStore::checkpoint_locked(const Scanner& scan) {
   const std::uint64_t old_epoch = epoch_;
   const std::uint64_t new_epoch = old_epoch + 1;
 
@@ -211,7 +215,10 @@ void DurableStore::checkpoint(const Scanner& scan) {
 
 bool DurableStore::maybe_checkpoint(const Scanner& scan) {
   if (writer_->current_file_bytes() < opts_.checkpoint_wal_bytes) return false;
-  checkpoint(scan);
+  const sp::MutexLock lock(admin_mutex_);
+  // Re-read under the lock: a writer that checkpointed first rotated the WAL.
+  if (writer_->current_file_bytes() < opts_.checkpoint_wal_bytes) return false;
+  checkpoint_locked(scan);
   return true;
 }
 

@@ -85,7 +85,8 @@ class DurableStore {
   /// checkpoints queue behind one mutex; appends continue throughout.
   using Scanner = std::function<void(const Applier& emit)>;
   void checkpoint(const Scanner& scan);
-  /// checkpoint(scan) iff the live WAL crossed checkpoint_wal_bytes.
+  /// checkpoint(scan) iff the live WAL crossed checkpoint_wal_bytes. Writers
+  /// that cross it together checkpoint once: the rest find the fresh WAL.
   bool maybe_checkpoint(const Scanner& scan);
 
   [[nodiscard]] std::uint64_t epoch() const;
@@ -96,6 +97,8 @@ class DurableStore {
   [[nodiscard]] static std::string wal_path(const std::string& dir, std::uint64_t epoch);
 
  private:
+  void checkpoint_locked(const Scanner& scan) SP_REQUIRES(admin_mutex_);
+
   Options opts_;
   std::unique_ptr<WalWriter> writer_;  ///< null until recover()
 

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -38,124 +37,38 @@ void run_threads(Fn fn) {
   for (std::thread& th : threads) th.join();
 }
 
-TEST(ThreadPool, RunsEverySubmittedTaskWithBoundedQueue) {
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(4, 2);  // queue far smaller than the task count
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(executed.load(), 200);
-    // The pool is reusable after wait_idle.
-    pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(executed.load(), 201);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2, 4);
-  std::atomic<int> executed{0};
-  pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-  pool.shutdown();
-  EXPECT_EQ(executed.load(), 1);  // shutdown drains what was accepted
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  pool.shutdown();  // idempotent
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-}
-
 TEST(ThreadPool, IntrospectionCountsQueuedAndExecuting) {
-  ThreadPool pool(2, 8);
+  ThreadPool pool(2);
   EXPECT_EQ(pool.num_threads(), 2u);
-  EXPECT_EQ(pool.thread_count(), 2u);
   EXPECT_EQ(pool.queue_depth(), 0u);
   EXPECT_EQ(pool.in_flight(), 0u);
 
   std::atomic<bool> gate{false};
-  std::atomic<int> started{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&] {
+  std::atomic<int> started_a{0};
+  std::atomic<int> started_b{0};
+  const auto gated = [&gate](std::atomic<int>& started) {
+    return std::vector<std::function<void()>>(3, [&gate, &started] {
       started.fetch_add(1, std::memory_order_relaxed);
       while (!gate.load(std::memory_order_relaxed)) std::this_thread::yield();
     });
-  }
-  // Both workers hold a task at the gate; the other two tasks must be queued.
-  while (started.load(std::memory_order_relaxed) < 2) std::this_thread::yield();
+  };
+  // Caller A and both workers each hold one of A's jobs at the gate.
+  const auto jobs_a = gated(started_a);
+  std::thread a([&] { pool.run_all(jobs_a); });
+  while (started_a.load(std::memory_order_relaxed) < 3) std::this_thread::yield();
+  // Caller B queues two helpers no worker can pop, then blocks in its job.
+  const auto jobs_b = gated(started_b);
+  std::thread b([&] { pool.run_all(jobs_b); });
+  while (started_b.load(std::memory_order_relaxed) < 1) std::this_thread::yield();
   EXPECT_EQ(pool.in_flight(), 2u);
   EXPECT_EQ(pool.queue_depth(), 2u);
 
   gate.store(true, std::memory_order_relaxed);
-  pool.wait_idle();
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  EXPECT_EQ(pool.in_flight(), 0u);
-}
-
-TEST(ThreadPool, ShutdownWakesBlockedSubmitterToFailLoudly) {
-  ThreadPool pool(1, 1);
-  std::atomic<bool> gate{false};
-  std::atomic<int> executed{0};
-  // Occupy the single worker, then fill the queue: the next submit blocks.
-  pool.submit([&] {
-    while (!gate.load(std::memory_order_relaxed)) std::this_thread::yield();
-    executed.fetch_add(1, std::memory_order_relaxed);
-  });
-  while (pool.in_flight() != 1) std::this_thread::yield();
-  pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-
-  std::atomic<bool> rejected{false};
-  std::thread submitter([&] {
-    try {
-      pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-    } catch (const std::runtime_error&) {
-      rejected.store(true, std::memory_order_relaxed);
-    }
-  });
-  // Let the submitter reach its full-queue wait, then shut down concurrently:
-  // it must be woken to throw (pre-PR4 the task would have been dropped on
-  // the floor; a hang here is the other failure mode this test guards).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::thread closer([&pool] { pool.shutdown(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  gate.store(true, std::memory_order_relaxed);  // release the worker so shutdown can join
-  closer.join();
-  submitter.join();
-
-  EXPECT_TRUE(rejected.load());
-  EXPECT_EQ(executed.load(), 2);  // accepted work ran; rejected work did not
-}
-
-TEST(ThreadPool, ConcurrentShutdownsAllBlockUntilWorkersJoin) {
-  std::atomic<int> executed{0};
-  std::atomic<bool> gate{false};
-  ThreadPool pool(2, 8);
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&] {
-      while (!gate.load(std::memory_order_relaxed)) std::this_thread::yield();
-      executed.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  // Two racing shutdowns. Before the join handshake fix, the one that lost
-  // the race returned immediately while the winner was still joining — its
-  // caller could then destroy state that tasks were actively touching. Both
-  // callers must observe every accepted task completed when shutdown returns.
-  std::atomic<int> returned{0};
-  auto closer = [&] {
-    pool.shutdown();
-    EXPECT_EQ(executed.load(std::memory_order_relaxed), 4);
-    returned.fetch_add(1, std::memory_order_relaxed);
-  };
-  std::thread a(closer);
-  std::thread b(closer);
-  // With the workers gated, neither shutdown can have finished joining.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(returned.load(), 0);
-  gate.store(true, std::memory_order_relaxed);
   a.join();
   b.join();
-  EXPECT_EQ(returned.load(), 2);
-  pool.shutdown();  // still idempotent after the concurrent pair
-  EXPECT_EQ(executed.load(), 4);
+  EXPECT_EQ(started_b.load(), 3);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
 TEST(ConcurrencyHammer, ServiceProviderStoreRecordReplaceTamper) {
@@ -239,17 +152,18 @@ class SessionConcurrencyTest : public testsupport::FanoutSessionFixture {
 };
 
 TEST_F(SessionConcurrencyTest, AccessParallelMixedC1C2Batch) {
-  std::vector<Session::AccessRequest> batch;
-  for (std::size_t i = 0; i < 4 * kThreads; ++i) {
-    Session::AccessRequest req;
-    req.receiver = receivers_[i % receivers_.size()];
-    req.post_id = (i % 4 == 0) ? c2_post_ : c1_post_;  // 25% heavy C2 traffic
-    req.knowledge = Knowledge::full(ctx_);
-    req.device = net::pc_profile();
-    batch.push_back(std::move(req));
-  }
-  const auto results = session_.access_parallel(batch, kThreads);
-  ASSERT_EQ(results.size(), batch.size());
+  // Eight caller threads, one receiver each, serve a mixed batch through
+  // the retry loop; every fourth request is heavy C2 traffic.
+  constexpr std::size_t kPerThread = 4;
+  std::vector<AccessResult> results(kPerThread * kThreads);
+  run_threads([&](std::size_t t) {
+    for (std::size_t j = 0; j < kPerThread; ++j) {
+      const std::size_t i = t * kPerThread + j;
+      results[i] = session_.access_with_retries(receivers_[t],
+                                                (i % 4 == 0) ? c2_post_ : c1_post_,
+                                                Knowledge::full(ctx_), net::pc_profile(), 1);
+    }
+  });
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].granted) << "request " << i;
     ASSERT_TRUE(results[i].success()) << "request " << i;
@@ -257,14 +171,6 @@ TEST_F(SessionConcurrencyTest, AccessParallelMixedC1C2Batch) {
               (i % 4 == 0) ? to_bytes("c2 object") : to_bytes("c1 object"));
     EXPECT_GT(results[i].cost.total_ms(), 0.0);
   }
-}
-
-TEST_F(SessionConcurrencyTest, AccessParallelPropagatesRequestErrors) {
-  std::vector<Session::AccessRequest> batch(3);
-  batch[0] = {receivers_[0], c1_post_, Knowledge::full(ctx_), net::pc_profile()};
-  batch[1] = {receivers_[1], "puzzle-does-not-exist", Knowledge::full(ctx_), net::pc_profile()};
-  batch[2] = {receivers_[2], c1_post_, Knowledge::full(ctx_), net::pc_profile()};
-  EXPECT_THROW((void)session_.access_parallel(batch, 2), std::out_of_range);
 }
 
 TEST_F(SessionConcurrencyTest, ConcurrentAccessSharingAndRefresh) {
@@ -500,31 +406,34 @@ TEST(ConcurrencyHammer, RunAllInjectedFaultFailsOnlyItsOwnCall) {
 }
 
 TEST(ConcurrencyHammer, RunAllFromWorkersAndOutsideCallersTogether) {
-  // Calls made from the pool's own workers mix with calls from outside
-  // threads; with every worker busy as a caller, each call must still
-  // finish (its caller can run every job alone).
+  // Calls made from the pool's own workers (nested inside another call's
+  // jobs) mix with calls from outside threads; with every worker busy as a
+  // caller, each call must still finish (its caller can run every job
+  // alone).
   ThreadPool pool(2);
   std::atomic<int> ran{0};
   std::atomic<int> calls{0};
-  const auto fork = [&pool, &ran, &calls] {
+  const std::function<void()> fork = [&pool, &ran, &calls] {
     const std::vector<std::function<void()>> jobs(5, [&ran] {
       ran.fetch_add(1, std::memory_order_relaxed);
     });
     pool.run_all(jobs);
     calls.fetch_add(1, std::memory_order_relaxed);
   };
+  const std::vector<std::function<void()>> nested(2, fork);
   run_threads([&](std::size_t t) {
     for (int round = 0; round < 10; ++round) {
       if (t % 2 == 0) {
         fork();
       } else {
-        pool.submit(fork);
+        pool.run_all(nested);
       }
     }
   });
-  pool.wait_idle();
-  EXPECT_EQ(calls.load(), static_cast<int>(kThreads) * 10);
-  EXPECT_EQ(ran.load(), static_cast<int>(kThreads) * 10 * 5);
+  EXPECT_EQ(calls.load(), static_cast<int>(kThreads / 2) * 10 * 3);
+  EXPECT_EQ(ran.load(), static_cast<int>(kThreads / 2) * 10 * 3 * 5);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
 // CpAbe builds its generator's FixedBase on first use. Eight threads make

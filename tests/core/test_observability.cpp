@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <utility>
 
@@ -223,6 +224,34 @@ TEST_F(ObservabilityTest, RegisterUserCostsOneFixedBaseMul) {
   (void)session_.register_user("late joiner");
   EXPECT_EQ(fixed_base.value() - fixed0, 1U);
   EXPECT_EQ(generic.value() - generic0, 0U);
+}
+
+// A durable session serving one grant of each construction reports into
+// every serving family a scrape needs: requests and phases, the leaf pool,
+// the DH, the WAL, recovery and the curve layer.
+TEST_F(ObservabilityTest, DurableSessionExportsEveryServingFamily) {
+  const std::string dir = ::testing::TempDir() + "/obs-durable-families";
+  std::filesystem::remove_all(dir);
+  SessionConfig cfg = testsupport::toy_config("observability-durable");
+  cfg.persistence = PersistenceConfig{dir};
+  testsupport::FanoutRig rig(cfg, 1);
+  for (const std::string& post : {rig.c1_post_, rig.c2_post_}) {
+    ASSERT_TRUE(rig.session_
+                    .access(rig.receivers_[0], post, Knowledge::full(rig.ctx_), net::pc_profile())
+                    .success())
+        << post;
+  }
+
+  const auto& registry = obs::MetricsRegistry::global();
+  EXPECT_GT(registry.series_count(), 0u);
+  const std::string text = registry.to_prometheus();
+  for (const char* family :
+       {"sp_access_requests_total", "sp_phase_latency_ms", "pool_tasks_total",
+        "osn_dh_requests_total", "sp_storage_wal_appends_total", "sp_storage_recovery_ms",
+        "ec_scalar_muls_total"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + family + " "), std::string::npos)
+        << "missing family: " << family;
+  }
 }
 
 }  // namespace

@@ -75,41 +75,45 @@ TEST(ThreadPool, RunAllRethrowsLowestIndexError) {
 }
 
 TEST(ThreadPool, RunAllCompletesWhileEveryWorkerIsParked) {
-  // The only worker is parked on a slow task: the caller must run its own
-  // jobs instead of queueing behind it.
+  // The only worker is parked in another caller's job: this caller must run
+  // its own jobs instead of queueing behind it.
   ThreadPool pool(1);
   std::atomic<bool> release{false};
-  pool.submit([&release] {
+  std::atomic<int> parked{0};
+  const std::vector<Job> slow(2, [&] {
+    parked.fetch_add(1);
     while (!release.load()) std::this_thread::yield();
   });
-  while (pool.in_flight() != 1) std::this_thread::yield();
+  // Its caller blocks in one slow job, so the worker must take the other.
+  std::thread other([&] { pool.run_all(slow); });
+  while (parked.load() != 2) std::this_thread::yield();
+  EXPECT_EQ(pool.in_flight(), 1u);
   std::atomic<int> ran{0};
   const std::vector<Job> jobs(4, [&ran] { ran.fetch_add(1); });
   pool.run_all(jobs);  // returns while the worker is still blocked
   EXPECT_EQ(ran.load(), 4);
   EXPECT_EQ(pool.queue_depth(), 0u);  // its unclaimed helper was withdrawn
   release.store(true);
-  pool.wait_idle();
+  other.join();
 }
 
 TEST(ThreadPool, RunAllFromAWorkerFinishesAlone) {
-  // Called from the pool's only worker, no helper can ever start: the call
-  // must neither wait for one nor block on the queue bound.
-  ThreadPool pool(1, 1);
+  // Two jobs that wait for each other run on two threads, so one of them
+  // runs on the pool's only worker. Each forks eight jobs of its own: the
+  // worker's call can get no helper and must not wait for one.
+  ThreadPool pool(1);
+  std::atomic<int> started{0};
   std::atomic<int> ran{0};
-  bool threw = false;
-  pool.submit([&] {
+  const std::vector<Job> outer(2, [&] {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
     const std::vector<Job> jobs(8, [&ran] { ran.fetch_add(1); });
-    try {
-      pool.run_all(jobs);
-    } catch (...) {
-      threw = true;
-    }
+    pool.run_all(jobs);
   });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_FALSE(threw);
+  EXPECT_NO_THROW(pool.run_all(outer));
+  EXPECT_EQ(ran.load(), 16);
   EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.in_flight(), 0u);
 }
 
 TEST(ThreadPool, RunAllLendsAtMostNumThreadsHelpersAndLeavesNoneBehind) {

@@ -1,8 +1,7 @@
 // Chaos trace-propagation tests (PR 9): the span-tree tracer must follow a
-// request through the retry loop, the access-parallel thread pool, the C2
-// leaf-pairing fork-join and the WAL writer — under seeded fault
-// injection, and deterministically enough that a same-seed replay produces
-// the same protocol-layer span tree.
+// request through the retry loop, the C2 leaf-pairing fork-join and the WAL
+// writer — under seeded fault injection, and deterministically enough that
+// a same-seed replay produces the same protocol-layer span tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,8 +72,8 @@ std::optional<std::string> attr(const SpanRecord& span, const std::string& name)
 }
 
 /// The deterministic protocol-layer shape of a trace: sorted (name,
-/// parent-name) pairs, excluding pool.* spans — which worker picked a task
-/// up (and therefore how many pool hops a batch took) is scheduling, not
+/// parent-name) pairs, excluding pool.* spans — which worker picked a helper
+/// up (and therefore how many helpers a fork-join got) is scheduling, not
 /// protocol, and legitimately varies between same-seed runs.
 std::vector<std::pair<std::string, std::string>> tree_shape(const TraceData& trace) {
   std::map<std::uint64_t, std::string> names;
@@ -227,16 +226,19 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
       sp::obs::MetricsRegistry::global().counter("sp_trace_spans_dropped_total", "");
   const auto dropped0 = dropped.value();
 
-  std::vector<sp::core::Session::AccessRequest> batch;
-  for (int i = 0; i < 6; ++i) {
-    sp::core::Session::AccessRequest req;
-    req.receiver = rig.receivers_[i % 3];
-    req.post_id = (i % 2 == 0) ? rig.c1_post_ : rig.c2_post_;
-    req.knowledge = Knowledge::full(rig.ctx_);
-    batch.push_back(std::move(req));
+  // Six requests from three caller threads; thread t drives receiver t.
+  std::vector<sp::core::AccessResult> results(6);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 3; ++t) {
+    callers.emplace_back([&rig, &results, t] {
+      for (std::size_t i = t; i < results.size(); i += 3) {
+        results[i] = rig.session_.access_with_retries(
+            rig.receivers_[t], (i % 2 == 0) ? rig.c1_post_ : rig.c2_post_,
+            Knowledge::full(rig.ctx_), sp::net::pc_profile(), 1);
+      }
+    });
   }
-  const auto results = rig.session_.access_parallel(batch, 3);
-  ASSERT_EQ(results.size(), 6u);
+  for (std::thread& c : callers) c.join();
   for (const auto& r : results) EXPECT_TRUE(r.success());
 
   const auto traces = tracer.drain();
@@ -245,9 +247,6 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
     EXPECT_EQ(t.root_name, "sp.request");
     const SpanRecord& root = t.spans.back();
     EXPECT_EQ(root.parent_id, 0u) << "root must finish last";
-    // Submit-time roots: the pool's queue wait lands inside the request.
-    EXPECT_FALSE(spans_named(t, "pool.wait").empty());
-    EXPECT_FALSE(spans_named(t, "pool.task").empty());
     EXPECT_FALSE(spans_named(t, "sp.access").empty());
     // The SP's Verify runs on the request thread: no hop, so no children.
     const auto verifies = spans_named(t, "sp.verify");
@@ -257,12 +256,13 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
         EXPECT_NE(s.parent_id, v->span_id) << s.name << " nests under sp.verify";
       }
     }
-    // The C2 leaf Miller loops fork-join over the session's pool: a helper
-    // that ran is a pool.task under c2.access and ends inside the request.
+    // The C2 KeyGen jobs and leaf Miller loops fork-join over the session's
+    // pool: a helper that ran is a pool.task under c2.access and ends inside
+    // the request.
     for (const SpanRecord* task : spans_named(t, "pool.task")) {
       const SpanRecord* parent = span_by_id(t, task->parent_id);
       ASSERT_NE(parent, nullptr);
-      EXPECT_TRUE(parent->name == "sp.request" || parent->name == "c2.access") << parent->name;
+      EXPECT_EQ(parent->name, "c2.access");
       EXPECT_LE(task->end_ns, root.end_ns);
     }
     // Tree integrity: every parent id resolves inside the same trace.

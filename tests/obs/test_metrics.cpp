@@ -144,23 +144,6 @@ TEST(MetricsTest, HistogramRejectsBadBounds) {
   EXPECT_THROW(reg.histogram("h3_ms", "", {2, 1}), std::invalid_argument);
 }
 
-TEST(MetricsTest, DisabledRegistryIsNoOp) {
-  MetricsRegistry reg;
-  auto& c = reg.counter("rq_total", "");
-  auto& g = reg.gauge("queue_depth", "");
-  auto& h = reg.histogram("latency_ms", "", {1});
-  reg.set_enabled(false);
-  c.inc();
-  g.set(5);
-  h.observe(0.5);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  reg.set_enabled(true);
-  c.inc();
-  EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(MetricsTest, ResetZeroesEverything) {
   MetricsRegistry reg;
   auto& c = reg.counter("rq_total", "");
@@ -311,7 +294,6 @@ TEST(MetricsTest, JsonSnapshotIsWellFormedAndComplete) {
   h.observe(9.0);
   const std::string json = reg.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"rq_total\""), std::string::npos);
   EXPECT_NE(json.find("\"op\": \"fetch\""), std::string::npos);
   EXPECT_NE(json.find("\"value\": -4"), std::string::npos);
@@ -349,25 +331,6 @@ TEST(TraceSpanTest, StopIsIdempotentAndReturnsElapsed) {
   EXPECT_GE(first, 0.0);
   EXPECT_EQ(second, 0.0);
   EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(TraceSpanTest, DisabledRegistrySkipsHistogramButNotLedger) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram("phase_ms", "", {1000});
-  reg.set_enabled(false);
-  {
-    TraceSpan span(h);
-    (void)span;
-  }
-  EXPECT_EQ(h.count(), 0u);
-  // The ledger is protocol cost accounting, not metrics: it always times.
-  FakeLedger ledger;
-  {
-    TraceSpan span(h, ledger);
-    (void)span;
-  }
-  EXPECT_GT(ledger.total_ms, 0.0);
-  EXPECT_EQ(h.count(), 0u);  // histogram still gated off
 }
 
 TEST(MetricsTest, GlobalRegistryIsASingleton) {

@@ -103,35 +103,6 @@ TEST(ObsConcurrencyHammer, ScrapesRaceWritersAndRegistrations) {
   EXPECT_GE(reg.series_count(), 2u);
 }
 
-TEST(ObsConcurrencyHammer, EnableToggleRacesWriters) {
-  // set_enabled flips mid-flight: totals land somewhere in [0, max] with no
-  // torn state — this is the no-op-mode path the overhead bench leans on.
-  MetricsRegistry reg;
-  auto& counter = reg.counter("hammer_total", "");
-  auto& hist = reg.histogram("hammer_ms", "", {1});
-  std::atomic<bool> stop{false};
-  std::thread toggler([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      reg.set_enabled(false);
-      reg.set_enabled(true);
-    }
-  });
-  std::vector<std::thread> writers;
-  for (std::size_t t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&] {
-      for (std::size_t i = 0; i < kItersPerWriter; ++i) {
-        counter.inc();
-        hist.observe(0.5);
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  toggler.join();
-  EXPECT_LE(counter.value(), kWriters * kItersPerWriter);
-  EXPECT_LE(hist.count(), kWriters * kItersPerWriter);
-}
-
 TEST(ObsConcurrencyHammer, TraceSpansFromManyThreads) {
   MetricsRegistry reg;
   auto& hist = reg.histogram("hammer_span_ms", "", {1000});

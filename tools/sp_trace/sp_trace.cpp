@@ -5,8 +5,8 @@
 //           the tracer enabled, then dump every collected trace to a binary
 //           .sptrace file (codec::encode_trace_dump) and optionally Chrome
 //           trace-event JSON. This is the CI smoke entry point: it exercises
-//           the whole propagation chain (retry loop, thread pool, verify
-//           queue, WAL group commit) in one process.
+//           the whole propagation chain (retry loop, thread-pool fork-join,
+//           WAL group commit) in one process.
 //   report  per-phase critical-path breakdown (self-time attribution) plus
 //           the slowest-N span trees of a dump.
 //   chrome  convert a dump to Chrome about:tracing JSON.
@@ -19,15 +19,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/trace_records.hpp"
 #include "core/session.hpp"
+#include "core/thread_pool.hpp"
 #include "crypto/bytes.hpp"
 #include "net/faults.hpp"
 #include "obs/trace.hpp"
@@ -46,7 +49,7 @@ int usage() {
       "      --out FILE        binary dump output (required)\n"
       "      --chrome FILE     also write Chrome trace-event JSON\n"
       "      --requests N      access requests to issue (default 24)\n"
-      "      --threads N       pool threads for access_parallel (default 4)\n"
+      "      --threads N       pool threads serving the batch (default 4)\n"
       "      --faults RATE     uniform fault probability per op class (default 0.2)\n"
       "      --sample P        head-sampling probability (default 1.0)\n"
       "      --seed S          session + fault schedule seed (default sp-trace)\n"
@@ -186,33 +189,47 @@ int cmd_record(const Args& args) {
   }
 
   const sp::core::Context ctx = workload_context();
-  const std::string c1_post =
-      session.share_c1(sharer, sp::crypto::to_bytes("c1 object"), ctx, 2, 4,
-                       sp::net::pc_profile())
-          .post_id;
-  const std::string c2_post =
-      session.share_c2(sharer, sp::crypto::to_bytes("c2 object"), ctx, 2,
-                       sp::net::pc_profile())
-          .post_id;
+  std::string c1_post;
+  std::string c2_post;
+  {
+    // One root over both shares, so their DH and SP writes carry a sampled
+    // origin and a durable session's group commits are traced (wal.*).
+    const sp::obs::Span root = tracer.start_trace("sp_trace.share");
+    const sp::obs::ContextGuard guard(root.context());
+    c1_post = session.share_c1(sharer, sp::crypto::to_bytes("c1 object"), ctx, 2, 4,
+                               sp::net::pc_profile())
+                  .post_id;
+    c2_post = session.share_c2(sharer, sp::crypto::to_bytes("c2 object"), ctx, 2,
+                               sp::net::pc_profile())
+                  .post_id;
+  }
 
   // Mixed workload: both constructions, mostly knowledgeable receivers with
   // a denied (insufficient knowledge) request every fifth slot so the dump
   // always contains non-granted traces; under --faults the schedule adds
   // transient/terminal serving errors on top.
   sp::crypto::Drbg knowledge_rng(seed + "-knowledge");
-  std::vector<sp::core::Session::AccessRequest> batch;
-  batch.reserve(requests);
+  std::vector<sp::core::AccessResult> results(requests);
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(requests);
   for (std::size_t i = 0; i < requests; ++i) {
-    sp::core::Session::AccessRequest req;
-    req.receiver = receivers[i % receivers.size()];
-    req.post_id = (i % 2 == 0) ? c1_post : c2_post;
-    req.knowledge = (i % 5 == 4) ? sp::core::Knowledge::partial(ctx, 1, knowledge_rng)
-                                 : sp::core::Knowledge::full(ctx);
-    req.device = sp::net::pc_profile();
-    req.max_draws = 4;
-    batch.push_back(std::move(req));
+    sp::core::Knowledge knows = (i % 5 == 4) ? sp::core::Knowledge::partial(ctx, 1, knowledge_rng)
+                                             : sp::core::Knowledge::full(ctx);
+    jobs.emplace_back([&, i, knows = std::move(knows)] {
+      results[i] = session.access_with_retries(receivers[i % receivers.size()],
+                                               (i % 2 == 0) ? c1_post : c2_post, knows,
+                                               sp::net::pc_profile(), 4);
+    });
   }
-  const auto results = session.access_parallel(batch, threads);
+  {
+    // The fan-out runs under one root, so the pool's pool.task spans are
+    // traced whatever the C2 forks do; each request roots its own
+    // sp.request trace.
+    const sp::obs::Span root = tracer.start_trace("sp_trace.batch");
+    const sp::obs::ContextGuard guard(root.context());
+    sp::core::ThreadPool pool(threads);
+    pool.run_all(jobs);
+  }
 
   std::size_t granted = 0;
   std::size_t errored = 0;
