@@ -25,7 +25,6 @@ sp_add_bench(bench_payload)
 sp_add_bench(bench_baseline_success)
 sp_add_bench(bench_acl_maintenance)
 sp_add_bench(bench_params)
-sp_add_bench(bench_fault_sweep)
 sp_add_bench(bench_storage)
 
 # Micro-benchmarks (google-benchmark).

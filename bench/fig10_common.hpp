@@ -71,40 +71,6 @@ inline LatencySummary summarize(const obs::Histogram& hist) {
   return s;
 }
 
-/// Seeded-virtual-time wire accounting for the load benches.
-///
-/// The modeled network delay is deterministic per seed, but the PR 3-5
-/// harnesses REALIZED it as std::this_thread::sleep_for — so every
-/// throughput number inherited scheduler jitter and CI oversleep (a 5 ms
-/// modeled wait routinely sleeps 5.5+ ms on a loaded runner). Instead each
-/// worker now advances a private virtual clock by its measured processing
-/// time plus the modeled wire wait it WOULD have slept; the run's makespan
-/// is the slowest worker's clock — the wall time a perfectly-scheduled
-/// sleep run would have shown. The (dominant) wire component is exactly the
-/// seeded model's number, so only real processing-time measurement remains
-/// as run-to-run variance. Per-request latency keeps its definition
-/// (processing + wire), so every histogram-based acceptance bar is
-/// unchanged.
-///
-/// Each worker touches only its own slot, so no synchronization is needed.
-class VirtualWireClocks {
- public:
-  explicit VirtualWireClocks(std::size_t workers) : ms_(workers, 0.0) {}
-
-  /// Worker `w` finished a request that cost `ms` (processing + wire).
-  void advance(std::size_t w, double ms) { ms_[w] += ms; }
-
-  /// The slowest worker's clock == the virtual wall time of the run.
-  [[nodiscard]] double makespan_ms() const {
-    double m = 0;
-    for (const double v : ms_) m = std::max(m, v);
-    return std::max(m, 1e-9);
-  }
-
- private:
-  std::vector<double> ms_;
-};
-
 struct Sample {
   double local_ms = 0;
   double network_ms = 0;

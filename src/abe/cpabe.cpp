@@ -9,10 +9,9 @@
 namespace sp::abe {
 
 namespace {
-// FIFO caps for the lazy memo caches: enough for every distinct generator
-// and attribute a serving workload revisits, bounded against key churn
-// (same policy as the Miller-line table registry).
-constexpr std::size_t kMaxEggCache = 8;
+// FIFO cap for the H(attr) memo: enough for every attribute a serving
+// workload revisits, bounded against key churn (same policy as the
+// Miller-line table registry).
 constexpr std::size_t kMaxAttrCache = 256;
 }  // namespace
 
@@ -27,32 +26,14 @@ const ec::FixedBase& CpAbe::generator() const {
   std::call_once(generator_once_, [this] {
     generator_ = std::make_unique<const ec::FixedBase>(
         *curve_, curve_->hash_to_group(crypto::to_bytes("sp-cpabe-generator")));
+    e_gg_ = pairing_(generator_->base(), generator_->base());
   });
   return *generator_;
 }
 
-Fp2 CpAbe::e_gg(const ec::Point& g) const {
-  const Bytes gb = curve_->serialize(g);
-  // Cache index, not key material: g is a public generator point.
-  const std::string memo_id(gb.begin(), gb.end());
-  {
-    const sp::MutexLock lock(cache_mutex_);
-    auto it = e_gg_cache_.find(memo_id);
-    if (it != e_gg_cache_.end()) return it->second;
-  }
-  // Pairing outside the lock: concurrent first callers may both compute it
-  // (identical values), but no serving thread ever blocks ~ms on the memo.
-  const Fp2 value = pairing_(g, g);
-  const sp::MutexLock lock(cache_mutex_);
-  if (e_gg_cache_.find(memo_id) == e_gg_cache_.end()) {
-    e_gg_fifo_.push_back(memo_id);
-    if (e_gg_fifo_.size() > kMaxEggCache) {
-      e_gg_cache_.erase(e_gg_fifo_.front());
-      e_gg_fifo_.pop_front();
-    }
-  }
-  e_gg_cache_[memo_id] = value;
-  return value;
+const Fp2& CpAbe::e_gg() const {
+  (void)generator();
+  return e_gg_;
 }
 
 ec::Point CpAbe::hash_attr(const std::string& attribute) const {
@@ -95,7 +76,7 @@ std::pair<PublicKey, MasterKey> CpAbe::setup(crypto::Drbg& rng) const {
   pk.g = g.base();
   pk.h = g.mul(beta);
   pk.f = g.mul(BigInt::mod_inv(beta, curve_->order()));
-  pk.e_gg_alpha = e_gg(pk.g).pow(alpha);
+  pk.e_gg_alpha = e_gg().pow(alpha);
   MasterKey mk;
   mk.beta = beta;
   mk.g_alpha = g.mul(alpha);
@@ -187,7 +168,7 @@ std::pair<Ciphertext, Bytes> CpAbe::encrypt_key(const PublicKey& pk, const Acces
   const BigInt s = rand_scalar(rng);
   // KEM message: random target-group element M = e(g,g)^z.
   const BigInt z = rand_scalar(rng);
-  const Fp2 m = e_gg(pk.g).pow(z);
+  const Fp2 m = e_gg().pow(z);
   ct.c_tilde = m * pk.e_gg_alpha.pow(s);
   ct.c = curve_->mul(pk.h, s);
   std::size_t next_id = 0;

@@ -151,16 +151,15 @@ class CpAbe {
   /// canonical attributes on every access request. FIFO-capped; counted by
   /// abe_attr_hash_{hits,builds}_total.
   [[nodiscard]] ec::Point hash_attr(const std::string& attribute) const;
-  /// The fixed public generator g (hash-to-group of a domain tag) and its
-  /// FixedBase table, built together on first use, so a C1-only session
-  /// never pays the ~5 ms build at kFull. Setup, KeyGen's g^r and g^(r_j),
-  /// and Encrypt's leaf g^(q_y(0)) multiply through it; after the first
-  /// call, reading it takes no lock.
+  /// The fixed public generator g (hash-to-group of a domain tag), its
+  /// FixedBase table and e(g, g), built together on first use, so a C1-only
+  /// session never pays the ~5 ms build at kFull. Setup, KeyGen's g^r and
+  /// g^(r_j), and Encrypt's leaf g^(q_y(0)) multiply through it; after the
+  /// first call, reading it takes no lock.
   [[nodiscard]] const ec::FixedBase& generator() const;
-  /// e(g, g) for the given generator, cached — Setup and every Encrypt need
-  /// it, and the pairing is the single most expensive primitive. FIFO-capped
-  /// (one entry per distinct generator under key churn).
-  [[nodiscard]] Fp2 e_gg(const ec::Point& g) const;
+  /// e(g, g) of generator(): Setup raises it to α, and Encrypt draws the
+  /// KEM element M = e(g, g)^z from it.
+  [[nodiscard]] const Fp2& e_gg() const;
 
   /// Recursive share assignment for Encrypt.
   void share_secret(const AccessTree::Node& node, const BigInt& value, std::size_t& next_id,
@@ -204,14 +203,11 @@ class CpAbe {
   /// Written once, under generator_once_; immutable after.
   mutable std::once_flag generator_once_;
   mutable std::unique_ptr<const ec::FixedBase> generator_;
-  /// One mutex for the memo caches: CpAbe is const-shared across serving
-  /// threads (Construction 2 calls keygen/encrypt/decrypt concurrently), so
-  /// the mutable memo state below must be guarded. No lock is held across
-  /// a pairing or scalar multiplication.
+  mutable Fp2 e_gg_;
+  /// Guards the H(attr) memo: CpAbe is const-shared across serving threads
+  /// (Construction 2 calls keygen/encrypt/decrypt concurrently). No lock is
+  /// held across a scalar multiplication.
   mutable sp::Mutex cache_mutex_;
-  /// e(g,g) keyed by serialized generator; FIFO-capped (kMaxEggCache).
-  mutable std::unordered_map<std::string, Fp2> e_gg_cache_ SP_GUARDED_BY(cache_mutex_);
-  mutable std::deque<std::string> e_gg_fifo_ SP_GUARDED_BY(cache_mutex_);
   /// H(attr) memo; FIFO-capped (kMaxAttrCache).
   mutable std::unordered_map<std::string, ec::Point> attr_cache_ SP_GUARDED_BY(cache_mutex_);
   mutable std::deque<std::string> attr_fifo_ SP_GUARDED_BY(cache_mutex_);

@@ -1,5 +1,5 @@
 // The storage layer's record codecs (docs/WIRE_FORMAT.md has the layouts):
-// the frame record types, and the ShardedStore record envelope, which is
+// the frame record types, and the host-table record envelope, which is
 // the WAL's unit of replay. An envelope carries an operation (put / erase),
 // a keyspace, a sequence number for id-counter recovery, the record id and
 // the value bytes.
@@ -27,7 +27,7 @@ namespace sp::codec {
 /// Frame record-type byte. Values are wire constants: never renumber, only
 /// append (docs/WIRE_FORMAT.md).
 enum class RecordType : std::uint8_t {
-  kEnvelope = 1,     ///< ShardedStore record envelope (WAL unit)
+  kEnvelope = 1,     ///< host-table record envelope (WAL unit)
   // Retired: 2-5 and 7 framed protocol objects that nothing produces any
   // more. They stay reserved and are never reused.
   kC1Puzzle = 2,
@@ -41,9 +41,10 @@ enum class RecordType : std::uint8_t {
 
 // ------------------------------------------------------------- envelopes
 
-/// One durable mutation of a ShardedStore-backed host. `seq` carries the
-/// host's id counter at issue time (0 when not applicable) so recovery can
-/// restore monotonic id issuance without replaying ids from content.
+/// One durable mutation of a host's table (osn/host_table.hpp). `seq`
+/// carries the host's id counter at issue time (0 when not applicable) so
+/// recovery can restore monotonic id issuance without replaying ids from
+/// content.
 struct Envelope {
   enum class Op : std::uint8_t {
     kPut = 1,      ///< insert or overwrite `id` with `value`

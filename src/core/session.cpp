@@ -133,8 +133,8 @@ storage::DurableStore::Options host_store_options(const PersistenceConfig& p, co
 }
 
 // Both factories rely on guaranteed copy elision: the hosts are pinned
-// (shard mutexes), so the conditional construction must happen directly in
-// the member's storage.
+// (their tables' mutexes), so the conditional construction must happen
+// directly in the member's storage.
 osn::ServiceProvider make_sp(const std::optional<PersistenceConfig>& p) {
   if (p) return osn::ServiceProvider(host_store_options(*p, "sp"));
   return osn::ServiceProvider();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "codec/records.hpp"
 #include "crypto/secret.hpp"
 #include "obs/metrics.hpp"
-#include "osn/persist.hpp"
 
 namespace sp::osn {
 
@@ -41,38 +39,16 @@ struct SpMetrics {
 
 }  // namespace
 
+ServiceProvider::ServiceProvider() : records_(Space::kSpRecords, "sp-counter") {}
+
 ServiceProvider::ServiceProvider(storage::DurableStore::Options durable)
-    : durable_(std::make_unique<storage::DurableStore>(std::move(durable))) {
-  // kSpRecords/kMeta seqs restore the id counter.
-  std::uint64_t max_record_seq = 0;
-  recovery_ = durable_->recover([&](const codec::Envelope& env) {
-    switch (static_cast<Space>(env.space)) {
-      case Space::kMeta:
-        max_record_seq = std::max(max_record_seq, env.seq);
-        break;
-      case Space::kSpRecords:
-        max_record_seq = std::max(max_record_seq, env.seq);
-        if (env.op == codec::Envelope::Op::kPut) {
-          records_.put(env.id, env.value);
-        } else if (env.op == codec::Envelope::Op::kErase) {
-          records_.erase(env.id);
-        }
-        break;
-      default:
-        // Unknown space (a newer writer's data) or a retired one: the
-        // observation log of older directories (keyspace 2) is skipped here.
-        break;
-    }
-  });
-  next_.store(max_record_seq + 1, std::memory_order_relaxed);
+    : records_(Space::kSpRecords, "sp-counter", std::move(durable)) {
   SpMetrics::get().records.add(static_cast<std::int64_t>(records_.size()));
 }
 
 ServiceProvider::~ServiceProvider() {
-  // No lock: by the time the destructor runs, no other thread may touch the
-  // object (the usual C++ lifetime rule; the hammer tests join first).
   std::size_t wiped = 0;
-  records_.for_each_mutable([&wiped](const std::string&, Bytes& rec) {
+  records_.for_each([&wiped](const std::string&, Bytes& rec) {
     crypto::secure_wipe(rec);
     ++wiped;
   });
@@ -80,23 +56,11 @@ ServiceProvider::~ServiceProvider() {
 }
 
 std::string ServiceProvider::store_record(Bytes record) {
-  // fetch_add keeps ids unique under concurrent stores; which thread gets
-  // which id is scheduling-dependent, but every id is issued exactly once.
-  const std::uint64_t n = next_.fetch_add(1, std::memory_order_relaxed);
-  const std::string id = "puzzle-" + std::to_string(n);
-  if (durable_) {
-    // persist.hpp's idiom: encode outside the lock, map-apply + enqueue
-    // under it, wait for the group commit outside.
-    Bytes framed = codec::encode_envelope(codec::Envelope{
-        codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), n, id, record});
-    storage::DurableStore::Ticket ticket = 0;
-    records_.put_then(id, std::move(record),
-                      [&] { ticket = durable_->enqueue_framed(std::move(framed)); });
-    durable_->wait(ticket);
-    maybe_checkpoint();
-  } else {
-    records_.put(id, std::move(record));
-  }
+  // Every counter value is issued once, so ids stay unique under concurrent
+  // stores; which thread gets which id is scheduling-dependent.
+  const std::uint64_t n = records_.issue();
+  std::string id = "puzzle-" + std::to_string(n);
+  records_.put(id, std::move(record), n);
   SpMetrics::get().store.inc();
   SpMetrics::get().records.add(1);
   return id;
@@ -104,26 +68,15 @@ std::string ServiceProvider::store_record(Bytes record) {
 
 Bytes ServiceProvider::record(const std::string& puzzle_id) const {
   SpMetrics::get().read.inc();
-  return records_.get(puzzle_id, "ServiceProvider");
+  std::optional<Bytes> rec = records_.get(puzzle_id);
+  if (!rec) throw std::out_of_range("ServiceProvider: unknown key " + puzzle_id);
+  return std::move(*rec);
 }
 
 void ServiceProvider::replace_record(const std::string& puzzle_id, Bytes record) {
   SpMetrics::get().replace.inc();
-  Bytes framed;
-  if (durable_) {
-    framed = codec::encode_envelope(codec::Envelope{
-        codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), 0, puzzle_id, record});
-  }
-  storage::DurableStore::Ticket ticket = 0;
-  records_.mutate(puzzle_id, "ServiceProvider", [&](Bytes& stored) {
-    crypto::secure_wipe(stored);  // refresh must not leave the old puzzle readable
-    stored = std::move(record);
-    if (durable_) ticket = durable_->enqueue_framed(std::move(framed));
-  });
-  if (durable_) {
-    durable_->wait(ticket);
-    maybe_checkpoint();
-  }
+  Bytes old = records_.replace(puzzle_id, std::move(record), "ServiceProvider");
+  crypto::secure_wipe(old);  // refresh must not leave the old puzzle readable
 }
 
 namespace {
@@ -155,9 +108,7 @@ std::size_t ServiceProvider::partial_drop(std::size_t n_shares, net::FaultStream
 void ServiceProvider::tamper_record(const std::string& puzzle_id, std::size_t offset,
                                     Bytes replacement) {
   SpMetrics::get().tamper.inc();
-  storage::DurableStore::Ticket ticket = 0;
-  bool queued = false;
-  records_.mutate(puzzle_id, "ServiceProvider", [&](Bytes& stored) {
+  records_.edit(puzzle_id, "ServiceProvider", [&](Bytes& stored) {
     // Subtraction-form bounds check: `offset + replacement.size()` wraps for
     // huge offsets and would wave an out-of-bounds write through.
     if (offset > stored.size() || replacement.size() > stored.size() - offset) {
@@ -166,37 +117,6 @@ void ServiceProvider::tamper_record(const std::string& puzzle_id, std::size_t of
     }
     std::copy(replacement.begin(), replacement.end(),
               stored.begin() + static_cast<std::ptrdiff_t>(offset));
-    if (durable_) {
-      // Encoded under the lock — the tampered value exists only here. An
-      // adversary-surface path, so the serialization cost is irrelevant.
-      ticket = durable_->enqueue(codec::Envelope{
-          codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), 0, puzzle_id, stored});
-      queued = true;
-    }
-  });
-  if (queued) durable_->wait(ticket);
-}
-
-void ServiceProvider::checkpoint() {
-  if (!durable_) return;
-  durable_->checkpoint([this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
-}
-
-void ServiceProvider::maybe_checkpoint() {
-  durable_->maybe_checkpoint(
-      [this](const storage::DurableStore::Applier& emit) { emit_state(emit); });
-}
-
-void ServiceProvider::sync() {
-  if (durable_) durable_->flush();
-}
-
-void ServiceProvider::emit_state(const storage::DurableStore::Applier& emit) const {
-  // Counter carrier first: compaction must never regress id issuance.
-  emit(codec::Envelope{codec::Envelope::Op::kPut, space_byte(Space::kMeta),
-                       next_.load(std::memory_order_relaxed) - 1, "sp-counter", {}});
-  records_.for_each([&](const std::string& id, const Bytes& rec) {
-    emit(codec::Envelope{codec::Envelope::Op::kPut, space_byte(Space::kSpRecords), 0, id, rec});
   });
 }
 

@@ -11,19 +11,17 @@
 // cryptography.
 //
 // Thread safety: the SP is a serving front-end, so every member is safe to
-// call from any thread. Records live in a ShardedStore (id-hash striped
-// mutexes). Accessors return copies/snapshots, never references into locked
-// state.
+// call from any thread. Records live in a HostTable (one map, one mutex),
+// which also owns their durability. Accessors return copies, never
+// references into locked state.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <span>
 #include <string>
 
 #include "crypto/bytes.hpp"
 #include "net/faults.hpp"
-#include "osn/sharded_store.hpp"
+#include "osn/host_table.hpp"
 #include "storage/store.hpp"
 
 namespace sp::osn {
@@ -32,7 +30,7 @@ using crypto::Bytes;
 
 class ServiceProvider {
  public:
-  ServiceProvider() = default;
+  ServiceProvider();
   /// Durable SP: opens (or creates) the WAL/segment pair in `durable.dir`,
   /// replays it to rebuild the record map and the id counter, then serves.
   /// Every store/replace/tamper afterwards is acknowledged only once its
@@ -42,7 +40,7 @@ class ServiceProvider {
   /// protocol keeps them useless to the SP, the simulation wipes them on
   /// teardown so test-process memory never accumulates puzzle material.
   ~ServiceProvider();
-  // Shard mutexes pin the SP in place: construct it where it serves.
+  // The table's mutex pins the SP in place: construct it where it serves.
   ServiceProvider(const ServiceProvider&) = delete;
   ServiceProvider& operator=(const ServiceProvider&) = delete;
   ServiceProvider(ServiceProvider&&) = delete;
@@ -88,29 +86,21 @@ class ServiceProvider {
 
   // ---- persistence (null / no-ops for an in-memory SP) ----
 
-  [[nodiscard]] bool is_durable() const { return durable_ != nullptr; }
-  [[nodiscard]] const storage::DurableStore* durable() const { return durable_.get(); }
+  [[nodiscard]] bool is_durable() const { return records_.durable() != nullptr; }
+  [[nodiscard]] const storage::DurableStore* durable() const { return records_.durable(); }
   /// Replay stats from the durable constructor (zeroes when in-memory).
   [[nodiscard]] const storage::DurableStore::RecoveryStats& recovery_stats() const {
-    return recovery_;
+    return records_.recovery_stats();
   }
   /// Compacts WAL history into a fresh segment (store.hpp's protocol).
-  /// store_record and replace_record also do, once their write is
-  /// acknowledged, whenever the live WAL crossed the configured threshold.
-  void checkpoint();
+  /// Every write also does, once it is acknowledged, whenever the live WAL
+  /// crossed the configured threshold.
+  void checkpoint() { records_.checkpoint(); }
   /// Blocks until everything appended so far is durable.
-  void sync();
+  void sync() { records_.sync(); }
 
  private:
-  /// checkpoint() iff the live WAL crossed the configured byte threshold.
-  /// Called outside any shard lock.
-  void maybe_checkpoint();
-  void emit_state(const storage::DurableStore::Applier& emit) const;
-
-  ShardedStore<Bytes> records_;
-  std::atomic<std::uint64_t> next_{1};
-  std::unique_ptr<storage::DurableStore> durable_;  ///< null = in-memory host
-  storage::DurableStore::RecoveryStats recovery_;
+  HostTable records_;
 };
 
 }  // namespace sp::osn

@@ -3,20 +3,18 @@
 // surface the security analysis (§VI-B) needs: a snapshot of the stored
 // blobs (what a curious DH holds) and tamper/remove APIs (malicious-DH DoS).
 //
-// Thread safety: blobs live in a ShardedStore (URL-hash striped mutexes), so
-// concurrent store/fetch/tamper/remove from any number of threads is safe.
-// URLs are derived from a global atomic counter — independent of shard
-// layout, so a URL issued once stays valid for the life of the host.
+// Thread safety: blobs live in a HostTable (one map, one mutex), which also
+// owns their durability, so concurrent store/fetch/tamper/remove from any
+// number of threads is safe. URLs are derived from the table's atomic
+// counter, so a URL issued once stays valid for the life of the host.
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "crypto/bytes.hpp"
 #include "net/faults.hpp"
-#include "osn/sharded_store.hpp"
+#include "osn/host_table.hpp"
 #include "storage/store.hpp"
 
 namespace sp::osn {
@@ -25,7 +23,7 @@ using crypto::Bytes;
 
 class StorageHost {
  public:
-  StorageHost() = default;
+  StorageHost();
   /// Durable DH: opens (or creates) the WAL/segment pair in `durable.dir`,
   /// replays it to rebuild the blob map and the URL counter, then serves.
   /// store/remove/tamper acknowledge only once their envelope is durable per
@@ -34,7 +32,7 @@ class StorageHost {
   /// Settles the process-wide object/byte gauges for everything still at
   /// rest in this instance.
   ~StorageHost();
-  // Shard mutexes pin the host in place: construct it where it serves.
+  // The table's mutex pins the host in place: construct it where it serves.
   StorageHost(const StorageHost&) = delete;
   StorageHost& operator=(const StorageHost&) = delete;
   StorageHost(StorageHost&&) = delete;
@@ -82,28 +80,20 @@ class StorageHost {
 
   // ---- persistence (null / no-ops for an in-memory DH) ----
 
-  [[nodiscard]] bool is_durable() const { return durable_ != nullptr; }
-  [[nodiscard]] const storage::DurableStore* durable() const { return durable_.get(); }
+  [[nodiscard]] bool is_durable() const { return blobs_.durable() != nullptr; }
+  [[nodiscard]] const storage::DurableStore* durable() const { return blobs_.durable(); }
   [[nodiscard]] const storage::DurableStore::RecoveryStats& recovery_stats() const {
-    return recovery_;
+    return blobs_.recovery_stats();
   }
   /// Compacts WAL history into a fresh segment (store.hpp's protocol).
-  /// store and remove also do, once their write is acknowledged, whenever
-  /// the live WAL crossed the configured threshold.
-  void checkpoint();
+  /// Every write also does, once it is acknowledged, whenever the live WAL
+  /// crossed the configured threshold.
+  void checkpoint() { blobs_.checkpoint(); }
   /// Blocks until everything appended so far is durable.
-  void sync();
+  void sync() { blobs_.sync(); }
 
  private:
-  /// checkpoint() iff the live WAL crossed the configured byte threshold.
-  /// Called outside any shard lock.
-  void maybe_checkpoint();
-  void emit_state(const storage::DurableStore::Applier& emit) const;
-
-  ShardedStore<Bytes> blobs_;
-  std::atomic<std::uint64_t> next_{1};
-  std::unique_ptr<storage::DurableStore> durable_;  ///< null = in-memory host
-  storage::DurableStore::RecoveryStats recovery_;
+  HostTable blobs_;
 };
 
 }  // namespace sp::osn

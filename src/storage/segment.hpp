@@ -1,8 +1,8 @@
 // Immutable, memory-mapped segment files — the checkpointed half of the
 // durable store (ROADMAP item 1). A segment is the snapshot a checkpoint
-// takes of a host's ShardedStore maps: a run of Envelope frames (one per
-// live record) followed by a kSegment footer frame carrying the entry count
-// and the maximum envelope sequence number. Frames are the same
+// takes of a host's table: a run of Envelope frames (one per live record)
+// followed by a kSegment footer frame carrying the entry count and the
+// maximum envelope sequence number. Frames are the same
 // magic/version/CRC32C frames the WAL uses (codec/wire.hpp), so a segment
 // detects the same corruption the log does — a bad byte anywhere fails the
 // frame CRC at open and the segment is rejected whole.

@@ -20,12 +20,12 @@
 //    the caller's `scan` emits into seg-<E+1>.tmp, fsync, atomically rename
 //    to seg-<E+1>.spseg, fsync the directory, then delete the epoch-E files.
 //    Correctness leans on the hosts' map-first write ordering: a record is
-//    applied to the in-memory maps *before* its envelope is enqueued (both
-//    under the shard lock), so by the time rotate_to() returns every record
-//    in the old WAL is visible to the snapshot scan. Records appended after
-//    the rotation may appear in both the snapshot and the new WAL — replay
-//    is idempotent (puts overwrite, erases tolerate missing ids), and
-//    segment-then-WAL order means the newer write wins.
+//    applied to the in-memory map *before* its envelope is enqueued (both
+//    under the host table's lock), so by the time rotate_to() returns
+//    every record in the old WAL is visible to the snapshot scan. Records
+//    appended after the rotation may appear in both the snapshot and the
+//    new WAL — replay is idempotent (puts overwrite, erases tolerate
+//    missing ids), and segment-then-WAL order means the newer write wins.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +76,8 @@ class DurableStore {
   void append(const codec::Envelope& env);
   void flush();
 
-  /// Pre-encoded variant: hosts encode outside their shard locks and hand
-  /// the finished frame over while holding them (see osn/persist.hpp).
+  /// Pre-encoded variant: host tables encode outside their lock and hand
+  /// the finished frame over while holding it (see osn/host_table.hpp).
   [[nodiscard]] Ticket enqueue_framed(Bytes framed) { return writer_->enqueue(std::move(framed)); }
 
   /// `scan` must invoke the emit callback once per live record; see the

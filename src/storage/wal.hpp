@@ -74,7 +74,7 @@ class WalWriter {
 
   /// Enqueues one framed record and returns immediately. Queue position —
   /// and therefore replay order — is fixed at enqueue time, which is what
-  /// lets hosts enqueue under a shard lock (cheap) and wait outside it.
+  /// lets a host table enqueue under its lock (cheap) and wait outside it.
   Ticket enqueue(Bytes framed);
   /// Blocks until the record behind `ticket` is durable.
   void wait(Ticket ticket);

@@ -31,8 +31,10 @@ constexpr std::size_t kThreads = 8;
 constexpr int kRequestsPerThread = 12;
 constexpr int kIssued = static_cast<int>(kThreads) * kRequestsPerThread;
 
-SessionConfig chaos_config(double rate, const std::string& schedule) {
+SessionConfig chaos_config(double rate, const std::string& schedule,
+                           ec::ParamPreset preset = ec::ParamPreset::kToy) {
   SessionConfig cfg = testsupport::toy_config("chaos-tests");
+  cfg.pairing_preset = preset;
   net::FaultPlan plan = net::FaultPlan::uniform(rate, schedule);
   // Drop whole replies rather than a fraction: a fractional drop's outcome
   // depends on the drawn challenge size, whose RNG fork order is
@@ -54,28 +56,29 @@ struct Outcome {
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
 
-/// The 8-thread mixed load: thread t drives receiver t, alternating the C1
-/// and C2 posts, with retries. Returns the summed outcome tally.
-Outcome run_chaos_load(testsupport::FanoutRig& rig) {
-  std::array<Outcome, kThreads> per_thread{};
+/// The 8-thread mixed load: thread t drives receiver t through
+/// `per_thread` requests, alternating the C1 and C2 posts, with retries.
+/// Returns the summed outcome tally.
+Outcome run_chaos_load(testsupport::FanoutRig& rig, int per_thread = kRequestsPerThread) {
+  std::array<Outcome, kThreads> tallies{};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rig, &per_thread, t] {
+    threads.emplace_back([&rig, &tallies, per_thread, t] {
       const Knowledge knows = Knowledge::full(rig.ctx_);
-      for (int i = 0; i < kRequestsPerThread; ++i) {
+      for (int i = 0; i < per_thread; ++i) {
         const bool is_c1 = i % 2 == 0;
         const std::string& post = is_c1 ? rig.c1_post_ : rig.c2_post_;
         const auto result = rig.session_.access_with_retries(rig.receivers_[t], post, knows,
                                                              net::pc_profile(), /*max_draws=*/4);
         if (result.success()) {
-          ++per_thread[t].granted;
+          ++tallies[t].granted;
           // A grant under chaos must still deliver the right plaintext.
           EXPECT_EQ(*result.object, is_c1 ? to_bytes("c1 object") : to_bytes("c2 object"));
         } else if (result.error == net::ServeError::kDeadlineExceeded) {
-          ++per_thread[t].deadline;
+          ++tallies[t].deadline;
         } else {
-          ++per_thread[t].denied;
+          ++tallies[t].denied;
           // Full knowledge never cleanly denies C2, and C1 redraws cover it;
           // any non-deadline failure here must name its fault.
           EXPECT_TRUE(result.error.has_value());
@@ -85,7 +88,7 @@ Outcome run_chaos_load(testsupport::FanoutRig& rig) {
   }
   for (std::thread& th : threads) th.join();
   Outcome total;
-  for (const Outcome& o : per_thread) {
+  for (const Outcome& o : tallies) {
     total.granted += o.granted;
     total.denied += o.denied;
     total.deadline += o.deadline;
@@ -104,13 +107,17 @@ TEST(ChaosHammer, TenPercentMixedLoadAccountsForEveryRequest) {
 }
 
 TEST(ChaosHammer, OnePercentMixedLoadMostlySucceeds) {
-  testsupport::FanoutRig rig(chaos_config(0.01, "chaos-one"), kThreads);
-  const Outcome tally = run_chaos_load(rig);
-  EXPECT_EQ(tally.granted + tally.denied + tally.deadline, kIssued);
-  // With a 5-attempt retry budget, a 1% fault rate should be almost fully
-  // absorbed (the bench's acceptance bar is a 99.5% success rate; the tally
-  // here is deterministic per seed, so this bound is stable).
-  EXPECT_GE(tally.granted, kIssued - 2);
+  // The fault-sweep bar: with a 5-attempt retry budget, a 1% uniform fault
+  // rate is absorbed to a 99.5% success rate over 200 requests at the test
+  // preset, and every request is accounted for. The tally is deterministic
+  // per seed, so the bar is stable.
+  constexpr int kPerThread = 25;
+  constexpr int kSweepIssued = static_cast<int>(kThreads) * kPerThread;
+  testsupport::FanoutRig rig(chaos_config(0.01, "chaos-one", ec::ParamPreset::kTest), kThreads);
+  const Outcome tally = run_chaos_load(rig, kPerThread);
+  EXPECT_EQ(tally.granted + tally.denied + tally.deadline, kSweepIssued);
+  EXPECT_GE(tally.granted * 1000, kSweepIssued * 995)
+      << tally.granted << " of " << kSweepIssued << " granted";
 }
 
 TEST(ChaosHammer, MetricsDeltasMatchInjectorCounts) {

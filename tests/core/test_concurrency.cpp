@@ -151,7 +151,7 @@ class SessionConcurrencyTest : public testsupport::FanoutSessionFixture {
       : FanoutSessionFixture(testsupport::toy_config("concurrency-tests"), kThreads) {}
 };
 
-TEST_F(SessionConcurrencyTest, AccessParallelMixedC1C2Batch) {
+TEST_F(SessionConcurrencyTest, CallerThreadsServeMixedC1C2Batch) {
   // Eight caller threads, one receiver each, serve a mixed batch through
   // the retry loop; every fourth request is heavy C2 traffic.
   constexpr std::size_t kPerThread = 4;

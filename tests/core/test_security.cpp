@@ -5,6 +5,8 @@
 //  - the documented weakness (malicious SP leaking per-answer verification
 //    bits to colluding users) is reproduced as a regression test
 //  - C2's perturbed tree hides answers from both hosts
+//  - a second documented weakness: C2's master key, which the SP holds,
+//    opens every C2 post without any answer
 //
 // The SP keeps no log of its traffic, so each SP-view test scans what the
 // SP stores (view_contains) and, separately, the receiver's response
@@ -15,7 +17,13 @@
 #include <span>
 
 #include "abe/access_tree.hpp"
+#include "abe/cpabe.hpp"
+#include "core/construction2.hpp"
 #include "core/session.hpp"
+#include "crypto/modes.hpp"
+#include "crypto/sha256.hpp"
+#include "ec/pairing.hpp"
+#include "ec/params.hpp"
 
 namespace sp::core {
 namespace {
@@ -219,6 +227,37 @@ TEST_F(SurveillanceTest, BelowThresholdUsersCannotCombineWithoutSp) {
         session_.access(friend_, receipt.post_id, pooled, net::pc_profile()).success();
   }
   EXPECT_TRUE(pooled_succeeded);  // the scheme is NOT secure against this — by design
+}
+
+TEST_F(SurveillanceTest, C2MasterKeyOpensEveryPostWithoutAnswers) {
+  // The documented weakness of paper §V-B: the SP stores MK = (β, g^α) for
+  // each C2 post and hands it to granted receivers, and MK alone opens the
+  // post. (g^α)^(1/β) = g^(α/β), and e(C, g^(α/β)) = e(g^(βs), g^(α/β)) =
+  // e(g,g)^(αs), which unmasks C̃ with no answer at all. This test uses only
+  // the upload's MK and PK (the SP's files) and its ciphertext file (the
+  // DH's blob). Taking MK off the server will flip it.
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kToy));
+  const Construction2 c2(curve);
+  const ec::Pairing pairing(curve);
+  crypto::Drbg rng("c2-master-key-weakness");
+  for (std::size_t k = 1; k <= 3; ++k) {
+    const Bytes object = to_bytes(std::string(kSecretObject) + "-" + std::to_string(k));
+    const auto up = c2.upload(object, secret_context(), k, rng);
+
+    const abe::PublicKey pk = c2.scheme().deserialize_public_key(up.public_key);
+    const abe::MasterKey mk = c2.scheme().deserialize_master_key(up.master_key);
+    std::size_t off = 0;
+    const abe::Ciphertext ct =
+        c2.scheme().deserialize_ciphertext(crypto::get_blob(up.ciphertext, off));
+    const Bytes sealed = crypto::get_blob(up.ciphertext, off);
+
+    const ec::Point g_alpha_over_beta =
+        curve.mul(mk.g_alpha, crypto::BigInt::mod_inv(mk.beta, curve.order()));
+    // The unmasking element is the PK's own e(g,g)^α, paired out of h = g^β.
+    EXPECT_EQ(pairing(pk.h, g_alpha_over_beta), pk.e_gg_alpha);
+    const field::Fp2 m = ct.c_tilde * pairing(ct.c, g_alpha_over_beta).inv();
+    EXPECT_EQ(crypto::open(crypto::Sha256::hash(m.to_bytes()), sealed), object) << "k = " << k;
+  }
 }
 
 // Regression for the unblinded-share leak: Construction 1 blinds each Shamir

@@ -6,6 +6,8 @@
 // semantics (or consumed DRBG bytes differently), not just performance.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/construction1.hpp"
 #include "core/construction2.hpp"
 #include "crypto/sha256.hpp"
@@ -84,6 +86,10 @@ struct PresetGolden {
   const char* powmod;
 };
 
+/// Prints the preset's name, which gtest_discover_tests puts in the ctest
+/// name (…/toy) in place of the struct's bytes, pointers included.
+void PrintTo(const PresetGolden& golden, std::ostream* os) { *os << golden.name; }
+
 class SubstrateFixturesPreset : public ::testing::TestWithParam<PresetGolden> {};
 
 TEST_P(SubstrateFixturesPreset, PrimitiveOutputsBitIdentical) {
@@ -116,8 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
         PresetGolden{ec::ParamPreset::kFull, "full",
                      "2b097bee38408279ce52fda21a306cbd4c8a209d2040d3dd2b8a1abc28c15764",
                      "2f8abbc55b0c3bb0979b165b111f6b758baa9f0350a79bd29afb3a1be68f7bb3",
-                     "d71615d79d67ca86ded87751068b052af514ea31e0cd33eaceecaeb18d7294ed"}),
-    [](const ::testing::TestParamInfo<PresetGolden>& info) { return info.param.name; });
+                     "d71615d79d67ca86ded87751068b052af514ea31e0cd33eaceecaeb18d7294ed"}));
 
 }  // namespace
 }  // namespace sp::core

@@ -11,6 +11,7 @@
 
 #include "ec/pairing.hpp"
 #include "ec/params.hpp"
+#include "support/presets.hpp"
 
 namespace sp::ec {
 namespace {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ec/params.hpp"
+#include "support/presets.hpp"
 
 namespace sp::ec {
 namespace {

@@ -22,7 +22,7 @@
 #include "codec/records.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
-#include "osn/persist.hpp"
+#include "osn/host_table.hpp"
 #include "osn/service_provider.hpp"
 #include "osn/storage_host.hpp"
 #include "support/fixtures.hpp"
