@@ -265,28 +265,10 @@ void BM_LagrangeBasisBatched(benchmark::State& state) {
   for (std::size_t i = 0; i < k; ++i) xs.push_back(field::Fp::random_nonzero(field, rng));
   const field::Fp at = field::Fp::zero(field);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sss::LagrangeCache::compute(field, xs, at));
+    benchmark::DoNotOptimize(sss::lagrange_basis(field, xs, at));
   }
 }
 BENCHMARK(BM_LagrangeBasisBatched)->Arg(4)->Arg(8)->Arg(16);
-
-/// The warm path the serving stack actually hits: same abscissa set every
-/// call, answered from the per-Shamir cache (one map lookup + remap).
-void BM_LagrangeBasisCached(benchmark::State& state) {
-  const auto field = field::make_fp(crypto::BigInt::from_hex(
-      "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"));
-  crypto::Drbg rng("bm-lagrange");
-  const auto k = static_cast<std::size_t>(state.range(0));
-  std::vector<field::Fp> xs;
-  for (std::size_t i = 0; i < k; ++i) xs.push_back(field::Fp::random_nonzero(field, rng));
-  const field::Fp at = field::Fp::zero(field);
-  sss::LagrangeCache cache;
-  (void)cache.basis(field, xs, at);  // warm
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.basis(field, xs, at));
-  }
-}
-BENCHMARK(BM_LagrangeBasisCached)->Arg(4)->Arg(8)->Arg(16);
 
 }  // namespace
 

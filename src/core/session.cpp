@@ -309,13 +309,9 @@ ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
   stored.c2_files = std::move(pub.entry.c2_files);
   stored.url = std::move(pub.entry.url);
 
-  // Retire the stale ciphertext so leaked keys can't fetch it later (a
-  // revoked post already pulled it).
-  if (stored.revoked) {
-    stored.revoked = false;
-  } else {
-    dh_.remove(old_url);
-  }
+  // Retire the stale ciphertext so leaked keys can't fetch it later, unless
+  // it is already gone (a revoked post, or a DH that lost it).
+  if (dh_.exists(old_url)) dh_.remove(old_url);
   return ShareReceipt{post_id, ledger, object.size()};
 }
 
@@ -330,10 +326,11 @@ void Session::revoke(osn::UserId sharer, const std::string& post_id) {
   if (stored.sharer != sharer) {
     throw std::logic_error("Session::revoke: only the original sharer can revoke");
   }
-  if (stored.revoked) return;  // idempotent
+  // A post is revoked exactly when its blob is gone from the DH, so a second
+  // revoke (or one after the DH lost the blob) has nothing left to pull.
+  if (!dh_.exists(stored.url)) return;
   SessionMetrics::get().revokes.inc();
   dh_.remove(stored.url);
-  stored.revoked = true;
 }
 
 AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
@@ -483,12 +480,18 @@ AccessResult Session::access_with_retries(osn::UserId receiver, const std::strin
 std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_trips,
                                                  net::CostLedger& ledger,
                                                  net::FaultStream* faults) const {
-  const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
-  if (!delay.ok()) {
-    ledger.add_wait(injector_->plan().transfer_timeout_ms);
-    return delay.error();
+  double spike_ms = 0.0;
+  if (faults != nullptr) {
+    const net::FaultStream::TransferFault fault = faults->next_transfer();
+    // A timed-out exchange never reaches the link: no payload moves and no
+    // transfer is recorded, only the plan's wasted wait is charged.
+    if (fault.fault) {
+      ledger.add_wait(injector_->plan().transfer_timeout_ms);
+      return fault.fault;
+    }
+    spike_ms = fault.extra_ms;
   }
-  ledger.add_network(delay.value());
+  ledger.add_network(network_.transfer_ms(bytes, round_trips) + spike_ms);
   ledger.add_bytes(bytes);
   return std::nullopt;
 }
@@ -497,9 +500,21 @@ net::Expected<Bytes> Session::fetch_object(const std::string& url, net::FaultStr
                                            const obs::TraceContext& trace) const {
   obs::Span fetch_tspan(trace, "dh.fetch");
   const obs::TraceSpan fetch_span(SessionMetrics::get().dh_fetch);
-  net::Expected<Bytes> fetched = dh_.try_fetch(url, faults);
-  if (!fetched.ok()) fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
-  return fetched;
+  const std::optional<net::ServeError> injected =
+      faults != nullptr ? faults->next_dh() : std::nullopt;
+  // An injected miss never reaches the DH; an injected corruption flips one
+  // byte of the delivered copy (the object at rest is untouched), so
+  // decryption fails downstream exactly like a flaky CDN edge.
+  std::optional<Bytes> blob;
+  if (injected != net::ServeError::kDhMiss) blob = dh_.fetch(url);
+  if (!blob) {
+    fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
+    return net::ServeError::kDhMiss;
+  }
+  if (injected == net::ServeError::kCorruptedBlob && !blob->empty()) {
+    (*blob)[blob->size() / 2] ^= 0x5a;
+  }
+  return std::move(*blob);
 }
 
 AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& knowledge,
@@ -529,7 +544,7 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
 
   // -- SP availability: a transient outage drops the Verify exchange; the
   //    receiver still paid for the response upload it sent into the void.
-  if (!sp_.serve_ok(faults)) {
+  if (faults != nullptr && faults->next_sp_error()) {
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
@@ -553,7 +568,9 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   // -- partial SP reply: some granted shares are lost in delivery. While
   //    >= k survive the request degrades gracefully (Access only needs
   //    threshold shares); below k the reply is unserviceable.
-  if (const std::size_t dropped = sp_.partial_drop(reply.shares.size(), faults); dropped > 0) {
+  if (const std::size_t dropped =
+          faults != nullptr ? faults->next_sp_partial(reply.shares.size()) : 0;
+      dropped > 0) {
     reply.shares.resize(reply.shares.size() - dropped);
     if (reply.shares.size() < puzzle.threshold) {
       result.granted = false;
@@ -628,7 +645,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
   answer_tspan.end();
 
   // -- SP availability (same semantics as C1's Verify exchange) ----------
-  if (!sp_.serve_ok(faults)) {
+  if (faults != nullptr && faults->next_sp_error()) {
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;

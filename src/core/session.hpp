@@ -128,10 +128,12 @@ class Session {
   /// Paper §V dynamic-context revocation: the sharer pulls the encrypted
   /// object from the DH, so granted verifications can no longer complete —
   /// in-flight and future accesses fail with kDhMiss until the sharer
-  /// refresh()es the post with a fresh object/puzzle. Idempotent; only the
-  /// original sharer may revoke (throws std::logic_error otherwise). The SP
-  /// record stays: the puzzle is still displayed, the paper's ACL lives at
-  /// the object, not the challenge.
+  /// refresh()es the post with a fresh object/puzzle. A post is revoked
+  /// exactly when its blob is gone from the DH, so revoking again, or after
+  /// the DH lost the blob, is a no-op. Only the original sharer may revoke
+  /// (throws std::logic_error otherwise). The SP record stays: the puzzle
+  /// is still displayed, the paper's ACL lives at the object, not the
+  /// challenge.
   void revoke(osn::UserId sharer, const std::string& post_id);
 
   // ---- receiving -------------------------------------------------------
@@ -180,9 +182,6 @@ class Session {
     // The ciphertext moved to the DH at publish, so its field stays empty.
     std::optional<Construction2::UploadResult> c2_files;
     std::string url;
-    /// True between revoke() and the restoring refresh(): the DH blob is
-    /// gone, so there is no old URL to retire on refresh.
-    bool revoked = false;
   };
 
   /// What one run of the sharer pipeline publishes: the SP record (Z_O for
@@ -224,16 +223,19 @@ class Session {
                          net::CostLedger& ledger, crypto::Drbg& rng, net::FaultStream* faults,
                          const obs::TraceContext& trace) const SP_REQUIRES_SHARED(puzzles_mutex_);
 
-  /// One request/response exchange under the fault schedule: success charges
-  /// the modeled delay and bytes to `ledger`; a timeout charges the plan's
-  /// wasted wait and returns the error instead.
+  /// One request/response exchange under the fault schedule: draws the
+  /// exchange's transfer fault from `faults` (null = fault-free). Success
+  /// charges the modeled delay, plus any latency spike, and the bytes to
+  /// `ledger`; a timeout skips the link, charges the plan's wasted wait and
+  /// returns the error instead.
   std::optional<net::ServeError> exchange(std::size_t bytes, int round_trips,
                                           net::CostLedger& ledger,
                                           net::FaultStream* faults) const;
 
   /// The DH download of the sealed object at `url`, under a "dh.fetch"
-  /// span. A miss (injected, a revoked object, or a malicious SP pointing
-  /// at nothing) marks the span and comes back as the error.
+  /// span, after drawing the fetch's DH fault from `faults`. A miss
+  /// (injected, a revoked object, or a malicious SP pointing at nothing)
+  /// marks the span and comes back as the error.
   net::Expected<Bytes> fetch_object(const std::string& url, net::FaultStream* faults,
                                     const obs::TraceContext& trace) const;
 

@@ -14,9 +14,10 @@
 //                     function PRF(seed, request key, op class, op ordinal):
 //                     no global RNG, no locks on the draw path, so the same
 //                     seed always produces the same fault schedule.
-//  * `FaultStream`  — one request's private view of the schedule. `Network`,
-//                     `ServiceProvider` and `StorageHost` consult the stream
-//                     the session threads through their hooks.
+//  * `FaultStream`  — one request's private view of the schedule. Only
+//                     `Session` consults it: each decision is drawn at the
+//                     point of the request it governs, and the link model,
+//                     the SP, the DH and the WAL never see a fault type.
 //  * `ServeError` / `Expected<T>` — explicit error results for the serving
 //                     paths (no exceptions on the hot path).
 //  * `RetryPolicy`  — max attempts, exponential backoff with seeded jitter,
@@ -155,8 +156,9 @@ class FaultStream {
   /// Fault decision for this request's next DH fetch.
   [[nodiscard]] std::optional<ServeError> next_dh();
   /// True = the storage writer dies at this append (PRF-scheduled kill
-  /// point). The WAL writer draws once per record, so the same plan seed
-  /// always crashes at the same byte offset of the same batch.
+  /// point). Crash tests hand the WAL writer a kill-point predicate that
+  /// draws this once per record, so the same plan seed always crashes at
+  /// the same byte offset of the same batch.
   [[nodiscard]] bool next_crash();
   /// Deterministic unit draw in [0, 1) for auxiliary randomness that must
   /// replay with the schedule (e.g. retry-backoff jitter).

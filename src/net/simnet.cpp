@@ -39,45 +39,21 @@ LinkProfile wlan_80211n_to_ec2() {
 
 LinkProfile loopback() { return LinkProfile{"loopback", 100000.0, 0.0, 0.0, 0.0}; }
 
-double Network::modeled_ms(std::size_t bytes, int round_trips) const {
-  const double payload_ms =
-      (static_cast<double>(bytes) * 8.0) / (link_.bandwidth_mbps * 1000.0);
-  const double base = payload_ms +
-                      round_trips * (link_.rtt_ms + link_.per_request_overhead_ms);
-  if (link_.jitter_frac <= 0.0) return base;
-  // Uniform multiplicative jitter in [1, 1 + jitter_frac) — deterministic
-  // given the seed, mirroring the paper's observed instability.
-  double sample = 0.0;
-  {
-    const sp::MutexLock lock(rng_mutex_);
-    sample = rng_.uniform_real();
-  }
-  return base * (1.0 + link_.jitter_frac * sample);
-}
-
 double Network::transfer_ms(std::size_t bytes, int round_trips) const {
   if (round_trips < 1) throw std::invalid_argument("Network::transfer_ms: round_trips >= 1");
-  const double delay = modeled_ms(bytes, round_trips);
-  NetMetrics& metrics = NetMetrics::get();
-  metrics.transfers.inc();
-  metrics.bytes.inc(bytes);
-  metrics.transfer_ms.observe(delay);
-  return delay;
-}
-
-Expected<double> Network::try_transfer_ms(std::size_t bytes, int round_trips,
-                                          FaultStream* faults) const {
-  if (round_trips < 1) throw std::invalid_argument("Network::try_transfer_ms: round_trips >= 1");
-  double extra_ms = 0.0;
-  if (faults != nullptr) {
-    const FaultStream::TransferFault fault = faults->next_transfer();
-    // A timed-out exchange moves no payload and records no transfer: the
-    // caller charges the wasted wait it chooses (typically the plan's
-    // transfer_timeout_ms) to the ledger's wait bucket.
-    if (fault.fault) return *fault.fault;
-    extra_ms = fault.extra_ms;
+  const double payload_ms =
+      (static_cast<double>(bytes) * 8.0) / (link_.bandwidth_mbps * 1000.0);
+  double delay = payload_ms + round_trips * (link_.rtt_ms + link_.per_request_overhead_ms);
+  if (link_.jitter_frac > 0.0) {
+    // Uniform multiplicative jitter in [1, 1 + jitter_frac) — deterministic
+    // given the seed, mirroring the paper's observed instability.
+    double sample = 0.0;
+    {
+      const sp::MutexLock lock(rng_mutex_);
+      sample = rng_.uniform_real();
+    }
+    delay *= 1.0 + link_.jitter_frac * sample;
   }
-  const double delay = modeled_ms(bytes, round_trips) + extra_ms;
   NetMetrics& metrics = NetMetrics::get();
   metrics.transfers.inc();
   metrics.bytes.inc(bytes);

@@ -22,7 +22,6 @@
 #include <type_traits>
 
 #include "crypto/drbg.hpp"
-#include "net/faults.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -79,21 +78,15 @@ class Network {
       : link_(std::move(link)), rng_(std::move(jitter_rng)) {}
 
   /// Delay for one request/response exchange moving `bytes` of payload.
-  /// `round_trips` models chatty exchanges (e.g. multi-file uploads).
+  /// `round_trips` models chatty exchanges (e.g. multi-file uploads). The
+  /// link never fails on its own: a serving request that draws a timeout
+  /// from its fault schedule skips this call, and one that draws a latency
+  /// spike adds the surcharge to the delay returned here.
   double transfer_ms(std::size_t bytes, int round_trips = 1) const;
-
-  /// Fault-aware variant: consults `faults` (may be null = fault-free) before
-  /// modeling the exchange. A timed-out exchange returns Err(kTimeout) and
-  /// moves no payload — the caller decides what wasted wait to charge; a
-  /// latency spike succeeds with the spike surcharge added to the delay.
-  [[nodiscard]] Expected<double> try_transfer_ms(std::size_t bytes, int round_trips = 1,
-                                                 FaultStream* faults = nullptr) const;
 
   [[nodiscard]] const LinkProfile& link() const { return link_; }
 
  private:
-  [[nodiscard]] double modeled_ms(std::size_t bytes, int round_trips) const;
-
   LinkProfile link_;
   mutable sp::Mutex rng_mutex_;
   mutable crypto::Drbg rng_ SP_GUARDED_BY(rng_mutex_);

@@ -95,16 +95,6 @@ bool ServiceProvider::view_contains(std::span<const std::uint8_t> needle) const 
   return found;
 }
 
-bool ServiceProvider::serve_ok(net::FaultStream* faults) const {
-  if (faults == nullptr) return true;
-  return !faults->next_sp_error();
-}
-
-std::size_t ServiceProvider::partial_drop(std::size_t n_shares, net::FaultStream* faults) const {
-  if (faults == nullptr) return 0;
-  return faults->next_sp_partial(n_shares);
-}
-
 void ServiceProvider::tamper_record(const std::string& puzzle_id, std::size_t offset,
                                     Bytes replacement) {
   SpMetrics::get().tamper.inc();

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "crypto/bytes.hpp"
-#include "net/faults.hpp"
 #include "osn/host_table.hpp"
 #include "storage/store.hpp"
 
@@ -66,16 +65,6 @@ class ServiceProvider {
   /// True iff `needle` occurs in any stored record — the surveillance tests
   /// assert plaintext/context never does.
   [[nodiscard]] bool view_contains(std::span<const std::uint8_t> needle) const;
-
-  // ---- fault hooks (chaos layer, DESIGN.md "Fault model") ----
-
-  /// Availability draw for one Verify exchange: false = the SP is hit by a
-  /// transient outage and drops the exchange (null/fault-free streams always
-  /// serve). The session charges the wasted upload and retries.
-  [[nodiscard]] bool serve_ok(net::FaultStream* faults) const;
-  /// How many of `n_shares` granted shares this reply loses to a partial
-  /// response (0 = intact). C1 degrades gracefully while ≥ k survive.
-  [[nodiscard]] std::size_t partial_drop(std::size_t n_shares, net::FaultStream* faults) const;
 
   // ---- adversary surface (malicious SP, §VI-A) ----
 

@@ -71,36 +71,11 @@ std::string StorageHost::store(Bytes blob) {
   return url;
 }
 
-Bytes StorageHost::fetch(const std::string& url) const {
+std::optional<Bytes> StorageHost::fetch(const std::string& url) const {
   DhMetrics::get().fetch.inc();
   std::optional<Bytes> blob = blobs_.get(url);
-  if (!blob) {
-    DhMetrics::get().fetch_miss.inc();
-    throw std::out_of_range("StorageHost: unknown key " + url);
-  }
-  return std::move(*blob);
-}
-
-net::Expected<Bytes> StorageHost::try_fetch(const std::string& url,
-                                            net::FaultStream* faults) const {
-  DhMetrics::get().fetch.inc();
-  std::optional<net::ServeError> injected;
-  if (faults != nullptr) injected = faults->next_dh();
-  if (injected == net::ServeError::kDhMiss) {
-    // An injected miss IS a miss from the caller's point of view — it must
-    // land in the miss series too, or the chaos dashboards undercount.
-    DhMetrics::get().fetch_miss.inc();
-    return net::ServeError::kDhMiss;
-  }
-  std::optional<Bytes> blob = blobs_.get(url);
-  if (!blob) {
-    DhMetrics::get().fetch_miss.inc();
-    return net::ServeError::kDhMiss;
-  }
-  if (injected == net::ServeError::kCorruptedBlob && !blob->empty()) {
-    (*blob)[blob->size() / 2] ^= 0x5a;
-  }
-  return std::move(*blob);
+  if (!blob) DhMetrics::get().fetch_miss.inc();
+  return blob;
 }
 
 std::size_t StorageHost::bytes_stored() const {

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "crypto/bytes.hpp"
-#include "net/faults.hpp"
 #include "osn/host_table.hpp"
 #include "storage/store.hpp"
 
@@ -42,21 +42,13 @@ class StorageHost {
   /// unguessable-looking identifiers.
   std::string store(Bytes blob);
 
-  /// Fetches a copy by URL; throws std::out_of_range for unknown URLs. A
-  /// copy, not a reference: a reference into the store would dangle when a
+  /// Fetches a copy by URL; nullopt for an unknown URL (a revoked object,
+  /// or a malicious SP pointing at nothing), counted as a miss. A copy, not
+  /// a reference: a reference into the store would dangle when a
   /// malicious-DH thread removes or tampers the object mid-read. Every fetch
   /// and store is visible to the host (it *is* the host) — `observed_blobs`
   /// exposes that view to surveillance tests.
-  [[nodiscard]] Bytes fetch(const std::string& url) const;
-
-  /// Fault-aware fetch (chaos layer, DESIGN.md "Fault model"): consults
-  /// `faults` (may be null = fault-free) before serving. An injected miss —
-  /// or a genuinely unknown URL — returns Err(kDhMiss) instead of throwing;
-  /// an injected corruption deterministically flips one byte of the
-  /// *delivered copy* (the object at rest is untouched), so decryption fails
-  /// downstream exactly like a flaky CDN edge.
-  [[nodiscard]] net::Expected<Bytes> try_fetch(const std::string& url,
-                                               net::FaultStream* faults = nullptr) const;
+  [[nodiscard]] std::optional<Bytes> fetch(const std::string& url) const;
 
   [[nodiscard]] bool exists(const std::string& url) const { return blobs_.contains(url); }
   [[nodiscard]] std::size_t object_count() const { return blobs_.size(); }

@@ -7,7 +7,7 @@
 
 namespace sp::sss {
 
-Shamir::Shamir(FpCtxPtr field) : field_(field), lagrange_(std::make_unique<LagrangeCache>()) {
+Shamir::Shamir(FpCtxPtr field) : field_(field) {
   if (!field_) throw std::invalid_argument("Shamir: null field");
 }
 
@@ -59,7 +59,7 @@ BigInt Shamir::interpolate_at(std::span<const Share> shares, const BigInt& x) co
   std::vector<Fp> xs;
   xs.reserve(shares.size());
   for (const Share& s : shares) xs.emplace_back(field_, s.x);
-  const std::vector<Fp> basis = lagrange_->basis(field_, xs, target);
+  const std::vector<Fp> basis = lagrange_basis(field_, xs, target);
   Fp acc = Fp::zero(field_);
   for (std::size_t j = 0; j < shares.size(); ++j) {
     Fp term = Fp(field_, shares[j].y) * basis[j];

@@ -8,7 +8,6 @@
 // small-field test).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "field/fp.hpp"
@@ -55,23 +54,15 @@ class Shamir {
   [[nodiscard]] BigInt reconstruct(std::span<const Share> shares) const;
 
   /// Evaluates the implied polynomial at x (general interpolation); used by
-  /// tests and by share-refresh extensions.
-  ///
-  /// PR 7: the Lagrange basis ℓ_j(x) — which depends only on the abscissae
-  /// and x, not the secret ordinates — comes from a per-instance
-  /// LagrangeCache, so repeated reconstructions of the same post (same
-  /// share set, x = 0) cost k multiply-adds instead of an O(k²) loop with
-  /// k inversions. Cache misses still batch: one Montgomery batch
-  /// inversion replaces the per-share Fp::inv().
+  /// tests and by share-refresh extensions. The Lagrange basis comes from
+  /// lagrange_basis(): one Montgomery batch inversion replaces the
+  /// per-share Fp::inv().
   [[nodiscard]] BigInt interpolate_at(std::span<const Share> shares, const BigInt& x) const;
 
   /// The original O(k²)-with-k-inversions double loop, kept as the
-  /// equivalence oracle for the cached/batched interpolate_at().
+  /// equivalence oracle for the batched interpolate_at().
   [[nodiscard]] BigInt interpolate_at_reference(std::span<const Share> shares,
                                                 const BigInt& x) const;
-
-  /// The per-instance basis cache (tests assert hit/cap behaviour).
-  [[nodiscard]] const LagrangeCache& lagrange_cache() const { return *lagrange_; }
 
   /// Fixed-width wire encoding of one share: x || y (2 × field width).
   [[nodiscard]] Bytes serialize(const Share& share) const;
@@ -85,8 +76,6 @@ class Shamir {
   void check_shares(std::span<const Share> shares) const;
 
   FpCtxPtr field_;
-  /// Behind unique_ptr so Shamir stays movable (the cache holds a mutex).
-  std::unique_ptr<LagrangeCache> lagrange_;
 };
 
 }  // namespace sp::sss

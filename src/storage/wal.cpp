@@ -52,9 +52,6 @@ WalWriter::WalWriter(std::string path, Options opts) : opts_(std::move(opts)), p
   fd_ = open_append(path_);
   struct stat st{};
   if (::fstat(fd_, &st) == 0) file_bytes_ = static_cast<std::uint64_t>(st.st_size);
-  if (opts_.crash_injector != nullptr) {
-    crash_tape_ = opts_.crash_injector->stream_for_label(opts_.crash_label);
-  }
   if (!opts_.on_crash) {
     opts_.on_crash = [] { std::_Exit(kCrashExitCode); };
   }
@@ -244,7 +241,7 @@ void WalWriter::write_batch(std::vector<Pending>& batch) {
         durable_cv_.notify_all();
         continue;
       }
-      if (crash_tape_ && crash_tape_->next_crash()) {
+      if (opts_.kill_point && opts_.kill_point()) {
         // Kill point: flush the intact prefix of the batch, then die midway
         // through this record — the torn tail recovery must truncate.
         if (!buffer.empty()) write_all_or_die(buffer.data(), buffer.size());

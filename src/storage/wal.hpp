@@ -14,24 +14,24 @@
 // fdatasync completed, kNever means write(2) completed (survives process
 // death, not power loss; the SIGKILL chaos tests run in this mode).
 //
-// Crash kill points (chaos layer): with a FaultInjector configured, the
-// writer draws one PRF decision per record (FaultStream::next_crash). On a
-// hit it writes a deliberately torn prefix of that record and dies —
-// default std::_Exit(kCrashExitCode); tests override on_crash to raise
-// SIGKILL. Recovery replay (replay() + the torn-tail truncation) is what
-// makes this survivable, and the crash tests gate exactly that.
+// Crash kill points (chaos layer): with a kill-point predicate configured,
+// the writer asks it once per record. On a yes it writes a deliberately torn
+// prefix of that record and dies — default std::_Exit(kCrashExitCode);
+// tests override on_crash to raise SIGKILL. The crash tests build the
+// predicate from the seeded fault schedule, so one plan seed always kills
+// the writer at the same record. Recovery replay (replay() + the torn-tail
+// truncation) is what makes this survivable, and the crash tests gate
+// exactly that.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "codec/wire.hpp"
 #include "crypto/bytes.hpp"
-#include "net/faults.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -48,11 +48,9 @@ class WalWriter {
 
   struct Options {
     Fsync fsync = Fsync::kBatch;
-    /// Crash schedule; null = never crashes. The stream is keyed by
-    /// `crash_label` via stream_for_label, so two writers with distinct
-    /// labels crash independently under one plan.
-    const net::FaultInjector* crash_injector = nullptr;
-    std::string crash_label = "wal";
+    /// Kill point: asked once per record, on the writer thread, in append
+    /// order; true = die at this record. Empty = never crashes.
+    std::function<bool()> kill_point;
     /// Invoked at a kill point after the torn write. Must not return.
     /// Default: std::_Exit(kCrashExitCode).
     std::function<void()> on_crash;
@@ -123,7 +121,6 @@ class WalWriter {
   std::uint64_t file_bytes_ SP_GUARDED_BY(mutex_) = 0;
   bool shutdown_ SP_GUARDED_BY(mutex_) = false;
   std::string error_ SP_GUARDED_BY(mutex_);  ///< first writer I/O failure; waiters rethrow
-  std::optional<net::FaultStream> crash_tape_;  ///< worker-thread only
   std::thread thread_;
 };
 

@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "support/fixtures.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::core {
 namespace {
@@ -230,10 +230,9 @@ TEST_F(ObservabilityTest, RegisterUserCostsOneFixedBaseMul) {
 // every serving family a scrape needs: requests and phases, the leaf pool,
 // the DH, the WAL, recovery and the curve layer.
 TEST_F(ObservabilityTest, DurableSessionExportsEveryServingFamily) {
-  const std::string dir = ::testing::TempDir() + "/obs-durable-families";
-  std::filesystem::remove_all(dir);
+  const testsupport::TempDir tmp;  // outlives the rig below
   SessionConfig cfg = testsupport::toy_config("observability-durable");
-  cfg.persistence = PersistenceConfig{dir};
+  cfg.persistence = PersistenceConfig{tmp.str()};
   testsupport::FanoutRig rig(cfg, 1);
   for (const std::string& post : {rig.c1_post_, rig.c2_post_}) {
     ASSERT_TRUE(rig.session_

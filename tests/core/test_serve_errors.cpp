@@ -5,6 +5,7 @@
 // statistical mixed-fault load lives in test_chaos.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -59,9 +60,16 @@ net::FaultPlan only(double net::FaultPlan::* prob) {
 
 TEST(ServeErrorPaths, TimeoutSurfacesAndChargesWaitNotNetwork) {
   FaultRig rig("serve-err-timeout", only(&net::FaultPlan::p_transfer_timeout));
+  auto& transfers = obs::MetricsRegistry::global().counter("net_transfers_total");
+  auto& moved = obs::MetricsRegistry::global().counter("net_bytes_total");
   for (const std::string& post : {rig.c1_post, rig.c2_post}) {
+    const auto transfers0 = transfers.value();
+    const auto moved0 = moved.value();
     const auto result =
         rig.session.access(rig.receiver, post, Knowledge::full(rig.ctx), net::pc_profile());
+    // A timed-out exchange never reaches the link model.
+    EXPECT_EQ(transfers.value(), transfers0);
+    EXPECT_EQ(moved.value(), moved0);
     EXPECT_FALSE(result.granted);
     EXPECT_FALSE(result.object.has_value());
     EXPECT_EQ(result.error, net::ServeError::kTimeout);
@@ -71,6 +79,44 @@ TEST(ServeErrorPaths, TimeoutSurfacesAndChargesWaitNotNetwork) {
     EXPECT_DOUBLE_EQ(result.cost.network_ms(), 0.0);
     EXPECT_EQ(result.cost.bytes_transferred(), 0u);
   }
+}
+
+TEST(ServeErrorPaths, LatencySpikeChargesItsSurchargeToEveryExchange) {
+  // Twin sessions on one seed: the same shares, challenges and link jitter,
+  // so the spiked requests differ from the fault-free ones only by the
+  // surcharge — once per request/response exchange (C1: challenge, Verify,
+  // blob; C2: challenge, Verify and three file downloads).
+  net::FaultPlan plan = only(&net::FaultPlan::p_latency_spike);
+  plan.latency_spike_ms = 123.0;
+  FaultRig spiked("serve-err-spike", plan);
+  FaultRig clean("serve-err-spike", std::nullopt);
+  auto& delays = obs::MetricsRegistry::global().histogram("net_transfer_ms");
+  struct Case {
+    std::string spiked_post;
+    std::string clean_post;
+    int exchanges;
+  };
+  const Case cases[] = {{spiked.c1_post, clean.c1_post, 3}, {spiked.c2_post, clean.c2_post, 5}};
+  std::uint64_t spikes = 0;
+  for (const auto& [spiked_post, clean_post, exchanges] : cases) {
+    const double delays0 = delays.sum_ms();
+    const auto result = spiked.session.access(spiked.receiver, spiked_post,
+                                              Knowledge::full(spiked.ctx), net::pc_profile());
+    const double link_ms = delays.sum_ms() - delays0;
+    const auto twin = clean.session.access(clean.receiver, clean_post,
+                                           Knowledge::full(clean.ctx), net::pc_profile());
+    ASSERT_TRUE(result.success()) << spiked_post;  // a spike slows a request, never fails it
+    ASSERT_TRUE(twin.success()) << clean_post;
+    EXPECT_EQ(*result.object, *twin.object);
+    EXPECT_NEAR(result.cost.network_ms(), twin.cost.network_ms() + exchanges * 123.0, 1e-6);
+    EXPECT_DOUBLE_EQ(result.cost.wait_ms(), 0.0);
+    EXPECT_EQ(result.cost.bytes_transferred(), twin.cost.bytes_transferred());
+    // net_transfer_ms records the link model's delay; the surcharge lands
+    // only in the request's ledger (µs rounding slack per observation).
+    EXPECT_NEAR(link_ms, twin.cost.network_ms(), 0.01 * exchanges);
+    spikes += static_cast<std::uint64_t>(exchanges);
+  }
+  EXPECT_EQ(spiked.session.fault_injector()->injected(net::FaultKind::kLatencySpike), spikes);
 }
 
 TEST(ServeErrorPaths, RetriesExhaustAttemptsAndMergeEveryAttemptsCost) {
@@ -178,6 +224,7 @@ TEST(ServeErrorPaths, DhMissRetriesStillChargeEveryAttempt) {
 
 TEST(ServeErrorPaths, CorruptedBlobNeverDecryptsSilently) {
   FaultRig rig("serve-err-corrupt", only(&net::FaultPlan::p_dh_corrupt));
+  const auto at_rest = rig.session.storage_host().observed_blobs();
   for (const std::string& post : {rig.c1_post, rig.c2_post}) {
     const auto result =
         rig.session.access(rig.receiver, post, Knowledge::full(rig.ctx), net::pc_profile());
@@ -185,6 +232,8 @@ TEST(ServeErrorPaths, CorruptedBlobNeverDecryptsSilently) {
     EXPECT_FALSE(result.object.has_value());
     EXPECT_EQ(result.error, net::ServeError::kCorruptedBlob);
   }
+  // Only the delivered copies were corrupted: the objects at rest are intact.
+  EXPECT_EQ(rig.session.storage_host().observed_blobs(), at_rest);
 }
 
 // ---------------------------------------------------------------- denials

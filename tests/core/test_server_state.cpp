@@ -2,10 +2,8 @@
 // trusts the SP only to be honest-but-curious, so a wrong guess must not
 // stay in its memory or on its disk, where a dictionary would invert it.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +12,7 @@
 #include "abe/access_tree.hpp"
 #include "core/session.hpp"
 #include "support/fixtures.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::core {
 namespace {
@@ -21,23 +20,7 @@ namespace {
 namespace fs = std::filesystem;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-server-state-test-" + std::to_string(::getpid()) +
-                                        "-" + std::to_string(counter_++));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string str() const { return dir_.string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 /// True iff some file under `dir` holds `needle`.
 bool any_file_contains(const std::string& dir, const Bytes& needle) {

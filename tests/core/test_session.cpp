@@ -291,6 +291,52 @@ TEST_F(SessionTest, RevokedPostsMissAtTheDhUntilRefreshed) {
   EXPECT_EQ(*c2.object, to_bytes("c2 v2"));
 }
 
+TEST_F(SessionTest, RefreshAfterTheDhLostTheBlobServesTheNewObject) {
+  // A DH that lost a post's blob leaves refresh nothing to retire: the new
+  // object is published, refresh returns normally and the next access is
+  // granted the new object.
+  const Context ctx = party_context();
+  const std::string c1_post =
+      session_.share_c1(sharer_, to_bytes("c1 v1"), ctx, 2, 4, net::pc_profile()).post_id;
+  const std::string c2_post =
+      session_.share_c2(sharer_, to_bytes("c2 v1"), ctx, 2, net::pc_profile()).post_id;
+  for (const auto& [url, blob] : session_.storage_host().observed_blobs()) {
+    session_.storage_host().remove(url);
+  }
+
+  EXPECT_NO_THROW(session_.refresh(sharer_, c1_post, to_bytes("c1 v2"), ctx, net::pc_profile()));
+  EXPECT_NO_THROW(session_.refresh(sharer_, c2_post, to_bytes("c2 v2"), ctx, net::pc_profile()));
+  EXPECT_EQ(session_.storage_host().object_count(), 2u);
+  const auto c1 = session_.access(friend_, c1_post, Knowledge::full(ctx), net::pc_profile());
+  const auto c2 = session_.access(friend_, c2_post, Knowledge::full(ctx), net::pc_profile());
+  ASSERT_TRUE(c1.success());
+  ASSERT_TRUE(c2.success());
+  EXPECT_EQ(*c1.object, to_bytes("c1 v2"));
+  EXPECT_EQ(*c2.object, to_bytes("c2 v2"));
+}
+
+TEST_F(SessionTest, RevokeAfterTheDhLostTheBlobIsANoOp) {
+  // A post is revoked exactly when its blob is gone from the DH, so a post
+  // whose blob the DH lost is already revoked: revoke has nothing to pull.
+  auto& revokes = obs::MetricsRegistry::global().counter("sp_revoke_requests_total");
+  const Context ctx = party_context();
+  const std::string post =
+      session_.share_c1(sharer_, to_bytes("v1"), ctx, 2, 4, net::pc_profile()).post_id;
+  session_.storage_host().remove(session_.storage_host().observed_blobs().begin()->first);
+
+  const auto before = revokes.value();
+  EXPECT_NO_THROW(session_.revoke(sharer_, post));
+  EXPECT_EQ(revokes.value(), before);
+  const auto missed = session_.access(friend_, post, Knowledge::full(ctx), net::pc_profile());
+  EXPECT_TRUE(missed.granted);
+  EXPECT_EQ(missed.error, net::ServeError::kDhMiss);
+
+  session_.refresh(sharer_, post, to_bytes("v2"), ctx, net::pc_profile());
+  const auto restored = session_.access(friend_, post, Knowledge::full(ctx), net::pc_profile());
+  ASSERT_TRUE(restored.success());
+  EXPECT_EQ(*restored.object, to_bytes("v2"));
+}
+
 TEST_F(SessionTest, MaliciousDhTamperCausesDetectedFailure) {
   const Context ctx = party_context();
   const auto receipt =

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fixtures.hpp"
+#include "support/temp_dir.hpp"
 
 namespace {
 
@@ -278,9 +279,10 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
 }
 
 TEST(TracePropagation, WalGroupCommitLinksBackToTheOriginRequest) {
+  const sp::testsupport::TempDir tmp;  // outlives the session below
   sp::core::SessionConfig cfg = toy_config("trace-wal");
   sp::core::PersistenceConfig persist;
-  persist.dir = ::testing::TempDir() + "/sp-trace-wal";
+  persist.dir = tmp.str();
   cfg.persistence = persist;
   sp::core::Session session(cfg);
   const auto sharer = session.register_user("sharer");

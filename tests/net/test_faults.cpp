@@ -1,8 +1,8 @@
 // Unit coverage for the deterministic fault layer: error taxonomy, plan
 // validation, per-stream PRF determinism, schedule digests, retry backoff
-// math, and the fault-aware Network::try_transfer_ms. The end-to-end chaos
-// load lives in tests/core/test_chaos.cpp; this file pins the primitives it
-// relies on.
+// math and the cost ledger. How Session applies each draw is covered in
+// tests/core/test_serve_errors.cpp, and the end-to-end chaos load lives in
+// tests/core/test_chaos.cpp; this file pins the primitives they rely on.
 #include "net/faults.hpp"
 
 #include <gtest/gtest.h>
@@ -185,48 +185,6 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyWithCapAndJitter) {
   EXPECT_DOUBLE_EQ(policy.backoff_ms(20, 0.0), 1000.0);  // capped
   EXPECT_DOUBLE_EQ(policy.backoff_ms(0, 1.0), 25.0 * 1.25);
   EXPECT_THROW((void)policy.backoff_ms(-1, 0.0), std::invalid_argument);
-}
-
-TEST(Network, TryTransferWithoutStreamMatchesTransferMs) {
-  const LinkProfile link{"test", 8.0, 10.0, 5.0, 0.0};  // zero jitter
-  const Network n(link, crypto::Drbg("x"));
-  const auto got = n.try_transfer_ms(1000);
-  ASSERT_TRUE(got.ok());
-  EXPECT_DOUBLE_EQ(got.value(), n.transfer_ms(1000));
-}
-
-TEST(Network, TryTransferTimeoutMovesNoBytesAndNoMetrics) {
-  auto& reg = obs::MetricsRegistry::global();
-  auto& transfers = reg.counter("net_transfers_total");
-  auto& bytes = reg.counter("net_bytes_total");
-  const auto transfers0 = transfers.value();
-  const auto bytes0 = bytes.value();
-
-  FaultPlan plan;
-  plan.p_transfer_timeout = 1.0;
-  const FaultInjector injector(plan);
-  FaultStream tape = injector.stream_for_label("timeouts");
-  const Network n(LinkProfile{"test", 8.0, 10.0, 5.0, 0.0}, crypto::Drbg("x"));
-  const auto got = n.try_transfer_ms(1000, 1, &tape);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.error(), ServeError::kTimeout);
-  // A lost exchange is not a completed transfer: the link series must not
-  // count it (the caller charges the wasted wait to the ledger instead).
-  EXPECT_EQ(transfers.value(), transfers0);
-  EXPECT_EQ(bytes.value(), bytes0);
-}
-
-TEST(Network, TryTransferLatencySpikeAddsSurcharge) {
-  FaultPlan plan;
-  plan.p_latency_spike = 1.0;
-  plan.latency_spike_ms = 123.0;
-  const FaultInjector injector(plan);
-  FaultStream tape = injector.stream_for_label("spikes");
-  const Network n(LinkProfile{"test", 8.0, 10.0, 5.0, 0.0}, crypto::Drbg("x"));
-  const auto got = n.try_transfer_ms(1000, 1, &tape);
-  ASSERT_TRUE(got.ok());
-  EXPECT_DOUBLE_EQ(got.value(), n.transfer_ms(1000) + 123.0);
-  EXPECT_EQ(injector.injected(FaultKind::kLatencySpike), 1u);
 }
 
 TEST(CostLedger, WaitBucketAndMergeAccumulateAcrossAttempts) {

@@ -5,7 +5,6 @@
 // Writes checkpoint once the live WAL crosses its threshold, and the WAL A/B
 // bounds what durability costs a mixed serving stream's p50.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +25,7 @@
 #include "osn/service_provider.hpp"
 #include "osn/storage_host.hpp"
 #include "support/fixtures.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::osn {
 namespace {
@@ -33,23 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-persist-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string str() const { return dir_.string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 storage::DurableStore::Options fast_opts(const std::string& dir) {
   storage::DurableStore::Options opts;

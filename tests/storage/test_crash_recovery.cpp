@@ -20,9 +20,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "osn/storage_host.hpp"
 #include "storage/store.hpp"
 #include "storage/wal.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::storage {
 namespace {
@@ -39,23 +42,7 @@ namespace {
 namespace fs = std::filesystem;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-crash-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string str() const { return dir_.string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 Bytes blob_for(std::uint64_t i) { return to_bytes("post-" + std::to_string(i) + "-payload"); }
 
@@ -102,13 +89,20 @@ ChildOutcome reap(int read_fd, pid_t child) {
   return out;
 }
 
+/// The WAL kill point a plan schedules: one crash draw per record from the
+/// writer's own labeled tape, so two writers with distinct labels crash
+/// independently under one plan.
+std::function<bool()> scheduled_kill_point(const net::FaultInjector& injector,
+                                           std::string_view label) {
+  return [tape = injector.stream_for_label(label)]() mutable { return tape.next_crash(); };
+}
+
 DurableStore::Options host_opts(const std::string& dir, const net::FaultInjector* injector) {
   DurableStore::Options opts;
   opts.dir = dir;
   opts.wal.fsync = WalWriter::Fsync::kNever;
   if (injector != nullptr) {
-    opts.wal.crash_injector = injector;
-    opts.wal.crash_label = "dh-wal";
+    opts.wal.kill_point = scheduled_kill_point(*injector, "dh-wal");
     opts.wal.on_crash = [] {
       ::raise(SIGKILL);
       ::pause();  // unreachable; satisfies "must not return"
@@ -248,8 +242,7 @@ TEST(CrashRecovery, KillPointCountsIntoChaosMetrics) {
 
   WalWriter::Options opts;
   opts.fsync = WalWriter::Fsync::kNever;
-  opts.crash_injector = &injector;
-  opts.crash_label = "metrics-wal";
+  opts.kill_point = scheduled_kill_point(injector, "metrics-wal");
   std::atomic<bool> crashed{false};
   opts.on_crash = [&crashed] {
     crashed.store(true);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -10,6 +8,7 @@
 #include "codec/records.hpp"
 #include "crypto/bytes.hpp"
 #include "storage/segment.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::storage {
 namespace {
@@ -18,24 +17,7 @@ namespace fs = std::filesystem;
 using codec::Envelope;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-seg-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-    fs::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string path(const std::string& name) const { return (dir_ / name).string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 Envelope env(std::uint8_t space, int i) {
   return {Envelope::Op::kPut, space, static_cast<std::uint64_t>(i), "id-" + std::to_string(i),

@@ -3,7 +3,6 @@
 // (.github/workflows/ci.yml). These are race detectors, not correctness
 // oracles — the correctness assertions live in test_wal / test_store.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -16,6 +15,7 @@
 #include "osn/storage_host.hpp"
 #include "storage/store.hpp"
 #include "storage/wal.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::storage {
 namespace {
@@ -23,25 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-storconc-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-    fs::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string path(const std::string& name) const { return (dir_ / name).string(); }
-  [[nodiscard]] std::string str() const { return dir_.string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 Bytes record(int i) {
   return codec::encode_envelope({codec::Envelope::Op::kPut, 1, static_cast<std::uint64_t>(i),

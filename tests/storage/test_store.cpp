@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,6 +9,7 @@
 #include "codec/records.hpp"
 #include "crypto/bytes.hpp"
 #include "storage/store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::storage {
 namespace {
@@ -19,23 +18,7 @@ namespace fs = std::filesystem;
 using codec::Envelope;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-store-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string str() const { return dir_.string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 Envelope put(int i) {
   return {Envelope::Op::kPut, 1, static_cast<std::uint64_t>(i), "id-" + std::to_string(i),

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +12,7 @@
 #include "crypto/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "storage/wal.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sp::storage {
 namespace {
@@ -21,24 +20,7 @@ namespace {
 namespace fs = std::filesystem;
 using crypto::Bytes;
 using crypto::to_bytes;
-
-class TempDir {
- public:
-  TempDir() {
-    dir_ = fs::temp_directory_path() / ("sp-wal-test-" + std::to_string(::getpid()) + "-" +
-                                        std::to_string(counter_++));
-    fs::create_directories(dir_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  [[nodiscard]] std::string path(const std::string& name) const { return (dir_ / name).string(); }
-
- private:
-  static inline std::atomic<int> counter_{0};
-  fs::path dir_;
-};
+using testsupport::TempDir;
 
 Bytes record(int i) {
   return codec::encode_envelope(

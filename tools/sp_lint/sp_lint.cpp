@@ -3,7 +3,7 @@
 // Grown from PR 1's single-purpose secret_lint into a rule-registry engine:
 // each rule has an id, a severity and a scope, findings can be suppressed
 // per-path through a baseline file, and output comes in human or JSON form.
-// The rules mechanise three invariants CI used to enforce only by review:
+// The rules mechanise four invariants CI used to enforce only by review:
 //
 //  secret hygiene (the paper's §V privacy argument):
 //   noct-compare   — memcmp()/operator==/!= applied to a secret-named buffer
@@ -29,6 +29,12 @@
 //                    modeled network exchange. The registry SharedLock /
 //                    UniqueLock protocol is exempt by design: refresh
 //                    re-uploads under the registry writer lock on purpose.
+//
+//  fault boundary (DESIGN.md §10):
+//   fault-scope    — FaultStream / FaultInjector named in code in a src/
+//                    module file other than net/faults.* or a session file:
+//                    only the session draws from the fault schedule, so the
+//                    link model, the hosts and the WAL never see a fault type
 //
 //  metrics hygiene (docs/OBSERVABILITY.md contract):
 //   secret-label   — a secret-named identifier inside the {{...}} label list
@@ -96,6 +102,7 @@ const std::vector<RuleInfo> kRuleTable = {
     {"raw-mutex", "error", "raw std lock primitive outside src/support/"},
     {"bare-lock-call", "error", "bare .lock()/.unlock() call outside src/support/"},
     {"net-under-lock", "error", "network/SP/DH call while a MutexLock is in scope"},
+    {"fault-scope", "error", "fault-schedule type outside net/faults.* and session files"},
     {"secret-label", "error", "secret-named identifier in a metric label list"},
     {"secret-trace", "error", "secret-named identifier in a non-literal metric name"},
     {"metric-name", "error", "metric name violates the catalog conventions"},
@@ -400,6 +407,16 @@ bool is_session_file(const fs::path& p) {
   return lower(p.filename().string()).find("session") != std::string::npos;
 }
 
+/// fault-scope covers the files of a src/ tree's modules (src/<module>/<file>),
+/// except the fault layer itself (net/faults.*) and the session files that
+/// draw from it. Matching the module layout, not any "src" ancestor, keeps a
+/// checkout that happens to live under some ~/src/ from flagging its tests.
+bool fault_scope_applies(const fs::path& p) {
+  if (p.parent_path().parent_path().filename() != "src") return false;
+  if (is_session_file(p)) return false;
+  return !(p.parent_path().filename() == "net" && p.stem() == "faults");
+}
+
 /// Pulls the string literal starting at raw[pos] (raw[pos] == '"'); returns
 /// the unescaped text and the index of the closing quote (or end of line).
 std::pair<std::string, std::size_t> extract_literal(const std::string& raw, std::size_t pos) {
@@ -451,6 +468,7 @@ void scan_file(const fs::path& path, std::vector<Finding>& findings) {
   const bool crypto_file = in_crypto_dir(path);
   const bool support_file = in_support_layer(path);
   const bool session_file = is_session_file(path);
+  const bool fault_scoped = fault_scope_applies(path);
 
   // Scope stack for missing-wipe. Each entry: kind + (for functions) state.
   struct Scope {
@@ -660,6 +678,14 @@ void scan_file(const fs::path& path, std::vector<Finding>& findings) {
         }
         ++i;
       }
+    }
+
+    // ---- fault-scope (src/ module files outside the fault layer) -------
+    if (fault_scoped &&
+        (contains_word(code, "FaultStream") || contains_word(code, "FaultInjector"))) {
+      report(idx, "fault-scope",
+             "fault-schedule type outside net/faults.* and session files; draw in the "
+             "session and pass the host a plain value");
     }
 
     // ---- metrics hygiene (secret-label / secret-trace / metric-name) ---
