@@ -38,11 +38,14 @@ int main() {
               receipt.post_id.c_str(), receipt.cost.local_ms(), receipt.cost.network_ms(),
               receipt.cost.bytes_transferred());
 
-  // Bob was at dinner: he knows the answers.
+  // Bob was at dinner: he knows the answers. The SP shows a random subset
+  // of at least k questions, which may miss his two, so he reloads the
+  // puzzle until a draw shows them (access_with_retries).
   Knowledge bob_knows;
   bob_knows.learn("Where did we have dinner last week?", "luigi's");
   bob_knows.learn("What did we celebrate?", "bob's promotion");
-  const auto bob_result = session.access(bob, receipt.post_id, bob_knows, sp::net::pc_profile());
+  const auto bob_result =
+      session.access_with_retries(bob, receipt.post_id, bob_knows, sp::net::pc_profile());
   if (bob_result.success()) {
     std::printf("bob solved the puzzle: \"%s\"\n",
                 sp::crypto::to_string(*bob_result.object).c_str());

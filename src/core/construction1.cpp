@@ -1,5 +1,6 @@
 #include "core/construction1.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "crypto/modes.hpp"
@@ -25,16 +26,18 @@ crypto::SecretBytes Construction1::derive_object_key(const BigInt& m_o,
   return k_o;
 }
 
-Bytes Construction1::answer_hash(const std::string& answer, const Bytes& puzzle_key) {
+Bytes Construction1::answer_hash(std::string_view answer, const Bytes& puzzle_key) {
   std::string normalized = Context::normalize_answer(answer);
-  Bytes input = crypto::to_bytes(normalized);
-  input.push_back(0x1f);
-  input.insert(input.end(), puzzle_key.begin(), puzzle_key.end());
-  Bytes digest = crypto::Sha3_256::hash(input);
-  // The hash input embeds the cleartext answer and K_Z.
-  crypto::secure_wipe(input);
+  constexpr std::uint8_t kSeparator = 0x1f;
+  crypto::Sha3_256 h;
+  h.update(std::span(reinterpret_cast<const std::uint8_t*>(normalized.data()), normalized.size()));
+  h.update(std::span(&kSeparator, 1));
+  h.update(puzzle_key);
+  const std::array<std::uint8_t, crypto::Sha3_256::kDigestSize> digest = h.finish();
+  // The sponge's buffer still holds the cleartext answer and K_Z.
+  crypto::secure_wipe(&h, sizeof(h));
   crypto::secure_wipe(normalized);
-  return digest;
+  return Bytes(digest.begin(), digest.end());
 }
 
 Construction1::UploadResult Construction1::upload(std::span<const std::uint8_t> object,
@@ -127,6 +130,8 @@ Construction1::Challenge Construction1::display_puzzle(const Puzzle& puzzle, Drb
   Challenge ch;
   ch.threshold = k;
   ch.puzzle_key = puzzle.puzzle_key;
+  ch.indices.reserve(r);
+  ch.questions.reserve(r);
   for (std::size_t i = 0; i < r; ++i) {
     ch.indices.push_back(order[i]);
     ch.questions.push_back(puzzle.entries[order[i]].question);
@@ -143,6 +148,7 @@ std::size_t Construction1::Response::wire_size() const {
 Construction1::Response Construction1::answer_puzzle(const Challenge& challenge,
                                                      const Knowledge& knowledge) {
   Response resp;
+  resp.hashes.reserve(challenge.questions.size());
   for (const std::string& q : challenge.questions) {
     const auto answer = knowledge.recall(q);
     if (answer) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 
 #include "core/context.hpp"
 #include "core/puzzle.hpp"
@@ -81,7 +82,7 @@ class Construction1 {
   // -------------------------------------------------------------- receiver
   /// H(a, K_Z): keyed answer hash. SHA3-256(a_norm || 0x1f || K_Z), matching
   /// the paper's CryptoJS-SHA3-over-concatenation.
-  [[nodiscard]] static Bytes answer_hash(const std::string& answer, const Bytes& puzzle_key);
+  [[nodiscard]] static Bytes answer_hash(std::string_view answer, const Bytes& puzzle_key);
 
   /// AnswerPuzzle: hash of the receiver's (normalized) answer for every
   /// displayed question; unknown questions get a fixed "no idea" hash so the

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/thread_pool.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -157,19 +158,18 @@ Session::Session(SessionConfig config)
       c2_(std::make_unique<Construction2>(curve_)),
       sp_(make_sp(config_.persistence)),
       dh_(make_dh(config_.persistence)),
-      network_(config_.link, crypto::Drbg(config_.seed + "-net")),
+      network_(config_.link),
       injector_(config_.faults ? std::make_unique<net::FaultInjector>(*config_.faults) : nullptr),
-      rng_(config_.seed + "-session"),
+      stream_key_(crypto::Sha256::hash(crypto::to_bytes(config_.seed + "-streams"))),
       leaf_pool_(std::max<std::size_t>(1, std::thread::hardware_concurrency())) {}
 
-crypto::Drbg Session::fork_rng(const std::string& label) const {
-  const sp::MutexLock lock(rng_mutex_);
-  return rng_.fork(label);
+crypto::Drbg Session::open_stream() const {
+  return crypto::Drbg(stream_key_.span(), next_stream_.fetch_add(1));
 }
 
 osn::UserId Session::register_user(const std::string& name) {
   const osn::UserId id = graph_.add_user(name);
-  crypto::Drbg key_rng = fork_rng("user-keys-" + std::to_string(id));
+  crypto::Drbg key_rng = open_stream();
   // Emplace straight into the map (no intermediate KeyPair copy that would
   // leave an unwiped secret on the stack); keygen under the lock is fine —
   // registration is rare compared to serving.
@@ -199,7 +199,7 @@ Session::Published Session::publish_c1(const sig::KeyPair& keys,
   upload_span.stop();
 
   // -- network: store O_{K_O} at the DH ---------------------------------
-  ledger.add_network(network_.transfer_ms(result.encrypted_object.size()));
+  ledger.add_network(network_.transfer_ms(result.encrypted_object.size(), rng));
   ledger.add_bytes(result.encrypted_object.size());
   Published out;
   out.entry.kind = SchemeKind::kConstruction1;
@@ -213,7 +213,7 @@ Session::Published Session::publish_c1(const sig::KeyPair& keys,
   sign_span.stop();
 
   // -- network: upload Z_O to the SP ------------------------------------
-  ledger.add_network(network_.transfer_ms(out.record.size()));
+  ledger.add_network(network_.transfer_ms(out.record.size(), rng));
   ledger.add_bytes(out.record.size());
   out.entry.puzzle = std::move(result.puzzle);
   return out;
@@ -233,10 +233,10 @@ Session::Published Session::publish_c2(std::span<const std::uint8_t> object, con
   out.record = files.perturbed_tree.serialize();
   for (const std::size_t bytes :
        {out.record.size(), files.public_key.size(), files.master_key.size()}) {
-    ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
+    ledger.add_network(network_.transfer_ms(bytes, rng, kColdCurlRoundTrips));
     ledger.add_bytes(bytes);
   }
-  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
+  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), rng, kColdCurlRoundTrips));
   ledger.add_bytes(files.ciphertext.size());
   out.entry.kind = SchemeKind::kConstruction2;
   out.entry.url = dh_.store(std::move(files.ciphertext));
@@ -248,7 +248,7 @@ ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t>
                                const Context& ctx, std::size_t k, std::size_t n,
                                const net::DeviceProfile& device, osn::Visibility visibility) {
   const sig::KeyPair& keys = keys_of(sharer);
-  crypto::Drbg op_rng = fork_rng("share-c1");
+  crypto::Drbg op_rng = open_stream();
   net::CostLedger ledger(device);
   SessionMetrics::get().shares_c1.inc();
   Published pub = publish_c1(keys, object, ctx, k, n, ledger, op_rng);
@@ -266,7 +266,7 @@ ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t>
 ShareReceipt Session::share_c2(osn::UserId sharer, std::span<const std::uint8_t> object,
                                const Context& ctx, std::size_t k,
                                const net::DeviceProfile& device, osn::Visibility visibility) {
-  crypto::Drbg op_rng = fork_rng("share-c2");
+  crypto::Drbg op_rng = open_stream();
   net::CostLedger ledger(device);
   SessionMetrics::get().shares_c2.inc();
   Published pub = publish_c2(object, ctx, k, ledger, op_rng);
@@ -297,7 +297,7 @@ ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
 
   const std::string old_url = stored.url;
   net::CostLedger ledger(device);
-  crypto::Drbg op_rng = fork_rng("refresh-" + post_id);
+  crypto::Drbg op_rng = open_stream();
   SessionMetrics::get().refreshes.inc();
 
   Published pub = stored.kind == SchemeKind::kConstruction1
@@ -357,7 +357,7 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
     throw std::logic_error("Session::access: receiver is not in the sharer's network");
   }
   net::CostLedger ledger(device);
-  crypto::Drbg op_rng = fork_rng("access-" + post_id);
+  crypto::Drbg op_rng = open_stream();
   // Each attempt gets its own fault tape: decisions depend only on (plan
   // seed, receiver, post, per-(receiver, post) ordinal), never on thread
   // scheduling. See faults.hpp's determinism contract.
@@ -478,7 +478,7 @@ AccessResult Session::access_with_retries(osn::UserId receiver, const std::strin
 }
 
 std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_trips,
-                                                 net::CostLedger& ledger,
+                                                 net::CostLedger& ledger, crypto::Drbg& rng,
                                                  net::FaultStream* faults) const {
   double spike_ms = 0.0;
   if (faults != nullptr) {
@@ -491,7 +491,7 @@ std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_tr
     }
     spike_ms = fault.extra_ms;
   }
-  ledger.add_network(network_.transfer_ms(bytes, round_trips) + spike_ms);
+  ledger.add_network(network_.transfer_ms(bytes, rng, round_trips) + spike_ms);
   ledger.add_bytes(bytes);
   return std::nullopt;
 }
@@ -530,7 +530,7 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   const auto challenge = Construction1::display_puzzle(puzzle, rng);
   display_span.stop();
   display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1, ledger, faults)) {
+  if (const auto err = exchange(challenge.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
@@ -545,7 +545,7 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   // -- SP availability: a transient outage drops the Verify exchange; the
   //    receiver still paid for the response upload it sent into the void.
   if (faults != nullptr && faults->next_sp_error()) {
-    ledger.add_network(network_.transfer_ms(response.wire_size()));
+    ledger.add_network(network_.transfer_ms(response.wire_size(), rng));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
     return result;
@@ -557,7 +557,7 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   auto reply = Construction1::verify(puzzle, challenge, response.hashes);
   verify_span.stop();
   verify_tspan.end();
-  if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1, ledger, faults)) {
+  if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
@@ -598,7 +598,7 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
     result.error = encrypted.error();
     return result;
   }
-  if (const auto err = exchange(encrypted.value().size(), 1, ledger, faults)) {
+  if (const auto err = exchange(encrypted.value().size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
@@ -632,7 +632,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
   const auto challenge = Construction2::display_puzzle(files.perturbed_tree, files.threshold);
   display_span.stop();
   display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1, ledger, faults)) {
+  if (const auto err = exchange(challenge.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
@@ -646,7 +646,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
 
   // -- SP availability (same semantics as C1's Verify exchange) ----------
   if (faults != nullptr && faults->next_sp_error()) {
-    ledger.add_network(network_.transfer_ms(response.wire_size()));
+    ledger.add_network(network_.transfer_ms(response.wire_size(), rng));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
     return result;
@@ -659,7 +659,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
   verify_span.stop();
   verify_tspan.end();
   if (const auto err =
-          exchange(response.wire_size() + reply.wire_size(files), 1, ledger, faults)) {
+          exchange(response.wire_size() + reply.wire_size(files), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
@@ -676,7 +676,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
   }
   for (const std::size_t bytes :
        {ciphertext.value().size(), files.public_key.size(), files.master_key.size()}) {
-    if (const auto err = exchange(bytes, kColdCurlRoundTrips, ledger, faults)) {
+    if (const auto err = exchange(bytes, kColdCurlRoundTrips, ledger, rng, faults)) {
       result.error = err;
       return result;
     }

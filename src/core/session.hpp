@@ -17,6 +17,8 @@
 // shared_mutex where they must.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
@@ -206,10 +208,9 @@ class Session {
   /// A registered user's signing keys.
   const sig::KeyPair& keys_of(osn::UserId user) SP_EXCLUDES(keys_mutex_);
 
-  /// Forks a per-operation child DRBG under rng_mutex_ (Drbg::fork advances
-  /// the parent stream, so unsynchronized forks would race). The child is
-  /// exclusively owned by the calling operation — no further locking.
-  crypto::Drbg fork_rng(const std::string& label) const SP_EXCLUDES(rng_mutex_);
+  /// Opens the next numbered random stream under stream_key_. Each
+  /// operation draws from its own stream, so drawing takes no lock.
+  crypto::Drbg open_stream() const;
 
   // Both take `stored` as a reference into puzzles_, so the caller must keep
   // the registry shared-locked for the whole call — annotated, so Clang
@@ -225,11 +226,11 @@ class Session {
 
   /// One request/response exchange under the fault schedule: draws the
   /// exchange's transfer fault from `faults` (null = fault-free). Success
-  /// charges the modeled delay, plus any latency spike, and the bytes to
-  /// `ledger`; a timeout skips the link, charges the plan's wasted wait and
-  /// returns the error instead.
+  /// charges the modeled delay, its jitter drawn from `rng`, plus any
+  /// latency spike, and the bytes to `ledger`; a timeout skips the link,
+  /// charges the plan's wasted wait and returns the error instead.
   std::optional<net::ServeError> exchange(std::size_t bytes, int round_trips,
-                                          net::CostLedger& ledger,
+                                          net::CostLedger& ledger, crypto::Drbg& rng,
                                           net::FaultStream* faults) const;
 
   /// The DH download of the sealed object at `url`, under a "dh.fetch"
@@ -248,8 +249,8 @@ class Session {
   osn::StorageHost dh_;
   net::Network network_;
   std::unique_ptr<net::FaultInjector> injector_;  ///< null = fault-free session
-  mutable sp::Mutex rng_mutex_;
-  mutable crypto::Drbg rng_ SP_GUARDED_BY(rng_mutex_);
+  crypto::SecretBytes stream_key_;  ///< keys every stream open_stream() numbers
+  mutable std::atomic<std::uint64_t> next_stream_{0};
   sp::Mutex keys_mutex_;  ///< guards user_keys_ lookups/inserts (nodes are stable)
   std::map<osn::UserId, sig::KeyPair> user_keys_ SP_GUARDED_BY(keys_mutex_);
   /// Readers (access*) hold this shared for the whole request so refresh

@@ -48,7 +48,6 @@ struct ThreadPool::Fork {
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

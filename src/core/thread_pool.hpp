@@ -33,7 +33,8 @@ namespace sp::core {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1 enforced).
+  /// Spawns `num_threads` workers. With none, run_all runs every job on
+  /// the caller in index order.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

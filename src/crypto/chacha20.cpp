@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/secret.hpp"
+
 namespace sp::crypto {
 
 namespace {
@@ -31,6 +33,11 @@ ChaCha20::ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8
   for (int i = 0; i < 8; ++i) state_[4 + i] = load_le32(key.data() + 4 * i);
   state_[12] = counter;
   for (int i = 0; i < 3; ++i) state_[13 + i] = load_le32(nonce.data() + 4 * i);
+}
+
+ChaCha20::~ChaCha20() {
+  secure_wipe(state_.data(), sizeof(state_));
+  secure_wipe(buffer_.data(), buffer_.size());
 }
 
 void ChaCha20::block(std::array<std::uint8_t, 64>& out) {

@@ -17,6 +17,14 @@ class ChaCha20 {
   ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8_t> nonce,
            std::uint32_t counter = 0);
 
+  /// The state holds the key words and the buffer unread keystream (C2
+  /// KeyGen's exponents are drawn from it): both are wiped before the
+  /// object's storage is released. A copy would replay the keystream, so
+  /// there is none.
+  ~ChaCha20();
+  ChaCha20(const ChaCha20&) = delete;
+  ChaCha20& operator=(const ChaCha20&) = delete;
+
   /// Produces `out.size()` keystream bytes, advancing internal state.
   void keystream(std::span<std::uint8_t> out);
 

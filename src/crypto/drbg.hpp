@@ -1,4 +1,5 @@
-// Deterministic random bit generator: SHA-256-seeded ChaCha20 keystream.
+// Deterministic random bit generator: a ChaCha20 keystream, keyed either by
+// the SHA-256 of a seed or directly by a caller's key and stream number.
 //
 // All nondeterminism in the library (polynomial coefficients, share
 // abscissae, CP-ABE exponents, network jitter, workload generation) is drawn
@@ -12,7 +13,6 @@
 
 #include "crypto/bytes.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/secret.hpp"
 
 namespace sp::crypto {
 
@@ -22,6 +22,12 @@ class Drbg {
   explicit Drbg(std::string_view seed);
   /// Seeds from raw bytes.
   explicit Drbg(std::span<const std::uint8_t> seed);
+  /// Numbered stream `stream` under a 32-byte `key`: ChaCha20 with the
+  /// number in the nonce, so opening one hashes nothing and shares no
+  /// state. Distinct numbers give independent streams, and one (key,
+  /// stream) always gives the same bytes; the caller owns the numbering and
+  /// the key. Throws std::invalid_argument on a key of another size.
+  Drbg(std::span<const std::uint8_t> key, std::uint64_t stream);
 
   /// n fresh pseudo-random bytes.
   Bytes bytes(std::size_t n);
@@ -31,13 +37,9 @@ class Drbg {
   std::uint64_t uniform(std::uint64_t bound);
   /// Uniform double in [0, 1).
   double uniform_real();
-  /// Fork an independent child stream labeled by `label` — lets subsystems
-  /// (e.g. network jitter vs. crypto sampling) draw without interleaving.
-  Drbg fork(std::string_view label);
 
  private:
-  std::unique_ptr<ChaCha20> stream_;
-  SecretBytes key_;  // retained for fork(); wiped on destruction
+  std::unique_ptr<ChaCha20> stream_;  ///< wipes its key words on destruction
 };
 
 }  // namespace sp::crypto

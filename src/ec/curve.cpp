@@ -1,5 +1,6 @@
 #include "ec/curve.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/sha256.hpp"
@@ -257,8 +258,9 @@ Point Curve::hash_to_group(std::span<const std::uint8_t> data) const {
     const Fp x = Fp::from_bytes(params_.fp, wide);
     const Fp y2 = rhs(x);
     if (y2.is_zero()) continue;  // would yield a low-order point
-    if (y2.legendre() != 1) continue;
-    Fp y = y2.sqrt();
+    const std::optional<Fp> root = y2.sqrt_if_square();
+    if (!root) continue;
+    Fp y = *root;
     // Deterministic sign choice from the digest.
     if ((wide2[0] & 1) == 1) y = -y;
     const Point candidate = mul(Point(x, y), params_.h);

@@ -203,14 +203,22 @@ int Fp::legendre() const {
 }
 
 Fp Fp::sqrt() const {
+  if (std::optional<Fp> root = sqrt_if_square()) return *root;
+  throw std::domain_error("Fp::sqrt: not a quadratic residue");
+}
+
+std::optional<Fp> Fp::sqrt_if_square() const {
   if (!ctx_) throw std::logic_error("Fp::sqrt: null element");
   if (is_zero()) return *this;
-  if (legendre() != 1) throw std::domain_error("Fp::sqrt: not a quadratic residue");
   const BigInt& p = ctx_->p();
   Fp root;
   if (ctx_->p_is_3_mod_4()) {
+    // r = y^((p+1)/4) squares to y · y^((p-1)/2) = y · (y/p) (Euler), so
+    // r² = y exactly when y is a residue: one power decides and finds r.
     root = pow((p + BigInt{1}) >> 2);
+    if (root * root != *this) return std::nullopt;
   } else {
+    if (legendre() != 1) return std::nullopt;
     // Tonelli–Shanks. Write p-1 = q * 2^s with q odd.
     BigInt q = p - BigInt{1};
     std::size_t s = 0;

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,6 +108,10 @@ class Fp {
   /// std::domain_error if no root exists. Returns the canonical choice:
   /// the root with the smaller residue of r, p−r.
   [[nodiscard]] Fp sqrt() const;
+  /// sqrt() for an element that may not be a square: the same canonical
+  /// root, or nullopt for a non-residue. When p ≡ 3 mod 4 one power both
+  /// decides and finds the root, where legendre() then sqrt() pays three.
+  [[nodiscard]] std::optional<Fp> sqrt_if_square() const;
 
   /// Zeroises the element's limbs (for secret polynomial coefficients and
   /// share ordinates). The element becomes 0 in-field, residue-free.

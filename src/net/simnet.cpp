@@ -39,20 +39,15 @@ LinkProfile wlan_80211n_to_ec2() {
 
 LinkProfile loopback() { return LinkProfile{"loopback", 100000.0, 0.0, 0.0, 0.0}; }
 
-double Network::transfer_ms(std::size_t bytes, int round_trips) const {
+double Network::transfer_ms(std::size_t bytes, crypto::Drbg& rng, int round_trips) const {
   if (round_trips < 1) throw std::invalid_argument("Network::transfer_ms: round_trips >= 1");
   const double payload_ms =
       (static_cast<double>(bytes) * 8.0) / (link_.bandwidth_mbps * 1000.0);
   double delay = payload_ms + round_trips * (link_.rtt_ms + link_.per_request_overhead_ms);
   if (link_.jitter_frac > 0.0) {
     // Uniform multiplicative jitter in [1, 1 + jitter_frac) — deterministic
-    // given the seed, mirroring the paper's observed instability.
-    double sample = 0.0;
-    {
-      const sp::MutexLock lock(rng_mutex_);
-      sample = rng_.uniform_real();
-    }
-    delay *= 1.0 + link_.jitter_frac * sample;
+    // given the stream, mirroring the paper's observed instability.
+    delay *= 1.0 + link_.jitter_frac * rng.uniform_real();
   }
   NetMetrics& metrics = NetMetrics::get();
   metrics.transfers.inc();

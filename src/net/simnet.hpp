@@ -22,8 +22,6 @@
 #include <type_traits>
 
 #include "crypto/drbg.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace sp::net {
 
@@ -66,30 +64,27 @@ LinkProfile wlan_80211n_to_ec2();
 /// Zero-cost link for pure-CPU experiments.
 LinkProfile loopback();
 
-/// Deterministic network delay model. Thread-safe: the shared jitter stream
-/// sits behind an internal mutex, so concurrent requests can all charge
-/// their transfers to one Network. Which request draws which jitter sample
-/// becomes scheduling-dependent under concurrency, but the sample *set* for
-/// a given seed stays fixed. `const` because modeling a transfer doesn't
-/// change the link — it lets the whole receiver-side serving path be const.
+/// Deterministic network delay model. It holds only the link: each call
+/// draws its jitter from the caller's stream, so concurrent requests share
+/// one Network without a lock, and a request's delays replay with its
+/// stream. `const` because modeling a transfer doesn't change the link — it
+/// lets the whole receiver-side serving path be const.
 class Network {
  public:
-  Network(LinkProfile link, crypto::Drbg jitter_rng)
-      : link_(std::move(link)), rng_(std::move(jitter_rng)) {}
+  explicit Network(LinkProfile link) : link_(std::move(link)) {}
 
-  /// Delay for one request/response exchange moving `bytes` of payload.
-  /// `round_trips` models chatty exchanges (e.g. multi-file uploads). The
-  /// link never fails on its own: a serving request that draws a timeout
-  /// from its fault schedule skips this call, and one that draws a latency
-  /// spike adds the surcharge to the delay returned here.
-  double transfer_ms(std::size_t bytes, int round_trips = 1) const;
+  /// Delay for one request/response exchange moving `bytes` of payload,
+  /// with its jitter drawn from `rng`. `round_trips` models chatty
+  /// exchanges (e.g. multi-file uploads). The link never fails on its own:
+  /// a serving request that draws a timeout from its fault schedule skips
+  /// this call, and one that draws a latency spike adds the surcharge to
+  /// the delay returned here.
+  double transfer_ms(std::size_t bytes, crypto::Drbg& rng, int round_trips = 1) const;
 
   [[nodiscard]] const LinkProfile& link() const { return link_; }
 
  private:
   LinkProfile link_;
-  mutable sp::Mutex rng_mutex_;
-  mutable crypto::Drbg rng_ SP_GUARDED_BY(rng_mutex_);
 };
 
 /// Accumulates the Fig. 10 decomposition for one protocol run.

@@ -1,22 +1,29 @@
 // Serving memory stays bounded: once a session is warm, requests leave
-// nothing behind on the heap. This file replaces the global allocation
-// functions of the test_memory binary with a live-byte counter built on
-// malloc_usable_size, which also sees the sanitizers' allocators.
+// nothing behind on the heap, and a denial makes a pinned number of heap
+// allocations. This file replaces the global allocation functions of the
+// test_memory binary with a live-byte counter built on malloc_usable_size,
+// which also sees the sanitizers' allocators, and an allocation counter that
+// a test arms on its own thread around one call.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 
 #include "core/session.hpp"
+#include "crypto/chacha20.hpp"
+#include "crypto/drbg.hpp"
 #include "support/fixtures.hpp"
 
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+thread_local bool g_counting = false;
+thread_local std::size_t g_allocations = 0;
 
 // Out of line, so an inlined operator delete never shows the compiler a
 // free() of a pointer that came from operator new (-Wmismatched-new-delete).
@@ -30,6 +37,7 @@ std::atomic<std::int64_t> g_live_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
+  if (g_counting) ++g_allocations;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
@@ -46,6 +54,15 @@ namespace sp::core {
 namespace {
 
 using crypto::to_bytes;
+
+template <typename Fn>
+std::size_t count_allocations(Fn&& fn) {
+  g_allocations = 0;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_allocations;
+}
 
 TEST(ServingMemory, WarmRequestsLeaveTheLiveHeapFlat) {
   Session session(testsupport::toy_config("serving-memory"));
@@ -83,6 +100,67 @@ TEST(ServingMemory, WarmRequestsLeaveTheLiveHeapFlat) {
 
   EXPECT_EQ(granted, 1000);  // every grant opened its object, every guess failed
   EXPECT_LE(growth, 4096) << "live heap grew by " << growth << " B over 2,000 requests";
+}
+
+TEST(DenyPathAllocations, DrbgDrawsAllocateNothing) {
+  // DisplayPuzzle's shuffle and the link model's jitter draw on every request.
+  crypto::Drbg rng("deny-alloc-draws");
+  const std::size_t n = count_allocations([&] {
+    (void)rng.next_u64();
+    (void)rng.uniform(1000);
+    (void)rng.uniform_real();
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+TEST(DenyPathAllocations, OpeningAStreamAllocatesNoMoreThanItsChaCha20) {
+  const Bytes key(32, 0x33);
+  const Bytes nonce(12, 0x01);
+  const std::size_t holding = count_allocations(
+      [&] { const auto cipher = std::make_unique<crypto::ChaCha20>(key, nonce); });
+  std::uint64_t first = 0;
+  const std::size_t opening = count_allocations([&] {
+    crypto::Drbg stream(key, 42);
+    first = stream.next_u64();
+  });
+  EXPECT_LE(opening, holding);
+  EXPECT_EQ(first, crypto::Drbg(key, 42).next_u64());
+}
+
+/// What one C1 denial allocates at the paper's scale with k = N = 6, which
+/// fixes the challenge at all six questions, and m = 2 known answers.
+constexpr std::size_t kC1DenialAllocations = 33;
+
+TEST(DenyPathAllocations, C1DenialAtFullPresetStaysWithinItsCount) {
+  SessionConfig cfg;
+  cfg.pairing_preset = ec::ParamPreset::kFull;
+  cfg.seed = "deny-alloc-guard";
+  Session session(cfg);
+  const auto sharer = session.register_user("sharer");
+  const auto receiver = session.register_user("receiver");
+  session.befriend(sharer, receiver);
+  // Paper §VIII inputs: 50-character questions, 20-character answers.
+  Context ctx;
+  for (int i = 0; i < 6; ++i) {
+    std::string question = "q" + std::to_string(i) + ":";
+    question.resize(50, static_cast<char>('a' + i));
+    ctx.add(question, std::string(20, static_cast<char>('k' + i)));
+  }
+  const std::string post =
+      session.share_c1(sharer, to_bytes("deny-path object"), ctx, 6, 6, net::pc_profile())
+          .post_id;
+  Knowledge two;
+  for (std::size_t i = 0; i < 2; ++i) two.learn(ctx.pairs()[i].question, ctx.pairs()[i].answer);
+  // Warm the lazily created metric handles.
+  for (int i = 0; i < 3; ++i) (void)session.access(receiver, post, two, net::pc_profile());
+
+  AccessResult denied;
+  const std::size_t n = count_allocations(
+      [&] { denied = session.access(receiver, post, two, net::pc_profile()); });
+  EXPECT_FALSE(denied.granted);
+  EXPECT_FALSE(denied.error.has_value());
+  RecordProperty("c1_denial_allocations", std::to_string(n));
+  EXPECT_LE(n, kC1DenialAllocations) << n << " allocations in one C1 denial";
 }
 
 }  // namespace

@@ -52,6 +52,24 @@ TEST(ThreadPool, RunAllEmptySpanReturnsAtOnce) {
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
+TEST(ThreadPool, NoWorkersRunEveryJobOnTheCallerInOrder) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  const auto tasks0 = pool_tasks();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    jobs.emplace_back([&order, caller, i] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+  }
+  pool.run_all(jobs);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(pool_tasks(), tasks0);  // no helper was lent
+}
+
 TEST(ThreadPool, RunAllRethrowsLowestIndexError) {
   // Job 3 throws first; job 1 throws only after job 3 has, so the errors
   // finish in the opposite order of their indexes. Every job still runs.

@@ -1,11 +1,14 @@
-// ChaCha20 RFC 8439 vector + Drbg determinism/statistics.
+// ChaCha20 RFC 8439 vector and wipe + Drbg determinism/statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <new>
 #include <set>
 
 #include "crypto/bytes.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
 
 namespace sp::crypto {
 namespace {
@@ -56,6 +59,36 @@ TEST(ChaCha20, StreamContinuity) {
   EXPECT_EQ(whole, stitched);
 }
 
+TEST(ChaCha20, DestructorWipesKeyAndUnreadKeystream) {
+  Bytes key(32);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(0x40 + i);
+  const Bytes nonce(12, 0x07);
+  ChaCha20 twin(key, nonce);
+  Bytes expected(64);
+  twin.keystream(expected);
+
+  // The object lives in storage the test owns, so reading it after the
+  // destructor reads no freed memory.
+  alignas(ChaCha20) std::uint8_t storage[sizeof(ChaCha20)];
+  auto* c = new (storage) ChaCha20(key, nonce);
+  Bytes first(10);
+  c->keystream(first);  // the other 54 bytes of the block stay buffered
+  ASSERT_EQ(first, Bytes(expected.begin(), expected.begin() + 10));
+  c->~ChaCha20();
+
+  const volatile std::uint8_t* p = storage;
+  const Bytes left(p, p + sizeof(storage));
+  const auto contains = [&left](const std::uint8_t* needle, std::size_t n) {
+    return std::search(left.begin(), left.end(), needle, needle + n) != left.end();
+  };
+  for (std::size_t i = 0; i < key.size(); i += 4) {
+    EXPECT_FALSE(contains(key.data() + i, 4)) << "key word " << i / 4;
+  }
+  for (std::size_t i = 10; i + 8 <= expected.size(); i += 8) {
+    EXPECT_FALSE(contains(expected.data() + i, 8)) << "keystream byte " << i;
+  }
+}
+
 TEST(Drbg, DeterministicForSameSeed) {
   Drbg a("seed-x"), b("seed-x");
   EXPECT_EQ(a.bytes(64), b.bytes(64));
@@ -89,18 +122,29 @@ TEST(Drbg, UniformRealInUnitInterval) {
   }
 }
 
-TEST(Drbg, ForkIndependence) {
-  Drbg parent("parent");
-  Drbg child1 = parent.fork("net");
-  Drbg child2 = parent.fork("net");  // same label, later position -> distinct
-  EXPECT_NE(child1.bytes(32), child2.bytes(32));
+TEST(Drbg, NumberedStreamsAreDistinct) {
+  const Bytes key(32, 0x5c);
+  std::set<Bytes> seen;
+  // 2^32 catches a number cut to the 32-bit ChaCha counter word.
+  for (const std::uint64_t stream : {0ull, 1ull, 2ull, 255ull, 256ull, 1ull << 32, ~0ull}) {
+    Drbg d(key, stream);
+    EXPECT_TRUE(seen.insert(d.bytes(32)).second) << "stream " << stream;
+  }
+  // Under the key a seed hashes to, no numbered stream replays the seeded one.
+  Drbg seeded("parent");
+  Drbg numbered(Sha256::hash(to_bytes("parent")), 0);
+  EXPECT_NE(seeded.bytes(32), numbered.bytes(32));
 }
 
-TEST(Drbg, ForkReproducibleFromSameParentState) {
-  Drbg p1("parent"), p2("parent");
-  Drbg c1 = p1.fork("crypto");
-  Drbg c2 = p2.fork("crypto");
-  EXPECT_EQ(c1.bytes(32), c2.bytes(32));
+TEST(Drbg, NumberedStreamReplaysForOneKeyAndNumber) {
+  const Bytes key(32, 0x5c);
+  Drbg a(key, 7), b(key, 7);
+  EXPECT_EQ(a.bytes(100), b.bytes(100));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  Drbg other_key(Bytes(32, 0x5d), 7);
+  Drbg again(key, 7);
+  EXPECT_NE(other_key.bytes(32), again.bytes(32));
+  EXPECT_THROW(Drbg(Bytes(16, 0), 7), std::invalid_argument);
 }
 
 }  // namespace

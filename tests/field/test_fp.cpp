@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace sp::field {
 namespace {
 
@@ -90,6 +92,26 @@ TEST(Fp, TonelliShanksGeneralPrime) {
     const Fp r = sq.sqrt();
     EXPECT_EQ(r * r, sq) << "v=" << v;
   }
+}
+
+TEST(Fp, SqrtIfSquareRootsExactlyTheResidues) {
+  // Every element of a p ≡ 3 and a p ≡ 1 (mod 4) field, then random ones of
+  // a 256-bit field: a root exactly for the residues (and zero), and then
+  // one that squares back and is the smaller of the two.
+  const auto check = [](const Fp& y) {
+    const std::optional<Fp> root = y.sqrt_if_square();
+    ASSERT_EQ(root.has_value(), y.legendre() != -1) << y.to_string();
+    if (root) {
+      EXPECT_EQ(*root * *root, y) << y.to_string();
+      EXPECT_FALSE((-*root).value() < root->value()) << y.to_string();
+    }
+  };
+  for (const auto& f : {small_field(), make_fp(BigInt{13})}) {
+    for (std::int64_t v = 0; BigInt{v} < f->p(); ++v) check(Fp(f, BigInt{v}));
+  }
+  auto f = big_field();
+  Drbg rng("fp-sqrt-if-square");
+  for (int i = 0; i < 40; ++i) check(Fp::random(f, rng));
 }
 
 TEST(Fp, BytesRoundTrip) {

@@ -9,36 +9,40 @@ namespace {
 
 TEST(Network, ZeroJitterIsDeterministicLinear) {
   LinkProfile link{"test", 8.0, 10.0, 5.0, 0.0};  // 8 Mbps -> 1 ms per KB
-  Network n(link, crypto::Drbg("x"));
+  const Network n(link);
+  crypto::Drbg rng("x");
   // 1000 bytes = 8000 bits at 8 Mbps = 1 ms payload + rtt + overhead.
-  EXPECT_DOUBLE_EQ(n.transfer_ms(1000), 1.0 + 10.0 + 5.0);
-  EXPECT_DOUBLE_EQ(n.transfer_ms(2000), 2.0 + 15.0);
+  EXPECT_DOUBLE_EQ(n.transfer_ms(1000, rng), 1.0 + 10.0 + 5.0);
+  EXPECT_DOUBLE_EQ(n.transfer_ms(2000, rng), 2.0 + 15.0);
   // Extra round trips charge rtt + overhead again.
-  EXPECT_DOUBLE_EQ(n.transfer_ms(1000, 3), 1.0 + 3 * 15.0);
+  EXPECT_DOUBLE_EQ(n.transfer_ms(1000, rng, 3), 1.0 + 3 * 15.0);
 }
 
 TEST(Network, JitterBoundedAndSeeded) {
   LinkProfile link{"test", 8.0, 10.0, 5.0, 0.2};
-  Network a(link, crypto::Drbg("seed")), b(link, crypto::Drbg("seed"));
+  const Network n(link);
+  crypto::Drbg a("seed"), b("seed");
   for (int i = 0; i < 50; ++i) {
     const double base = 1.0 + 15.0;
-    const double da = a.transfer_ms(1000);
+    const double da = n.transfer_ms(1000, a);
     EXPECT_GE(da, base);
     EXPECT_LT(da, base * 1.2 + 1e-9);
-    EXPECT_DOUBLE_EQ(da, b.transfer_ms(1000));  // same seed, same jitter
+    EXPECT_DOUBLE_EQ(da, n.transfer_ms(1000, b));  // same stream, same jitter
   }
 }
 
 TEST(Network, LargerPayloadsCostMore) {
-  Network n(wlan_80211n_to_ec2(), crypto::Drbg("x"));
+  const Network n(wlan_80211n_to_ec2());
+  crypto::Drbg rng("x");
   // 600 KB (the paper's I2 upload) vs 2 KB (a C1 puzzle): payload time must
   // dominate the fixed RTT+overhead by a clear margin even with jitter.
-  EXPECT_GT(n.transfer_ms(600 * 1024), 2 * n.transfer_ms(2 * 1024));
+  EXPECT_GT(n.transfer_ms(600 * 1024, rng), 2 * n.transfer_ms(2 * 1024, rng));
 }
 
 TEST(Network, RejectsZeroRoundTrips) {
-  Network n(loopback(), crypto::Drbg("x"));
-  EXPECT_THROW(n.transfer_ms(10, 0), std::invalid_argument);
+  const Network n(loopback());
+  crypto::Drbg rng("x");
+  EXPECT_THROW(n.transfer_ms(10, rng, 0), std::invalid_argument);
 }
 
 TEST(DeviceProfiles, TabletSlowerThanPc) {
@@ -82,9 +86,10 @@ TEST(Network, MetricsCountTransfersBytesAndDelay) {
   const auto bytes0 = bytes.value();
   const auto delay0 = delay.count();
 
-  Network n(wlan_80211n_to_ec2(), crypto::Drbg("metrics"));
-  const double a = n.transfer_ms(1000);
-  const double b = n.transfer_ms(2500, 2);
+  const Network n(wlan_80211n_to_ec2());
+  crypto::Drbg rng("metrics");
+  const double a = n.transfer_ms(1000, rng);
+  const double b = n.transfer_ms(2500, rng, 2);
   EXPECT_EQ(transfers.value(), transfers0 + 2);
   EXPECT_EQ(bytes.value(), bytes0 + 3500);
   EXPECT_EQ(delay.count(), delay0 + 2);

@@ -16,6 +16,7 @@
 // only the trailing partial frame (decode_trace_dump stops cleanly), so a
 // dump from a crashed run is still analyzable.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -49,7 +50,9 @@ int usage() {
       "      --out FILE        binary dump output (required)\n"
       "      --chrome FILE     also write Chrome trace-event JSON\n"
       "      --requests N      access requests to issue (default 24)\n"
-      "      --threads N       pool threads serving the batch (default 4)\n"
+      "      --threads N       threads issuing the requests, the caller included\n"
+      "                        (default 4); 1 issues them in order on the caller,\n"
+      "                        so one seed fixes the granted/faulted counts\n"
       "      --faults RATE     uniform fault probability per op class (default 0.2)\n"
       "      --sample P        head-sampling probability (default 1.0)\n"
       "      --seed S          session + fault schedule seed (default sp-trace)\n"
@@ -227,7 +230,11 @@ int cmd_record(const Args& args) {
     // sp.request trace.
     const sp::obs::Span root = tracer.start_trace("sp_trace.batch");
     const sp::obs::ContextGuard guard(root.context());
-    sp::core::ThreadPool pool(threads);
+    // The caller plus threads-1 helpers. With one thread the caller issues
+    // the requests in index order, so request i opens the session's i-th
+    // request stream and its challenge draw (and with it how many shares a
+    // partial-reply fault can drop) replays with the seed.
+    sp::core::ThreadPool pool(std::max<std::size_t>(threads, 1) - 1);
     pool.run_all(jobs);
   }
 
