@@ -120,8 +120,9 @@ void BM_ScalarMulFixedBase(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarMulFixedBase);
 
-// One FixedBase table build: what a long-lived generator pays once, and
-// what a one-use base (CP-ABE's h and f) would pay for nothing.
+// One FixedBase table build: what a long-lived generator, or a C1
+// receiver's first grant against a sharer, pays once, and what a one-use
+// base (CP-ABE's h and f) would pay for nothing.
 void BM_FixedBaseBuild(benchmark::State& state) {
   const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
   crypto::Drbg rng("bm-fb-build");
@@ -134,17 +135,20 @@ void BM_FixedBaseBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FixedBaseBuild)->Unit(benchmark::kMillisecond);
 
-// Schnorr Verify, as a receiver runs it on every C1 access: g^s from the
-// generator's table minus e·pk by wNAF, compared with R inversion-free.
+// Schnorr Verify, as a receiver runs it on every C1 grant: g^s from the
+// generator's table minus e·pk from the sharer's table, compared with R
+// inversion-free. The receiver builds the sharer's table once
+// (BM_FixedBaseBuild), so it is built here outside the timed loop.
 void BM_SchnorrVerify(benchmark::State& state) {
   const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
   const sig::Schnorr schnorr(curve, curve.hash_to_group(crypto::to_bytes("sp-schnorr-g")));
   crypto::Drbg rng("bm-schnorr-verify");
   const sig::KeyPair kp = schnorr.keygen(rng);
+  const ec::FixedBase sharer_key(curve, kp.public_key);
   const auto msg = rng.bytes(100);
   const sig::Signature sig = schnorr.sign(kp, msg);
   for (auto _ : state) {
-    const bool ok = schnorr.verify(kp.public_key, msg, sig);
+    const bool ok = schnorr.verify(sharer_key, msg, sig);
     benchmark::DoNotOptimize(ok);
     if (!ok) state.SkipWithError("valid signature rejected");
   }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "core/construction1.hpp"
@@ -116,7 +117,18 @@ int cmd_solve(int argc, char** argv) {
   const Puzzle puzzle = Puzzle::deserialize(read_file(prefix + ".puzzle"));
   const Bytes encrypted = read_file(prefix + ".enc");
 
-  if (!c1.verify_puzzle_signature(puzzle)) {
+  // File mode has no social graph to learn the sharer's key from, so the
+  // one table is built from the key the puzzle file carries: this catches a
+  // corrupted file, not a forger who re-signs it.
+  bool signature_ok = false;
+  try {
+    const ec::FixedBase sharer_key(curve,
+                                   c1.schnorr().deserialize_public(puzzle.sharer_public_key));
+    signature_ok = c1.verify_puzzle_signature(sharer_key, puzzle, puzzle.url);
+  } catch (const std::invalid_argument&) {
+    // An undecodable or off-curve key: the signature cannot be checked.
+  }
+  if (!signature_ok) {
     std::fprintf(stderr, "WARNING: puzzle signature invalid — file may be tampered\n");
   }
   // In file mode there is no SP: run DisplayPuzzle/Verify locally with all

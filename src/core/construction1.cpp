@@ -98,14 +98,15 @@ Construction1::UploadResult Construction1::upload(std::span<const std::uint8_t> 
 
 void Construction1::sign_puzzle(Puzzle& puzzle, const sig::KeyPair& sharer_keys) const {
   puzzle.sharer_public_key = schnorr_.serialize_public(sharer_keys.public_key);
-  puzzle.signature = schnorr_.serialize(schnorr_.sign(sharer_keys, puzzle.signed_payload()));
+  puzzle.signature =
+      schnorr_.serialize(schnorr_.sign(sharer_keys, puzzle.signed_payload(puzzle.url)));
 }
 
-bool Construction1::verify_puzzle_signature(const Puzzle& puzzle) const {
+bool Construction1::verify_puzzle_signature(const ec::FixedBase& sharer_key, const Puzzle& puzzle,
+                                            std::string_view url) const {
   try {
-    const ec::Point pk = schnorr_.deserialize_public(puzzle.sharer_public_key);
     const sig::Signature sig = schnorr_.deserialize(puzzle.signature);
-    return schnorr_.verify(pk, puzzle.signed_payload(), sig);
+    return schnorr_.verify(sharer_key, puzzle.signed_payload(url), sig);
   } catch (const std::invalid_argument&) {
     return false;
   }
@@ -174,21 +175,24 @@ Construction1::VerifyReply Construction1::verify(const Puzzle& puzzle, const Cha
   if (response_hashes.size() != challenge.questions.size()) {
     throw std::invalid_argument("Construction1::verify: response/challenge length mismatch");
   }
+  // Count the matches first: below k "the SP does not send anything", so
+  // a denial copies no share.
+  const auto matches = [&](std::size_t j) {
+    return crypto::ct_equal(puzzle.entries.at(challenge.indices[j]).answer_hash,
+                            response_hashes[j]);
+  };
+  std::size_t matched = 0;
+  for (std::size_t j = 0; j < challenge.indices.size(); ++j) matched += matches(j) ? 1 : 0;
   VerifyReply reply;
+  if (matched < puzzle.threshold) return reply;
+  reply.granted = true;
+  reply.shares.reserve(matched);
   for (std::size_t j = 0; j < challenge.indices.size(); ++j) {
+    if (!matches(j)) continue;
     const std::size_t idx = challenge.indices[j];
-    const PuzzleEntry& entry = puzzle.entries.at(idx);
-    if (crypto::ct_equal(entry.answer_hash, response_hashes[j])) {
-      reply.shares.push_back(GrantedShare{idx, entry.blinded_share});
-    }
+    reply.shares.push_back(GrantedShare{idx, puzzle.entries[idx].blinded_share});
   }
-  if (reply.shares.size() >= puzzle.threshold) {
-    reply.granted = true;
-    reply.url = puzzle.url;
-  } else {
-    // "the SP does not send anything" — clear partial results.
-    reply.shares.clear();
-  }
+  reply.url = puzzle.url;
   return reply;
 }
 

@@ -46,8 +46,15 @@ class Construction1 {
 
   /// (Re)signs a puzzle after its URL is known.
   void sign_puzzle(Puzzle& puzzle, const sig::KeyPair& sharer_keys) const;
-  /// Receiver-side signature check (detects SP tampering with URL/K_Z/...).
-  [[nodiscard]] bool verify_puzzle_signature(const Puzzle& puzzle) const;
+  /// Receiver-side check of the sharer's signature over (URL_O, k, K_Z)
+  /// (§VI-A: detects an SP that rewrites them). `url` is URL_O exactly as
+  /// the SP's Verify reply carried it; k, K_Z and the signature are the
+  /// puzzle's. `sharer_key` is the table of the key the receiver already
+  /// knows the sharer by, from the social graph. The puzzle's own
+  /// sharer_public_key is never read: an SP that swaps URL_O and re-signs
+  /// under its own key fails here.
+  [[nodiscard]] bool verify_puzzle_signature(const ec::FixedBase& sharer_key,
+                                             const Puzzle& puzzle, std::string_view url) const;
 
   // -------------------------------------------------------------------- SP
   /// What DisplayPuzzle shows a user: r questions (k <= r <= n) in a random

@@ -4,13 +4,13 @@
 
 namespace sp::core {
 
-Bytes Puzzle::signed_payload() const {
+Bytes Puzzle::signed_payload(std::string_view url_o) const {
   // Only the fields a receiver eventually holds (URL_O, k, K_Z) — the
   // paper's countermeasure signs exactly the components whose tampering
   // causes silent DoS. Blinded-share tampering is detected downstream by
   // the authenticated decryption failing.
   Bytes out;
-  crypto::put_str(out, url);
+  crypto::put_str(out, url_o);
   crypto::put_u32(out, static_cast<std::uint32_t>(threshold));
   crypto::put_blob(out, puzzle_key);
   return out;

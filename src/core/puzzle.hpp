@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/bytes.hpp"
@@ -31,12 +32,14 @@ struct Puzzle {
   Bytes puzzle_key;                  ///< K_Z
   std::string url;                   ///< URL_O at the storage host
   Bytes sharer_public_key;           ///< serialized Schnorr public key
-  Bytes signature;                   ///< over signed_payload()
+  Bytes signature;                   ///< over signed_payload(url)
 
   [[nodiscard]] std::size_t n() const { return entries.size(); }
 
-  /// The byte string the sharer signs: URL_O, k and K_Z.
-  [[nodiscard]] Bytes signed_payload() const;
+  /// The byte string the sharer signs: URL_O, k and K_Z, with `url_o` as
+  /// URL_O. The sharer passes `url`; a receiver passes the URL the SP's
+  /// Verify reply carried.
+  [[nodiscard]] Bytes signed_payload(std::string_view url_o) const;
 
   /// Wire format; its size is what the Fig. 10 sharer network model charges.
   [[nodiscard]] Bytes serialize() const;

@@ -174,7 +174,7 @@ osn::UserId Session::register_user(const std::string& name) {
   // leave an unwiped secret on the stack); keygen under the lock is fine —
   // registration is rare compared to serving.
   const sp::MutexLock lock(keys_mutex_);
-  user_keys_.emplace(id, c1_->schnorr().keygen(key_rng));
+  user_keys_.try_emplace(id, c1_->schnorr().keygen(key_rng));
   return id;
 }
 
@@ -184,7 +184,21 @@ const sig::KeyPair& Session::keys_of(osn::UserId user) {
   // Map nodes are stable and keys are never erased, so the reference stays
   // valid after the lookup lock drops.
   const sp::MutexLock lock(keys_mutex_);
-  return user_keys_.at(user);
+  return user_keys_.at(user).keys;
+}
+
+const ec::FixedBase& Session::sharer_key(osn::UserId sharer) const {
+  const UserKeys* entry = nullptr;
+  {
+    const sp::MutexLock lock(keys_mutex_);
+    entry = &user_keys_.at(sharer);
+  }
+  // Built outside the lookup lock: first grants against one sharer wait on
+  // that sharer's flag, and no other user's lookup waits on the build.
+  std::call_once(entry->table_once, [this, entry] {
+    entry->table = std::make_unique<const ec::FixedBase>(curve_, entry->keys.public_key);
+  });
+  return *entry->table;
 }
 
 Session::Published Session::publish_c1(const sig::KeyPair& keys,
@@ -580,11 +594,12 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   }
 
   // -- receiver local: verify the sharer's signature on (URL, k, K_Z) ----
+  //    against the key the receiver knows the sharer by, with the URL the
+  //    reply carried. The first grant against a sharer builds its table.
   obs::Span sig_tspan(trace, "c1.sig_verify");
   obs::TraceSpan sig_span(metrics.c1_sig_verify, ledger);
-  Puzzle verified_view = puzzle;  // fields as received from the SP
-  verified_view.url = reply.url;
-  const bool sig_ok = c1_->verify_puzzle_signature(verified_view);
+  const bool sig_ok =
+      c1_->verify_puzzle_signature(sharer_key(stored.sharer), puzzle, reply.url);
   sig_span.stop();
   sig_tspan.end();
   if (!sig_ok) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "core/construction1.hpp"
@@ -205,8 +206,24 @@ class Session {
   Published publish_c2(std::span<const std::uint8_t> object, const Context& ctx, std::size_t k,
                        net::CostLedger& ledger, crypto::Drbg& rng);
 
+  /// A registered user's signing keys, and the table receivers check that
+  /// user's signatures with. Session plays the receiver here: a receiver
+  /// knows the sharer's key from the social graph, never from the SP's
+  /// record. The table is built on the first C1 grant that verifies against
+  /// this user, never at registration or on a share, and kept for the life
+  /// of the session (~91 KB at kFull; DESIGN.md §7).
+  struct UserKeys {
+    explicit UserKeys(sig::KeyPair&& k) : keys(std::move(k)) {}
+    sig::KeyPair keys;
+    /// Written once, under table_once; immutable after.
+    mutable std::once_flag table_once;
+    mutable std::unique_ptr<const ec::FixedBase> table;
+  };
+
   /// A registered user's signing keys.
   const sig::KeyPair& keys_of(osn::UserId user) SP_EXCLUDES(keys_mutex_);
+  /// The table of `sharer`'s public key, built on first use.
+  const ec::FixedBase& sharer_key(osn::UserId sharer) const SP_EXCLUDES(keys_mutex_);
 
   /// Opens the next numbered random stream under stream_key_. Each
   /// operation draws from its own stream, so drawing takes no lock.
@@ -251,8 +268,8 @@ class Session {
   std::unique_ptr<net::FaultInjector> injector_;  ///< null = fault-free session
   crypto::SecretBytes stream_key_;  ///< keys every stream open_stream() numbers
   mutable std::atomic<std::uint64_t> next_stream_{0};
-  sp::Mutex keys_mutex_;  ///< guards user_keys_ lookups/inserts (nodes are stable)
-  std::map<osn::UserId, sig::KeyPair> user_keys_ SP_GUARDED_BY(keys_mutex_);
+  mutable sp::Mutex keys_mutex_;  ///< guards user_keys_ lookups/inserts (nodes are stable)
+  std::map<osn::UserId, UserKeys> user_keys_ SP_GUARDED_BY(keys_mutex_);
   /// Readers (access*) hold this shared for the whole request so refresh
   /// can't mutate a puzzle out from under them; share_* take it exclusively
   /// only around registry insertion, refresh for its whole body.

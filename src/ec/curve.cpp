@@ -301,15 +301,22 @@ Point Curve::deserialize(std::span<const std::uint8_t> data) const {
 
 namespace {
 
-// k·B from a FixedBase's entries, in Jacobian coordinates: one mixed
-// addition per non-zero nibble of k. Precondition: 0 <= k < 16^rows.
-Jac table_mul(const std::vector<Point>& entries, const BigInt& k) {
-  Jac acc{};
+// acc + k·B from a FixedBase's entries, in Jacobian coordinates: one mixed
+// addition per non-zero nibble of k; `subtract` adds −(d·16^j·B) instead,
+// so acc − k·B. Precondition: 0 <= k < 16^rows.
+Jac table_mul(const std::vector<Point>& entries, const BigInt& k, Jac acc = {},
+              bool subtract = false) {
   const std::size_t nibbles = (k.bit_length() + 3) / 4;
   for (std::size_t j = 0; j < nibbles; ++j) {
     unsigned d = 0;
     for (unsigned b = 0; b < 4; ++b) d |= static_cast<unsigned>(k.bit(4 * j + b)) << b;
-    if (d != 0) acc = jac_add_affine(acc, entries[j * 15 + (d - 1)]);
+    if (d == 0) continue;
+    const Point& entry = entries[j * 15 + (d - 1)];
+    if (subtract) {
+      acc = jac_add_affine(acc, Point(entry.x(), -entry.y()));
+    } else {
+      acc = jac_add_affine(acc, entry);
+    }
   }
   return acc;
 }
@@ -348,12 +355,12 @@ Point FixedBase::mul(const BigInt& k) const {
   return jac_to_affine(table_mul(entries_, k));
 }
 
-bool FixedBase::mul_sub_equals(const BigInt& s, const Point& p, const BigInt& e,
+bool FixedBase::mul_sub_equals(const BigInt& s, const FixedBase& p, const BigInt& e,
                                const Point& r) const {
-  if (!in_table(s)) return mul(s) == curve_->add(r, curve_->mul(p, e));
-  fixed_base_muls().inc();
-  generic_muls().inc();
-  const Jac diff = jac_add(table_mul(entries_, s), jac_neg(wnaf_mul(p, e)));
+  if (!in_table(s) || !p.in_table(e)) return mul(s) == curve_->add(r, p.mul(e));
+  fixed_base_muls().inc(2);
+  // One accumulator: the mixed additions of s·B, then those of −e·P.
+  const Jac diff = table_mul(p.entries_, e, table_mul(entries_, s), /*subtract=*/true);
   if (diff.inf || r.is_infinity()) return diff.inf && r.is_infinity();
   // A finite Jacobian point never has Z = 0, so x = X/Z² and y = Y/Z³.
   const Fp z2 = diff.z * diff.z;

@@ -91,12 +91,14 @@ class Curve {
 
 /// Immutable fixed-base window table for one long-lived base point B: row j
 /// holds d·16^j·B for d = 1..15, so k·B costs one mixed addition per
-/// non-zero nibble of k and no doublings. The object that owns B builds the
-/// table once and holds it (sig::Schnorr and abe::CpAbe, for their
-/// generators); there is no shared registry, so nothing evicts it and a
-/// multiplication takes no lock. One build costs ~4.7 ms at kFull
-/// (BM_FixedBaseBuild), so a base multiplied only once or twice is cheaper
-/// through Curve::mul. `curve` must outlive the table.
+/// non-zero nibble of k and no doublings. The party that multiplies B
+/// builds the table once and holds it: sig::Schnorr and abe::CpAbe for
+/// their generators, and a C1 receiver for each sharer whose signature it
+/// checks. There is no shared registry, so nothing evicts a table and a
+/// multiplication takes no lock. One build costs 2–4 ms at kFull
+/// (BM_FixedBaseBuild) and the table holds 40 × 15 affine points (~91 KB),
+/// so a base multiplied only a few times is cheaper through Curve::mul.
+/// `curve` must outlive the table.
 class FixedBase {
  public:
   /// `base` must lie in the order-q subgroup; infinity or an off-curve
@@ -110,13 +112,14 @@ class FixedBase {
   /// ec_scalar_muls_total{path="fixed_base"}.
   [[nodiscard]] Point mul(const BigInt& k) const;
 
-  /// s·B − e·P == R, decided without a field inversion: s·B from the table
-  /// and e·P by wNAF, both in Jacobian coordinates, and the difference
-  /// (X, Y, Z) compared with the affine R as X = x_R·Z², Y = y_R·Z³. The
-  /// same verdict as mul(s) == R + Curve::mul(P, e) for every input. This
-  /// is Schnorr Verify's equation; it counts one fixed_base and one generic
-  /// multiplication.
-  [[nodiscard]] bool mul_sub_equals(const BigInt& s, const Point& p, const BigInt& e,
+  /// s·B − e·P == R for the base P of `p`, a table on the same curve,
+  /// decided without a field inversion: the mixed additions of s·B from this
+  /// table and of −e·P from `p` run into one Jacobian accumulator, and the
+  /// result (X, Y, Z) is compared with the affine R as X = x_R·Z²,
+  /// Y = y_R·Z³. The same verdict as mul(s) == R + p.mul(e) for every
+  /// input. This is Schnorr Verify's equation; it counts two fixed_base
+  /// multiplications.
+  [[nodiscard]] bool mul_sub_equals(const BigInt& s, const FixedBase& p, const BigInt& e,
                                     const Point& r) const;
 
  private:

@@ -67,6 +67,10 @@ std::string StorageHost::store(Bytes blob) {
   DhMetrics::get().store.inc();
   DhMetrics::get().objects.add(1);
   DhMetrics::get().bytes_at_rest.add(static_cast<std::int64_t>(size));
+  // Held at its size: a sealed envelope arrives in a buffer grown for its
+  // appended tag, up to twice what it holds, and the blob stays resident
+  // for the life of the post.
+  blob.shrink_to_fit();
   blobs_.put(url, std::move(blob), counter);
   return url;
 }

@@ -38,8 +38,8 @@ class StorageHost {
   StorageHost(StorageHost&&) = delete;
   StorageHost& operator=(StorageHost&&) = delete;
 
-  /// Stores a blob; returns its URL (URL_O in the paper). URLs are stable,
-  /// unguessable-looking identifiers.
+  /// Stores a blob, held in a buffer sized to fit; returns its URL (URL_O
+  /// in the paper). URLs are stable, unguessable-looking identifiers.
   std::string store(Bytes blob);
 
   /// Fetches a copy by URL; nullopt for an unknown URL (a revoked object,

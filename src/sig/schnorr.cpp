@@ -55,12 +55,11 @@ Signature Schnorr::sign(const KeyPair& kp, std::span<const std::uint8_t> msg) co
   return Signature{r, s};
 }
 
-bool Schnorr::verify(const ec::Point& public_key, std::span<const std::uint8_t> msg,
+bool Schnorr::verify(const ec::FixedBase& public_key, std::span<const std::uint8_t> msg,
                      const Signature& sig) const {
   if (sig.r.is_infinity() || !curve_->on_curve(sig.r)) return false;
-  if (public_key.is_infinity() || !curve_->on_curve(public_key)) return false;
   if (sig.s.is_negative() || sig.s >= curve_->order()) return false;
-  const BigInt e = challenge(sig.r, public_key, msg);
+  const BigInt e = challenge(sig.r, public_key.base(), msg);
   // g^s == R + e·pk, checked as g^s − e·pk == R.
   return g_.mul_sub_equals(sig.s, public_key, e, sig.r);
 }

@@ -25,9 +25,11 @@ struct Signature {
 };
 
 /// Holds its generator's FixedBase table, built once in the constructor
-/// (~4.7 ms at kFull): keygen, sign and verify take g^x from it. Build one
+/// (2–4 ms at kFull): keygen, sign and verify take g^x from it. Build one
 /// Schnorr per generator and share it; Construction1 holds the one every
-/// Session user is keyed with.
+/// Session user is keyed with. A verifier brings the signer's key as a
+/// table too (FixedBase over the public key), built once per signer it
+/// checks.
 class Schnorr {
  public:
   /// `generator` must be a fixed public generator of the order-q subgroup
@@ -37,10 +39,12 @@ class Schnorr {
 
   [[nodiscard]] KeyPair keygen(crypto::Drbg& rng) const;
   [[nodiscard]] Signature sign(const KeyPair& kp, std::span<const std::uint8_t> msg) const;
-  /// Checks R and pk on the curve and not infinity, 0 <= s < q, and then
-  /// g^s = R + e·pk as one combination with no field inversion
-  /// (FixedBase::mul_sub_equals).
-  [[nodiscard]] bool verify(const ec::Point& public_key, std::span<const std::uint8_t> msg,
+  /// Checks R on the curve and not infinity, 0 <= s < q, and then
+  /// g^s = R + e·pk as one combination of two table multiplications with no
+  /// field inversion (FixedBase::mul_sub_equals). `public_key` is the
+  /// signer's table; its constructor already rejected an infinity or
+  /// off-curve key.
+  [[nodiscard]] bool verify(const ec::FixedBase& public_key, std::span<const std::uint8_t> msg,
                             const Signature& sig) const;
 
   /// Wire encodings (signature travels inside puzzle records).

@@ -259,6 +259,28 @@ TEST_F(SessionConcurrencyTest, C2GrantsAboveThresholdShareTheLeafPool) {
   }
 }
 
+TEST_F(SessionConcurrencyTest, FirstC1GrantsFromAFreshSharerRaceItsTableBuild) {
+  // A sharer no receiver has verified yet: the first C1 grant against them
+  // builds the table of their key. Eight receivers make that first grant at
+  // once, released together, so every thread races the one build.
+  const osn::UserId fresh = session_.register_user("fresh sharer");
+  for (const osn::UserId r : receivers_) session_.befriend(fresh, r);
+  const Bytes object = to_bytes("first-use object");
+  const std::string post =
+      session_.share_c1(fresh, object, ctx_, 2, 4, net::pc_profile()).post_id;
+  std::atomic<std::size_t> arrived{0};
+  std::vector<AccessResult> results(kThreads);
+  run_threads([&](std::size_t t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    results[t] = session_.access(receivers_[t], post, Knowledge::full(ctx_), net::pc_profile());
+  });
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(results[t].success()) << "thread " << t;
+    EXPECT_EQ(*results[t].object, object) << "thread " << t;
+  }
+}
+
 TEST_F(SessionConcurrencyTest, ServingPathUnderRefreshAndRevokeChurn) {
   // Eight receivers read both posts through the full serving path while the
   // sharer churns them: a plain refresh, then revoke-then-refresh, each

@@ -28,7 +28,8 @@ class Construction1Test : public ::testing::Test {
         c1_(curve_.fp(), curve_),
         schnorr_(curve_, curve_.hash_to_group(to_bytes("sp-schnorr-g"))),
         rng_("c1-tests"),
-        keys_(schnorr_.keygen(rng_)) {}
+        keys_(schnorr_.keygen(rng_)),
+        sharer_key_(curve_, keys_.public_key) {}
 
   /// Runs Upload and patches in a fake DH URL, as the session layer would.
   Construction1::UploadResult do_upload(const Context& ctx, std::size_t k, std::size_t n,
@@ -53,6 +54,8 @@ class Construction1Test : public ::testing::Test {
   sig::Schnorr schnorr_;
   Drbg rng_;
   sig::KeyPair keys_;
+  /// The receiver's table of the sharer's key, known from the social graph.
+  ec::FixedBase sharer_key_;
 };
 
 TEST_F(Construction1Test, UploadBuildsWellFormedPuzzle) {
@@ -70,7 +73,7 @@ TEST_F(Construction1Test, UploadBuildsWellFormedPuzzle) {
     EXPECT_EQ(e.answer_hash.size(), 32u);
     EXPECT_FALSE(e.blinded_share.empty());
   }
-  EXPECT_TRUE(c1_.verify_puzzle_signature(up.puzzle));
+  EXPECT_TRUE(c1_.verify_puzzle_signature(sharer_key_, up.puzzle, up.puzzle.url));
 }
 
 TEST_F(Construction1Test, UploadParameterValidation) {
@@ -190,27 +193,32 @@ TEST_F(Construction1Test, TamperedPuzzleKeyBreaksSignature) {
   // sharer's signature.
   const Context ctx = party_context();
   auto up = do_upload(ctx, 2, 5, to_bytes("x"));
-  EXPECT_TRUE(c1_.verify_puzzle_signature(up.puzzle));
+  EXPECT_TRUE(c1_.verify_puzzle_signature(sharer_key_, up.puzzle, up.puzzle.url));
   up.puzzle.puzzle_key[0] ^= 0x01;
-  EXPECT_FALSE(c1_.verify_puzzle_signature(up.puzzle));
+  EXPECT_FALSE(c1_.verify_puzzle_signature(sharer_key_, up.puzzle, up.puzzle.url));
 }
 
 TEST_F(Construction1Test, TamperedUrlBreaksSignature) {
   const Context ctx = party_context();
   auto up = do_upload(ctx, 2, 5, to_bytes("x"));
-  up.puzzle.url = "dh://objects/evil";
-  EXPECT_FALSE(c1_.verify_puzzle_signature(up.puzzle));
+  // The SP's Verify reply carries a URL the sharer did not sign.
+  EXPECT_FALSE(c1_.verify_puzzle_signature(sharer_key_, up.puzzle, "dh://objects/evil"));
 }
 
 TEST_F(Construction1Test, SignatureFromWrongSharerRejected) {
   const Context ctx = party_context();
+  // A malicious SP (Mallory) swaps URL_O and re-signs the puzzle under its
+  // own key, which it also writes into the record (§VI-A).
   auto up = do_upload(ctx, 2, 5, to_bytes("x"));
   const sig::KeyPair mallory = schnorr_.keygen(rng_);
+  up.puzzle.url = "dh://objects/mallory";
   c1_.sign_puzzle(up.puzzle, mallory);
-  // Signature verifies against Mallory's embedded key...
-  EXPECT_TRUE(c1_.verify_puzzle_signature(up.puzzle));
-  // ...but a receiver comparing against the sharer's known key sees the swap.
-  EXPECT_NE(up.puzzle.sharer_public_key, schnorr_.serialize_public(keys_.public_key));
+  // The swapped record is self-consistent: it verifies against the key it
+  // carries...
+  const ec::FixedBase carried(curve_, schnorr_.deserialize_public(up.puzzle.sharer_public_key));
+  EXPECT_TRUE(c1_.verify_puzzle_signature(carried, up.puzzle, up.puzzle.url));
+  // ...but the receiver checks against the sharer's key it already knows.
+  EXPECT_FALSE(c1_.verify_puzzle_signature(sharer_key_, up.puzzle, up.puzzle.url));
 }
 
 TEST_F(Construction1Test, PuzzleSerializationRoundTrip) {
@@ -218,7 +226,7 @@ TEST_F(Construction1Test, PuzzleSerializationRoundTrip) {
   const auto up = do_upload(ctx, 2, 4, to_bytes("x"));
   const Puzzle back = Puzzle::deserialize(up.puzzle.serialize());
   EXPECT_EQ(back, up.puzzle);
-  EXPECT_TRUE(c1_.verify_puzzle_signature(back));
+  EXPECT_TRUE(c1_.verify_puzzle_signature(sharer_key_, back, back.url));
 }
 
 TEST_F(Construction1Test, PuzzleDeserializeRejectsGarbage) {

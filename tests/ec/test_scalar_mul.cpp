@@ -73,26 +73,28 @@ TEST(ScalarMul, MulSubEqualsMatchesTheAffineEquation) {
   };
   for (int i = 0; i < 50; ++i) {
     const Point p = curve.random_group_element(rng);
+    const FixedBase key(curve, p);
     const BigInt s = BigInt::from_bytes(rng.bytes(8)).mod(q);
     const BigInt e = BigInt::from_bytes(rng.bytes(8)).mod(q);
     const Point r = curve.add(curve.mul_binary(base, s), curve.negate(curve.mul_binary(p, e)));
-    EXPECT_TRUE(table.mul_sub_equals(s, p, e, r)) << "i=" << i;
+    EXPECT_TRUE(table.mul_sub_equals(s, key, e, r)) << "i=" << i;
     // −R shares R's x, so this pins the Y comparison.
-    EXPECT_FALSE(table.mul_sub_equals(s, p, e, curve.negate(r))) << "i=" << i;
+    EXPECT_FALSE(table.mul_sub_equals(s, key, e, curve.negate(r))) << "i=" << i;
     const Point wrong = curve.add(r, base);
-    EXPECT_FALSE(table.mul_sub_equals(s, p, e, wrong)) << "i=" << i;
-    EXPECT_EQ(table.mul_sub_equals(s, p, e, wrong), oracle(s, p, e, wrong)) << "i=" << i;
+    EXPECT_FALSE(table.mul_sub_equals(s, key, e, wrong)) << "i=" << i;
+    EXPECT_EQ(table.mul_sub_equals(s, key, e, wrong), oracle(s, p, e, wrong)) << "i=" << i;
   }
   // Edges: e = 0 and s = 0 (one side infinity), a difference that is
   // infinity (P = B, e = s), and s·B = −e·P, which doubles inside the sum.
   const Point p = curve.random_group_element(rng);
+  const FixedBase key(curve, p);
   const BigInt s = BigInt::from_bytes(rng.bytes(8)).mod(q);
-  EXPECT_TRUE(table.mul_sub_equals(s, p, BigInt{0}, curve.mul_binary(base, s)));
-  EXPECT_TRUE(table.mul_sub_equals(BigInt{0}, p, s, curve.negate(curve.mul_binary(p, s))));
-  EXPECT_TRUE(table.mul_sub_equals(s, base, s, Point{}));
-  EXPECT_FALSE(table.mul_sub_equals(s, base, s, base));
-  EXPECT_FALSE(table.mul_sub_equals(s, base, s + BigInt{1}, Point{}));
-  EXPECT_TRUE(table.mul_sub_equals(s, base, q - s, curve.mul_binary(base, s + s)));
+  EXPECT_TRUE(table.mul_sub_equals(s, key, BigInt{0}, curve.mul_binary(base, s)));
+  EXPECT_TRUE(table.mul_sub_equals(BigInt{0}, key, s, curve.negate(curve.mul_binary(p, s))));
+  EXPECT_TRUE(table.mul_sub_equals(s, table, s, Point{}));
+  EXPECT_FALSE(table.mul_sub_equals(s, table, s, base));
+  EXPECT_FALSE(table.mul_sub_equals(s, table, s + BigInt{1}, Point{}));
+  EXPECT_TRUE(table.mul_sub_equals(s, table, q - s, curve.mul_binary(base, s + s)));
 }
 
 TEST(ScalarMul, JacobianPairingMatchesAffineReference) {

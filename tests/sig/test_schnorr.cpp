@@ -18,6 +18,11 @@ class SchnorrTest : public ::testing::Test {
         scheme_(curve_, curve_.hash_to_group(to_bytes("sp-schnorr-g"))),
         rng_("schnorr-tests") {}
 
+  /// The verifier's table of a signer's public key.
+  [[nodiscard]] ec::FixedBase table_of(const ec::Point& pk) const {
+    return ec::FixedBase(curve_, pk);
+  }
+
   ec::Curve curve_;
   Schnorr scheme_;
   Drbg rng_;
@@ -27,13 +32,13 @@ TEST_F(SchnorrTest, SignVerifyRoundTrip) {
   const KeyPair kp = scheme_.keygen(rng_);
   const auto msg = to_bytes("https://dh.example/objects/42 | K_Z=abcdef");
   const Signature sig = scheme_.sign(kp, msg);
-  EXPECT_TRUE(scheme_.verify(kp.public_key, msg, sig));
+  EXPECT_TRUE(scheme_.verify(table_of(kp.public_key), msg, sig));
 }
 
 TEST_F(SchnorrTest, RejectsWrongMessage) {
   const KeyPair kp = scheme_.keygen(rng_);
   const Signature sig = scheme_.sign(kp, to_bytes("original URL"));
-  EXPECT_FALSE(scheme_.verify(kp.public_key, to_bytes("tampered URL"), sig));
+  EXPECT_FALSE(scheme_.verify(table_of(kp.public_key), to_bytes("tampered URL"), sig));
 }
 
 TEST_F(SchnorrTest, RejectsWrongKey) {
@@ -41,7 +46,7 @@ TEST_F(SchnorrTest, RejectsWrongKey) {
   const KeyPair other = scheme_.keygen(rng_);
   const auto msg = to_bytes("message");
   const Signature sig = scheme_.sign(kp, msg);
-  EXPECT_FALSE(scheme_.verify(other.public_key, msg, sig));
+  EXPECT_FALSE(scheme_.verify(table_of(other.public_key), msg, sig));
 }
 
 TEST_F(SchnorrTest, RejectsMalleatedSignature) {
@@ -49,7 +54,7 @@ TEST_F(SchnorrTest, RejectsMalleatedSignature) {
   const auto msg = to_bytes("message");
   Signature sig = scheme_.sign(kp, msg);
   sig.s = (sig.s + crypto::BigInt{1}).mod(curve_.order());
-  EXPECT_FALSE(scheme_.verify(kp.public_key, msg, sig));
+  EXPECT_FALSE(scheme_.verify(table_of(kp.public_key), msg, sig));
 }
 
 TEST_F(SchnorrTest, RejectsOutOfRangeS) {
@@ -57,7 +62,7 @@ TEST_F(SchnorrTest, RejectsOutOfRangeS) {
   const auto msg = to_bytes("message");
   Signature sig = scheme_.sign(kp, msg);
   sig.s = sig.s + curve_.order();  // same residue, non-canonical encoding
-  EXPECT_FALSE(scheme_.verify(kp.public_key, msg, sig));
+  EXPECT_FALSE(scheme_.verify(table_of(kp.public_key), msg, sig));
 }
 
 TEST_F(SchnorrTest, DeterministicNonces) {
@@ -79,7 +84,7 @@ TEST_F(SchnorrTest, SerializeRoundTrip) {
   const Signature back = scheme_.deserialize(scheme_.serialize(sig));
   EXPECT_EQ(back.r, sig.r);
   EXPECT_EQ(back.s, sig.s);
-  EXPECT_TRUE(scheme_.verify(kp.public_key, msg, back));
+  EXPECT_TRUE(scheme_.verify(table_of(kp.public_key), msg, back));
 }
 
 TEST_F(SchnorrTest, DeserializeRejectsBadLength) {
@@ -93,12 +98,12 @@ TEST_F(SchnorrTest, RejectsInfinityGenerator) {
 TEST_F(SchnorrTest, EmptyMessageSignable) {
   const KeyPair kp = scheme_.keygen(rng_);
   const Signature sig = scheme_.sign(kp, {});
-  EXPECT_TRUE(scheme_.verify(kp.public_key, {}, sig));
+  EXPECT_TRUE(scheme_.verify(table_of(kp.public_key), {}, sig));
 }
 
-// Verify decides g^s = R + e·pk as one inversion-free combination. The
-// oracle is the affine equation behind the same range check, computed with
-// mul_binary and add.
+// Verify decides g^s = R + e·pk as one inversion-free combination of the
+// generator's table and the key's table. The oracle is the affine equation
+// behind the same range check, computed with mul_binary and add.
 class SchnorrVerifyOracle : public SchnorrTest {
  protected:
   [[nodiscard]] bool affine_verify(const ec::Point& pk, const crypto::Bytes& msg,
@@ -128,22 +133,24 @@ TEST_F(SchnorrVerifyOracle, AgreesWithTheAffineEquationOnRandomDraws) {
     negated.r = curve_.negate(sig.r);
     struct Case {
       const char* name;
-      const ec::Point& pk;
+      const ec::FixedBase& key;
       const crypto::Bytes& msg;
       const Signature& sig;
       bool valid;
     };
+    const ec::FixedBase key = table_of(kp.public_key);
+    const ec::FixedBase other_key = table_of(other.public_key);
     const Case cases[] = {
-        {"valid", kp.public_key, msg, sig, true},
-        {"s+1", kp.public_key, msg, bumped, false},
-        {"other message", kp.public_key, other_msg, sig, false},
-        {"other key", other.public_key, msg, sig, false},
-        {"-R", kp.public_key, msg, negated, false},
+        {"valid", key, msg, sig, true},
+        {"s+1", key, msg, bumped, false},
+        {"other message", key, other_msg, sig, false},
+        {"other key", other_key, msg, sig, false},
+        {"-R", key, msg, negated, false},
     };
     for (const Case& c : cases) {
-      const bool verdict = scheme_.verify(c.pk, c.msg, c.sig);
+      const bool verdict = scheme_.verify(c.key, c.msg, c.sig);
       EXPECT_EQ(verdict, c.valid) << c.name << " i=" << i;
-      EXPECT_EQ(verdict, affine_verify(c.pk, c.msg, c.sig)) << c.name << " i=" << i;
+      EXPECT_EQ(verdict, affine_verify(c.key.base(), c.msg, c.sig)) << c.name << " i=" << i;
     }
   }
 }
