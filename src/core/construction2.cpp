@@ -3,10 +3,19 @@
 #include <stdexcept>
 
 #include "crypto/modes.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sp::core {
+
+namespace {
+
+// The receiver-side I2 phases of Fig. 10(d) a production receiver would
+// alert on; each is a span inside the session's C2 Access phase.
+const obs::Phase kReconstruct{"c2.reconstruct"};
+const obs::Phase kKeyGen{"c2.keygen"};
+const obs::Phase kDecrypt{"c2.decrypt"};
+
+}  // namespace
 
 Construction2::Construction2(const ec::Curve& curve) : scheme_(curve) {}
 
@@ -148,45 +157,30 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
     return std::nullopt;
   }
 
-  // Phase histograms for the paper's receiver-side I2 decomposition
-  // (Fig. 10(d)): reconstruct / keygen / decrypt are the three local phases
-  // a production receiver would alert on. Registered once, process-wide.
-  struct Phases {
-    obs::Histogram& reconstruct;
-    obs::Histogram& keygen;
-    obs::Histogram& decrypt;
-  };
-  static Phases phases{
-      obs::MetricsRegistry::global().histogram("sp_phase_latency_ms",
-                                               "Per-phase serving latency",
-                                               obs::Histogram::default_latency_bounds_ms(),
-                                               {{"phase", "c2.reconstruct"}}),
-      obs::MetricsRegistry::global().histogram("sp_phase_latency_ms", "",
-                                               obs::Histogram::default_latency_bounds_ms(),
-                                               {{"phase", "c2.keygen"}}),
-      obs::MetricsRegistry::global().histogram("sp_phase_latency_ms", "",
-                                               obs::Histogram::default_latency_bounds_ms(),
-                                               {{"phase", "c2.decrypt"}}),
-  };
-
   // Reconstruct τ̂ from τ' with the receiver's normalized answers.
-  obs::TraceSpan reconstruct_span(phases.reconstruct);
+  obs::Span reconstruct(kReconstruct);
   std::map<std::string, std::string> claimed;
   for (const auto& [q, a] : knowledge.answers()) claimed[q] = Context::normalize_answer(a);
   const auto [tau_hat, recovered] = ct.policy.reconstruct(claimed);
   if (recovered == 0) return std::nullopt;
   const abe::Ciphertext ct_hat = abe::CpAbe::swap_policy(std::move(ct), tau_hat);
-  reconstruct_span.stop();
+  reconstruct.end();
 
   // KeyGen (publicly known algorithm + MK, per the paper) over only the
-  // recovered leaves Decrypt will use: the first k of the m recovered.
-  obs::TraceSpan keygen_span(phases.keygen);
-  const auto attrs = scheme_.decrypt_attributes(ct_hat);
-  if (!attrs) return std::nullopt;
-  const abe::PrivateKey sk = scheme_.keygen(mk, *attrs, rng, runner);
-  keygen_span.stop();
+  // recovered leaves Decrypt will use: the first k of the m recovered. Its
+  // fork-join jobs, and Decrypt's below, trace under their phase.
+  obs::Span keygen(kKeyGen);
+  abe::PrivateKey sk;
+  {
+    const obs::ContextGuard jobs(keygen.context());
+    const auto attrs = scheme_.decrypt_attributes(ct_hat);
+    if (!attrs) return std::nullopt;
+    sk = scheme_.keygen(mk, *attrs, rng, runner);
+  }
+  keygen.end();
 
-  obs::TraceSpan decrypt_span(phases.decrypt);
+  obs::Span decrypt(kDecrypt);
+  const obs::ContextGuard jobs(decrypt.context());
   const auto dem_key = scheme_.decrypt_key(pk, sk, ct_hat, runner);
   if (!dem_key) return std::nullopt;
   try {

@@ -15,33 +15,43 @@ using net::CpuTimer;
 
 namespace {
 
-/// Serving-stack instruments (docs/OBSERVABILITY.md catalog). Phase series
-/// mirror the paper's Fig. 10 decomposition; end-to-end series split by
-/// scheme and result so denied requests never land in success latencies.
-struct SessionMetrics {
-  // Per-phase latency (shared family with construction2.cpp's c2.* phases).
-  obs::Histogram& c1_upload;
-  obs::Histogram& c1_sign;
-  obs::Histogram& c2_upload;
-  obs::Histogram& c1_display;
-  obs::Histogram& c1_answer_hashes;
-  obs::Histogram& c1_sig_verify;
-  obs::Histogram& c1_interpolate;
-  obs::Histogram& c2_display;
-  obs::Histogram& c2_answer_hashes;
-  obs::Histogram& c2_access;
-  obs::Histogram& sp_verify;
-  obs::Histogram& dh_fetch;
+// The paper's Fig. 10 phases a session times (construction2.cpp defines the
+// three inside C2 Access). Each observes its sp_phase_latency_ms series and,
+// in a traced request, is the span of the same name.
+const obs::Phase kC1Upload{"c1.upload"};
+const obs::Phase kC1Sign{"c1.sign"};
+const obs::Phase kC2Upload{"c2.upload"};
+const obs::Phase kC1Display{"c1.display"};
+const obs::Phase kC1AnswerHashes{"c1.answer_hashes"};
+const obs::Phase kC1SigVerify{"c1.sig_verify"};
+const obs::Phase kC1Interpolate{"c1.interpolate"};
+const obs::Phase kC2Display{"c2.display"};
+const obs::Phase kC2AnswerHashes{"c2.answer_hashes"};
+const obs::Phase kC2Access{"c2.access"};
+const obs::Phase kSpVerify{"sp.verify"};
+const obs::Phase kDhFetch{"dh.fetch"};
 
-  // End-to-end serving outcome, split {scheme} x {result}.
-  obs::Counter& c1_granted;
-  obs::Counter& c1_denied;
-  obs::Counter& c2_granted;
-  obs::Counter& c2_denied;
-  obs::Histogram& c1_granted_ms;
-  obs::Histogram& c1_denied_ms;
-  obs::Histogram& c2_granted_ms;
-  obs::Histogram& c2_denied_ms;
+/// One end-to-end access outcome: its request count and latency series.
+struct Outcome {
+  obs::Counter& requests;
+  obs::Histogram& latency_ms;
+
+  static Outcome of(const char* scheme, const char* result) {
+    auto& reg = obs::MetricsRegistry::global();
+    return {reg.counter("sp_access_requests_total", "Access requests by scheme and outcome",
+                        {{"result", result}, {"scheme", scheme}}),
+            reg.histogram("sp_access_latency_ms",
+                          "End-to-end access wall time (local work only)",
+                          obs::Histogram::default_latency_bounds_ms(),
+                          {{"result", result}, {"scheme", scheme}})};
+  }
+};
+
+/// Serving-stack instruments (docs/OBSERVABILITY.md catalog).
+struct SessionMetrics {
+  // End-to-end outcomes, [c1, c2] x [granted, denied], so denied requests
+  // never land in success latencies.
+  Outcome outcomes[2][2];
 
   // Sharer-side traffic and the retry loop of access_with_retries.
   obs::Counter& shares_c1;
@@ -56,46 +66,11 @@ struct SessionMetrics {
   obs::Counter& retries_fault;
   obs::Counter& deadline_exceeded;
 
-  static obs::Histogram& phase(const char* name) {
-    return obs::MetricsRegistry::global().histogram(
-        "sp_phase_latency_ms", "Per-phase serving latency",
-        obs::Histogram::default_latency_bounds_ms(), {{"phase", name}});
-  }
-  static obs::Counter& outcome(const char* scheme, const char* result) {
-    return obs::MetricsRegistry::global().counter(
-        "sp_access_requests_total", "Access requests by scheme and outcome",
-        {{"result", result}, {"scheme", scheme}});
-  }
-  static obs::Histogram& outcome_ms(const char* scheme, const char* result) {
-    return obs::MetricsRegistry::global().histogram(
-        "sp_access_latency_ms", "End-to-end access wall time (local work only)",
-        obs::Histogram::default_latency_bounds_ms(),
-        {{"result", result}, {"scheme", scheme}});
-  }
-
   static SessionMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
     static SessionMetrics m{
-        phase("c1.upload"),
-        phase("c1.sign"),
-        phase("c2.upload"),
-        phase("c1.display"),
-        phase("c1.answer_hashes"),
-        phase("c1.sig_verify"),
-        phase("c1.interpolate"),
-        phase("c2.display"),
-        phase("c2.answer_hashes"),
-        phase("c2.access"),
-        phase("sp.verify"),
-        phase("dh.fetch"),
-        outcome("c1", "granted"),
-        outcome("c1", "denied"),
-        outcome("c2", "granted"),
-        outcome("c2", "denied"),
-        outcome_ms("c1", "granted"),
-        outcome_ms("c1", "denied"),
-        outcome_ms("c2", "granted"),
-        outcome_ms("c2", "denied"),
+        {{Outcome::of("c1", "granted"), Outcome::of("c1", "denied")},
+         {Outcome::of("c2", "granted"), Outcome::of("c2", "denied")}},
         reg.counter("sp_share_requests_total", "Share (upload) operations by scheme",
                     {{"scheme", "c1"}}),
         reg.counter("sp_share_requests_total", "", {{"scheme", "c2"}}),
@@ -115,9 +90,24 @@ struct SessionMetrics {
   }
 };
 
-}  // namespace
-
-namespace {
+/// The receiver's last local step: `open` decrypts the delivered object
+/// under `phase`, charged to `ledger`, and any fork-join it runs traces
+/// under the phase. Granted but undecryptable means the delivered bytes are
+/// bad (injected corruption or a tampering host), so the result reports
+/// kCorruptedBlob, never a silent empty object.
+template <typename Open>
+void open_object(const obs::Phase& phase, net::CostLedger& ledger, AccessResult& result,
+                 Open&& open) {
+  obs::Span span(phase);
+  try {
+    const obs::ContextGuard children(span.context());
+    result.object = open();
+  } catch (const std::exception&) {
+    result.object = std::nullopt;  // delivered bytes too mangled to parse
+  }
+  ledger.add_local_measured(span.end());
+  if (!result.object) result.error = net::ServeError::kCorruptedBlob;
+}
 
 /// Each of Construction 2's file transfers is a separately spawned cURL
 /// HTTPS request in the paper: a cold connection (DNS + TCP + TLS ≈ 3 round
@@ -205,12 +195,10 @@ Session::Published Session::publish_c1(const sig::KeyPair& keys,
                                        std::span<const std::uint8_t> object, const Context& ctx,
                                        std::size_t k, std::size_t n, net::CostLedger& ledger,
                                        crypto::Drbg& rng) {
-  SessionMetrics& metrics = SessionMetrics::get();
-
   // -- local: Upload subroutine (crypto) --------------------------------
-  obs::TraceSpan upload_span(metrics.c1_upload, ledger);
+  obs::Span upload(kC1Upload);
   auto result = c1_->upload(object, ctx, k, n, keys, rng);
-  upload_span.stop();
+  ledger.add_local_measured(upload.end());
 
   // -- network: store O_{K_O} at the DH ---------------------------------
   ledger.add_network(network_.transfer_ms(result.encrypted_object.size(), rng));
@@ -220,11 +208,11 @@ Session::Published Session::publish_c1(const sig::KeyPair& keys,
   out.entry.url = dh_.store(std::move(result.encrypted_object));
 
   // -- local: patch URL_O and re-sign (DoS countermeasure) --------------
-  obs::TraceSpan sign_span(metrics.c1_sign, ledger);
+  obs::Span sign(kC1Sign);
   result.puzzle.url = out.entry.url;
   c1_->sign_puzzle(result.puzzle, keys);
   out.record = result.puzzle.serialize();
-  sign_span.stop();
+  ledger.add_local_measured(sign.end());
 
   // -- network: upload Z_O to the SP ------------------------------------
   ledger.add_network(network_.transfer_ms(out.record.size(), rng));
@@ -237,9 +225,9 @@ Session::Published Session::publish_c2(std::span<const std::uint8_t> object, con
                                        std::size_t k, net::CostLedger& ledger,
                                        crypto::Drbg& rng) {
   // -- local: Setup + Encrypt + Perturb (the heavy CP-ABE work) ----------
-  obs::TraceSpan upload_span(SessionMetrics::get().c2_upload, ledger);
+  obs::Span upload(kC2Upload);
   auto files = c2_->upload(object, ctx, k, rng);
-  upload_span.stop();
+  ledger.add_local_measured(upload.end());
 
   // -- network: the paper's four cURL uploads (details, pub, master -> SP;
   //    ciphertext -> DH), each on a cold connection.
@@ -266,15 +254,7 @@ ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t>
   net::CostLedger ledger(device);
   SessionMetrics::get().shares_c1.inc();
   Published pub = publish_c1(keys, object, ctx, k, n, ledger, op_rng);
-  const std::string post_id = sp_.store_record(pub.record);
-  pub.entry.sharer = sharer;
-  pub.entry.visibility = visibility;
-  {
-    const sp::UniqueLock lock(puzzles_mutex_);
-    puzzles_.emplace(post_id, std::move(pub.entry));
-  }
-  graph_.post(osn::Post{sharer, post_id, "shared a social puzzle", visibility});
-  return ShareReceipt{post_id, ledger, object.size()};
+  return finish_share(sharer, visibility, std::move(pub), ledger, object.size());
 }
 
 ShareReceipt Session::share_c2(osn::UserId sharer, std::span<const std::uint8_t> object,
@@ -284,15 +264,24 @@ ShareReceipt Session::share_c2(osn::UserId sharer, std::span<const std::uint8_t>
   net::CostLedger ledger(device);
   SessionMetrics::get().shares_c2.inc();
   Published pub = publish_c2(object, ctx, k, ledger, op_rng);
+  return finish_share(sharer, visibility, std::move(pub), ledger, object.size());
+}
+
+ShareReceipt Session::finish_share(osn::UserId sharer, osn::Visibility visibility,
+                                   Published pub, const net::CostLedger& ledger,
+                                   std::size_t object_bytes) {
   const std::string post_id = sp_.store_record(pub.record);
+  const char* headline = pub.entry.kind == SchemeKind::kConstruction1
+                             ? "shared a social puzzle"
+                             : "shared a social puzzle (ABE)";
   pub.entry.sharer = sharer;
   pub.entry.visibility = visibility;
   {
     const sp::UniqueLock lock(puzzles_mutex_);
     puzzles_.emplace(post_id, std::move(pub.entry));
   }
-  graph_.post(osn::Post{sharer, post_id, "shared a social puzzle (ABE)", visibility});
-  return ShareReceipt{post_id, ledger, object.size()};
+  graph_.post(osn::Post{sharer, post_id, headline, visibility});
+  return ShareReceipt{post_id, ledger, object_bytes};
 }
 
 ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
@@ -381,8 +370,8 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
   const bool is_c1 = stored.kind == SchemeKind::kConstruction1;
   if (root.recording()) root.add_attr("scheme", is_c1 ? "c1" : "c2");
   CpuTimer wall;
-  AccessResult result = is_c1 ? access_c1(stored, knowledge, ledger, op_rng, faults, trace)
-                              : access_c2(stored, knowledge, ledger, op_rng, faults, trace);
+  AccessResult result = is_c1 ? access_c1(stored, knowledge, ledger, op_rng, faults)
+                              : access_c2(stored, knowledge, ledger, op_rng, faults);
   result.cost = ledger;
   // End-to-end outcome series. `success()` (granted AND object recovered) is
   // the label, so a granted-but-tampered request counts as denied here.
@@ -390,16 +379,10 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
   // sample remembers which trace explains it (zero trace id = plain observe).
   const double elapsed = wall.elapsed_ms();
   const obs::TraceId tid = trace.trace_id();
-  SessionMetrics& metrics = SessionMetrics::get();
-  if (is_c1) {
-    (result.success() ? metrics.c1_granted : metrics.c1_denied).inc();
-    (result.success() ? metrics.c1_granted_ms : metrics.c1_denied_ms)
-        .observe_exemplar(elapsed, tid.hi, tid.lo);
-  } else {
-    (result.success() ? metrics.c2_granted : metrics.c2_denied).inc();
-    (result.success() ? metrics.c2_granted_ms : metrics.c2_denied_ms)
-        .observe_exemplar(elapsed, tid.hi, tid.lo);
-  }
+  const Outcome& outcome =
+      SessionMetrics::get().outcomes[is_c1 ? 0 : 1][result.success() ? 0 : 1];
+  outcome.requests.inc();
+  outcome.latency_ms.observe_exemplar(elapsed, tid.hi, tid.lo);
   if (root.recording()) {
     root.add_attr("granted", result.granted ? "true" : "false");
     if (result.error) {
@@ -510,10 +493,18 @@ std::optional<net::ServeError> Session::exchange(std::size_t bytes, int round_tr
   return std::nullopt;
 }
 
-net::Expected<Bytes> Session::fetch_object(const std::string& url, net::FaultStream* faults,
-                                           const obs::TraceContext& trace) const {
-  obs::Span fetch_tspan(trace, "dh.fetch");
-  const obs::TraceSpan fetch_span(SessionMetrics::get().dh_fetch);
+std::optional<net::ServeError> Session::sp_outage(std::size_t response_bytes,
+                                                  net::CostLedger& ledger, crypto::Drbg& rng,
+                                                  net::FaultStream* faults) const {
+  if (faults == nullptr || !faults->next_sp_error()) return std::nullopt;
+  ledger.add_network(network_.transfer_ms(response_bytes, rng));
+  ledger.add_bytes(response_bytes);
+  return net::ServeError::kSpUnavailable;
+}
+
+net::Expected<Bytes> Session::fetch_object(const std::string& url,
+                                           net::FaultStream* faults) const {
+  obs::Span fetch(kDhFetch);
   const std::optional<net::ServeError> injected =
       faults != nullptr ? faults->next_dh() : std::nullopt;
   // An injected miss never reaches the DH; an injected corruption flips one
@@ -522,7 +513,7 @@ net::Expected<Bytes> Session::fetch_object(const std::string& url, net::FaultStr
   std::optional<Bytes> blob;
   if (injected != net::ServeError::kDhMiss) blob = dh_.fetch(url);
   if (!blob) {
-    fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
+    fetch.set_status(obs::SpanStatus::kTransientFault);
     return net::ServeError::kDhMiss;
   }
   if (injected == net::ServeError::kCorruptedBlob && !blob->empty()) {
@@ -533,44 +524,33 @@ net::Expected<Bytes> Session::fetch_object(const std::string& url, net::FaultStr
 
 AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& knowledge,
                                 net::CostLedger& ledger, crypto::Drbg& rng,
-                                net::FaultStream* faults, const obs::TraceContext& trace) const {
+                                net::FaultStream* faults) const {
   const Puzzle& puzzle = *stored.puzzle;
-  SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
 
   // -- SP: DisplayPuzzle; network: challenge download -------------------
-  obs::Span display_tspan(trace, "c1.display");
-  obs::TraceSpan display_span(metrics.c1_display);
+  obs::Span display(kC1Display);
   const auto challenge = Construction1::display_puzzle(puzzle, rng);
-  display_span.stop();
-  display_tspan.end();
+  display.end();
   if (const auto err = exchange(challenge.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
 
   // -- receiver local: AnswerPuzzle (hashing) ----------------------------
-  obs::Span answer_tspan(trace, "c1.answer_hashes");
-  obs::TraceSpan answer_span(metrics.c1_answer_hashes, ledger);
+  obs::Span answer(kC1AnswerHashes);
   const auto response = Construction1::answer_puzzle(challenge, knowledge);
-  answer_span.stop();
-  answer_tspan.end();
+  ledger.add_local_measured(answer.end());
 
-  // -- SP availability: a transient outage drops the Verify exchange; the
-  //    receiver still paid for the response upload it sent into the void.
-  if (faults != nullptr && faults->next_sp_error()) {
-    ledger.add_network(network_.transfer_ms(response.wire_size(), rng));
-    ledger.add_bytes(response.wire_size());
-    result.error = net::ServeError::kSpUnavailable;
+  if (const auto err = sp_outage(response.wire_size(), ledger, rng, faults)) {
+    result.error = err;
     return result;
   }
 
   // -- network: response up, reply down (one exchange) -------------------
-  obs::Span verify_tspan(trace, "sp.verify");
-  obs::TraceSpan verify_span(metrics.sp_verify);
+  obs::Span verify(kSpVerify);
   auto reply = Construction1::verify(puzzle, challenge, response.hashes);
-  verify_span.stop();
-  verify_tspan.end();
+  verify.end();
   if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
@@ -596,19 +576,17 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   // -- receiver local: verify the sharer's signature on (URL, k, K_Z) ----
   //    against the key the receiver knows the sharer by, with the URL the
   //    reply carried. The first grant against a sharer builds its table.
-  obs::Span sig_tspan(trace, "c1.sig_verify");
-  obs::TraceSpan sig_span(metrics.c1_sig_verify, ledger);
+  obs::Span sig(kC1SigVerify);
   const bool sig_ok =
       c1_->verify_puzzle_signature(sharer_key(stored.sharer), puzzle, reply.url);
-  sig_span.stop();
-  sig_tspan.end();
+  ledger.add_local_measured(sig.end());
   if (!sig_ok) {
     result.granted = false;
     return result;
   }
 
   // -- network: download O_{K_O} from the DH -----------------------------
-  const net::Expected<Bytes> encrypted = fetch_object(reply.url, faults, trace);
+  const net::Expected<Bytes> encrypted = fetch_object(reply.url, faults);
   if (!encrypted.ok()) {
     result.error = encrypted.error();
     return result;
@@ -619,60 +597,41 @@ AccessResult Session::access_c1(const StoredPuzzle& stored, const Knowledge& kno
   }
 
   // -- receiver local: Access (unblind, Lagrange, decrypt) --------------
-  obs::Span access_tspan(trace, "c1.interpolate");
-  obs::TraceSpan access_span(metrics.c1_interpolate, ledger);
-  try {
-    result.object = c1_->access(puzzle, challenge, reply, knowledge, encrypted.value());
-  } catch (const std::exception&) {
-    result.object = std::nullopt;  // delivered bytes too mangled to parse
-  }
-  access_span.stop();
-  access_tspan.end();
-  // Granted but undecryptable = the delivered bytes are bad (injected
-  // corruption or a tampering host), never a silent empty object.
-  if (!result.object) result.error = net::ServeError::kCorruptedBlob;
+  open_object(kC1Interpolate, ledger, result, [&] {
+    return c1_->access(puzzle, challenge, reply, knowledge, encrypted.value());
+  });
   return result;
 }
 
 AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& knowledge,
                                 net::CostLedger& ledger, crypto::Drbg& rng,
-                                net::FaultStream* faults, const obs::TraceContext& trace) const {
+                                net::FaultStream* faults) const {
   const auto& files = *stored.c2_files;
-  SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
 
   // -- network: download details (τ' questions) --------------------------
-  obs::Span display_tspan(trace, "c2.display");
-  obs::TraceSpan display_span(metrics.c2_display);
+  obs::Span display(kC2Display);
   const auto challenge = Construction2::display_puzzle(files.perturbed_tree, files.threshold);
-  display_span.stop();
-  display_tspan.end();
+  display.end();
   if (const auto err = exchange(challenge.wire_size(), 1, ledger, rng, faults)) {
     result.error = err;
     return result;
   }
 
   // -- receiver local: hash answers --------------------------------------
-  obs::Span answer_tspan(trace, "c2.answer_hashes");
-  obs::TraceSpan answer_span(metrics.c2_answer_hashes, ledger);
+  obs::Span answer(kC2AnswerHashes);
   const auto response = Construction2::answer_puzzle(challenge, knowledge);
-  answer_span.stop();
-  answer_tspan.end();
+  ledger.add_local_measured(answer.end());
 
-  // -- SP availability (same semantics as C1's Verify exchange) ----------
-  if (faults != nullptr && faults->next_sp_error()) {
-    ledger.add_network(network_.transfer_ms(response.wire_size(), rng));
-    ledger.add_bytes(response.wire_size());
-    result.error = net::ServeError::kSpUnavailable;
+  if (const auto err = sp_outage(response.wire_size(), ledger, rng, faults)) {
+    result.error = err;
     return result;
   }
 
-  obs::Span verify_tspan(trace, "sp.verify");
-  obs::TraceSpan verify_span(metrics.sp_verify);
+  obs::Span verify(kSpVerify);
   const auto reply = Construction2::verify(files.perturbed_tree, files.threshold, challenge,
                                            response, stored.url);
-  verify_span.stop();
-  verify_tspan.end();
+  verify.end();
   if (const auto err =
           exchange(response.wire_size() + reply.wire_size(files), 1, ledger, rng, faults)) {
     result.error = err;
@@ -684,7 +643,7 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
 
   // -- network: three file downloads (CT' from DH; PK, MK from SP), again
   //    one cold cURL connection each in the paper's Qt receiver -----------
-  const net::Expected<Bytes> ciphertext = fetch_object(reply.url, faults, trace);
+  const net::Expected<Bytes> ciphertext = fetch_object(reply.url, faults);
   if (!ciphertext.ok()) {
     result.error = ciphertext.error();
     return result;
@@ -697,22 +656,14 @@ AccessResult Session::access_c2(const StoredPuzzle& stored, const Knowledge& kno
     }
   }
 
-  // -- receiver local: Reconstruct + KeyGen + Decrypt --------------------
-  obs::Span access_tspan(trace, "c2.access");
-  obs::TraceSpan access_span(metrics.c2_access, ledger);
-  try {
-    // CP-ABE KeyGen's scalar multiplications and the batched leaf pairings
-    // fork-join over leaf_pool_; helper pool.task spans nest under this one.
-    const obs::ContextGuard access_guard(access_tspan.context());
-    result.object = c2_->access(
+  // -- receiver local: Reconstruct + KeyGen + Decrypt. KeyGen's scalar
+  //    multiplications and the batched leaf pairings fork-join over
+  //    leaf_pool_.
+  open_object(kC2Access, ledger, result, [&] {
+    return c2_->access(
         ciphertext.value(), files.public_key, files.master_key, knowledge, rng,
         [this](std::span<const std::function<void()>> jobs) { leaf_pool_.run_all(jobs); });
-  } catch (const std::exception&) {
-    result.object = std::nullopt;  // delivered bytes too mangled to parse
-  }
-  access_span.stop();
-  access_tspan.end();
-  if (!result.object) result.error = net::ServeError::kCorruptedBlob;
+  });
   return result;
 }
 

@@ -205,6 +205,11 @@ class Session {
                        net::CostLedger& ledger, crypto::Drbg& rng);
   Published publish_c2(std::span<const std::uint8_t> object, const Context& ctx, std::size_t k,
                        net::CostLedger& ledger, crypto::Drbg& rng);
+  /// The tail both share_* run: the SP record under a new post id, the
+  /// registry entry, the feed post and the receipt.
+  ShareReceipt finish_share(osn::UserId sharer, osn::Visibility visibility, Published pub,
+                            const net::CostLedger& ledger, std::size_t object_bytes)
+      SP_EXCLUDES(puzzles_mutex_);
 
   /// A registered user's signing keys, and the table receivers check that
   /// user's signatures with. Session plays the receiver here: a receiver
@@ -232,14 +237,14 @@ class Session {
   // Both take `stored` as a reference into puzzles_, so the caller must keep
   // the registry shared-locked for the whole call — annotated, so Clang
   // rejects any future path that drops the lock before the access finishes.
-  // `trace` is the request's span context; phase spans attach under it.
+  // Their phase spans attach under the calling thread's current context.
   // Both charge `ledger`; access() copies it into the result.
   AccessResult access_c1(const StoredPuzzle& stored, const Knowledge& knowledge,
-                         net::CostLedger& ledger, crypto::Drbg& rng, net::FaultStream* faults,
-                         const obs::TraceContext& trace) const SP_REQUIRES_SHARED(puzzles_mutex_);
+                         net::CostLedger& ledger, crypto::Drbg& rng,
+                         net::FaultStream* faults) const SP_REQUIRES_SHARED(puzzles_mutex_);
   AccessResult access_c2(const StoredPuzzle& stored, const Knowledge& knowledge,
-                         net::CostLedger& ledger, crypto::Drbg& rng, net::FaultStream* faults,
-                         const obs::TraceContext& trace) const SP_REQUIRES_SHARED(puzzles_mutex_);
+                         net::CostLedger& ledger, crypto::Drbg& rng,
+                         net::FaultStream* faults) const SP_REQUIRES_SHARED(puzzles_mutex_);
 
   /// One request/response exchange under the fault schedule: draws the
   /// exchange's transfer fault from `faults` (null = fault-free). Success
@@ -250,12 +255,17 @@ class Session {
                                           net::CostLedger& ledger, crypto::Drbg& rng,
                                           net::FaultStream* faults) const;
 
-  /// The DH download of the sealed object at `url`, under a "dh.fetch"
-  /// span, after drawing the fetch's DH fault from `faults`. A miss
+  /// The SP-availability draw before Verify. An outage (kSpUnavailable)
+  /// drops the Verify exchange after the receiver paid `ledger` for the
+  /// `response_bytes` it sent into the void.
+  std::optional<net::ServeError> sp_outage(std::size_t response_bytes, net::CostLedger& ledger,
+                                           crypto::Drbg& rng, net::FaultStream* faults) const;
+
+  /// The DH download of the sealed object at `url`, timed as the DH-fetch
+  /// phase, after drawing the fetch's DH fault from `faults`. A miss
   /// (injected, a revoked object, or a malicious SP pointing at nothing)
   /// marks the span and comes back as the error.
-  net::Expected<Bytes> fetch_object(const std::string& url, net::FaultStream* faults,
-                                    const obs::TraceContext& trace) const;
+  net::Expected<Bytes> fetch_object(const std::string& url, net::FaultStream* faults) const;
 
   SessionConfig config_;
   ec::Curve curve_;

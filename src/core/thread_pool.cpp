@@ -29,11 +29,15 @@ struct PoolMetrics {
         reg.gauge("pool_in_flight", "Tasks currently executing on a worker"),
         reg.gauge("pool_threads", "Live worker threads across all pools"),
         reg.counter("pool_tasks_total", "Helpers run_all() queued for the workers"),
-        reg.histogram("pool_task_ms", "Task execution wall time"),
+        reg.histogram("pool_task_ms", "Wall time of one run_all job"),
     };
     return m;
   }
 };
+
+/// One run_all job, on whichever thread claims it.
+const obs::Phase kTask{"pool.task",
+                       []() -> obs::Histogram& { return PoolMetrics::get().task_ms; }};
 
 }  // namespace
 
@@ -68,7 +72,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::drain(Fork& fork) {
   // A helper's job effects reach the caller through mutex_ (its exit).
   for (std::size_t i = fork.next++; i < fork.jobs.size(); i = fork.next++) {
+    // Every job is its own span under the run_all caller's context, and
+    // whatever the job traces nests under it.
+    const obs::Span task(kTask);
     try {
+      const obs::ContextGuard guard(task.context());
       fork.jobs[i]();
     } catch (...) {
       const sp::MutexLock lock(mutex_);
@@ -138,19 +146,12 @@ void ThreadPool::worker_loop() {
     }
     metrics.queue_depth.sub(1);
     metrics.in_flight.add(1);
+    // Queue wait (enqueue → pop) as its own span; then the caller's context
+    // is this thread's, so the jobs' spans join the caller's trace.
+    obs::Span(helper.ctx, "pool.wait", helper.enqueue_ns).end();
     {
-      obs::TraceSpan span(metrics.task_ms);
-      if (helper.ctx.sampled()) {
-        // Queue wait as its own span (enqueue → pop), then the execution
-        // span, installed as this thread's context so the jobs nest under it.
-        obs::Span wait(helper.ctx, "pool.wait", helper.enqueue_ns);
-        wait.end();
-        obs::Span exec(helper.ctx, "pool.task");
-        const obs::ContextGuard guard(exec.context());
-        drain(*helper.fork);
-      } else {
-        drain(*helper.fork);
-      }
+      const obs::ContextGuard guard(helper.ctx);
+      drain(*helper.fork);
     }
     metrics.in_flight.sub(1);
     {

@@ -12,7 +12,8 @@
 //
 // Observability: every pool reports into the process-wide MetricsRegistry —
 // queue-depth / in-flight / worker-count gauges, a helper counter and a
-// helper-latency histogram (docs/OBSERVABILITY.md catalog). The
+// per-job latency histogram (docs/OBSERVABILITY.md catalog); each job is
+// its own span in the caller's trace. The
 // `queue_depth()` / `in_flight()` / `num_threads()` accessors expose the
 // same numbers for direct test assertions.
 #pragma once
@@ -45,8 +46,9 @@ class ThreadPool {
   /// num_threads() queued helpers join in. Helpers no worker has popped by
   /// the time the caller runs out of jobs are withdrawn, and the call waits
   /// for the ones still running, so once it returns nothing of the call runs
-  /// or reads `jobs` (and a helper's pool.task span ends inside the caller's
-  /// trace). A worker may call it: the caller can finish every job alone. A
+  /// or reads `jobs` (and every job's pool.task span, traced under the
+  /// caller's context on whichever thread ran it, has ended). A worker may
+  /// call it: the caller can finish every job alone. A
   /// throwing job does not stop the others; the exception of the
   /// lowest-index job that threw is rethrown, whatever order the jobs
   /// finished in. Shaped as ec::Pairing::Runner.
@@ -64,9 +66,9 @@ class ThreadPool {
   struct Fork;
 
   /// A queued run_all helper plus its caller's trace context: the worker
-  /// re-installs the context (and records queue wait + execution spans in
-  /// the caller's trace) before draining the fork, so the jobs reach their
-  /// request's trace via Tracer::current().
+  /// records the queue wait in the caller's trace and re-installs the
+  /// context before draining the fork, so the jobs reach their request's
+  /// trace via Tracer::current().
   struct Helper {
     Fork* fork = nullptr;
     obs::TraceContext ctx;

@@ -1,5 +1,6 @@
 #include "crypto/modes.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/aes.hpp"
@@ -15,28 +16,35 @@ constexpr std::size_t kTag = 32;
 void check_iv(std::span<const std::uint8_t> iv) {
   if (iv.size() != kBlock) throw std::invalid_argument("modes: IV must be 16 bytes");
 }
+
+/// PKCS#7 always pads, by 1 to 16 bytes.
+std::size_t padded_size(std::size_t n) { return n / kBlock * kBlock + kBlock; }
+
+/// CBC-encrypts `plaintext` with PKCS#7 padding into `out`, which must be
+/// its padded size. Padding is applied per block: no padded copy is made.
+void cbc_encrypt_into(const Aes& aes, std::span<const std::uint8_t> iv,
+                      std::span<const std::uint8_t> plaintext, std::span<std::uint8_t> out) {
+  const auto pad = static_cast<std::uint8_t>(out.size() - plaintext.size());
+  std::uint8_t chain[kBlock];
+  std::copy(iv.begin(), iv.end(), chain);
+  std::uint8_t block[kBlock];
+  for (std::size_t off = 0; off < out.size(); off += kBlock) {
+    for (std::size_t i = 0, at = off; i < kBlock; ++i, ++at) {
+      block[i] = (at < plaintext.size() ? plaintext[at] : pad) ^ chain[i];
+    }
+    aes.encrypt_block({block, kBlock}, out.subspan(off, kBlock));
+    std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(off), kBlock, chain);
+  }
+  secure_wipe(block, sizeof(block));  // last plaintext^chain block
+}
+
 }  // namespace
 
 Bytes aes_cbc_encrypt(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
                       std::span<const std::uint8_t> plaintext) {
   check_iv(iv);
-  const Aes aes(key);
-  const std::size_t pad = kBlock - (plaintext.size() % kBlock);
-  Bytes padded(plaintext.begin(), plaintext.end());
-  padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
-
-  Bytes out(padded.size());
-  std::uint8_t chain[kBlock];
-  std::copy(iv.begin(), iv.end(), chain);
-  std::uint8_t block[kBlock];
-  for (std::size_t off = 0; off < padded.size(); off += kBlock) {
-    for (std::size_t i = 0; i < kBlock; ++i) block[i] = padded[off + i] ^ chain[i];
-    aes.encrypt_block({block, kBlock}, {out.data() + off, kBlock});
-    std::copy(out.begin() + static_cast<std::ptrdiff_t>(off),
-              out.begin() + static_cast<std::ptrdiff_t>(off + kBlock), chain);
-  }
-  secure_wipe(block, sizeof(block));  // last plaintext^chain block
-  secure_wipe(padded);               // plaintext copy
+  Bytes out(padded_size(plaintext.size()));
+  cbc_encrypt_into(Aes(key), iv, plaintext, out);
   return out;
 }
 
@@ -95,12 +103,16 @@ Bytes seal(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
   check_iv(iv);
   const SecretBytes enc_key{hkdf(key, {}, to_bytes("sp-seal-enc"), 32)};
   const SecretBytes mac_key{hkdf(key, {}, to_bytes("sp-seal-mac"), 32)};
-  Bytes ct = aes_cbc_encrypt(enc_key.span(), iv, plaintext);
-  Bytes envelope(iv.begin(), iv.end());
-  envelope.insert(envelope.end(), ct.begin(), ct.end());
-  Bytes tag = hmac_sha256(mac_key.span(), envelope);
-  envelope.insert(envelope.end(), tag.begin(), tag.end());
-  secure_wipe(tag);  // public once appended, but keep the rule uniform
+  // One buffer at the envelope's final size: iv, ciphertext and tag are
+  // each written into place once.
+  const std::size_t body_size = kBlock + padded_size(plaintext.size());
+  Bytes envelope(body_size + kTag);
+  const std::span<std::uint8_t> out(envelope);
+  std::copy(iv.begin(), iv.end(), out.begin());
+  cbc_encrypt_into(Aes(enc_key.span()), iv, plaintext, out.first(body_size).subspan(kBlock));
+  Bytes tag = hmac_sha256(mac_key.span(), out.first(body_size));
+  std::copy(tag.begin(), tag.end(), out.subspan(body_size).begin());
+  secure_wipe(tag);  // public once written, but keep the rule uniform
   return envelope;
 }
 

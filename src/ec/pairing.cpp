@@ -19,6 +19,18 @@ using field::Fp;
 
 namespace {
 
+// Pairing evaluations as timed regions: spans in a traced request, and the
+// crypto_*_ms histograms either way.
+const obs::Phase kPairing{"ec.pairing", []() -> obs::Histogram& {
+  return obs::MetricsRegistry::global().histogram(
+      "crypto_pairing_ms", "Full pairing evaluations (Miller loop + final exp)");
+}};
+const obs::Phase kMultiPairing{"ec.multi_pairing", []() -> obs::Histogram& {
+  return obs::MetricsRegistry::global().histogram(
+      "crypto_multi_pairing_ms",
+      "Multi-pairing products (one Miller loop per pair, one shared final exp)");
+}};
+
 // One recorded Miller-loop step for a fixed first argument P. The line
 // through the loop's running point, evaluated at φ(Q) = (−x_q, i·y_q), is
 // always of the form (a·x_q + b) + (c·y_q)·i with (a, b, c) depending only
@@ -298,25 +310,19 @@ bool Pairing::has_precomputed(const Point& p) const {
 Fp2 Pairing::operator()(const Point& p, const Point& q) const {
   const field::FpCtxPtr fp = curve_->fp();
   if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
-  // Hot-path instrumentation: a pairing is ~3 ms at the 512-bit preset, the
-  // span costs two clock reads + three relaxed fetch_adds (and nothing at
-  // all against a disabled registry). Magic-static init is thread-safe.
-  static obs::Histogram& pairing_ms = obs::MetricsRegistry::global().histogram(
-      "crypto_pairing_ms", "Full pairing evaluations (Miller loop + final exp)");
-  obs::TraceSpan span(pairing_ms);
+  // A pairing is ~3 ms at the 512-bit preset; its span costs two clock
+  // reads and three relaxed fetch_adds.
+  const obs::Span span(kPairing);
   return final_exponentiation(miller(p, q));
 }
 
 Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
   const field::FpCtxPtr fp = curve_->fp();
-  static obs::Histogram& multi_ms = obs::MetricsRegistry::global().histogram(
-      "crypto_multi_pairing_ms",
-      "Multi-pairing products (one Miller loop per pair, one shared final exp)");
   static obs::Counter& products = obs::MetricsRegistry::global().counter(
       "crypto_multi_pairing_products_total", "Multi-pairing product evaluations");
   static obs::Counter& pairs = obs::MetricsRegistry::global().counter(
       "crypto_multi_pairing_pairs_total", "Pairs folded into multi-pairing products");
-  obs::TraceSpan span(multi_ms);
+  const obs::Span span(kMultiPairing);
   products.inc();
 
   // Evaluate every term's Miller loop, inline or through the runner. Each

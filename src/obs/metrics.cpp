@@ -174,6 +174,12 @@ std::string hex32(std::uint64_t hi, std::uint64_t lo) {
   return buf;
 }
 
+/// Histogram sums, maxima and exemplars are whole nanoseconds, so a
+/// sub-microsecond observation still adds to its series' sum.
+std::uint64_t to_nanos(double value_ms) {
+  return static_cast<std::uint64_t>(std::llround(value_ms * 1e6));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Histogram
@@ -200,14 +206,14 @@ void Histogram::observe(double value_ms) {
   // the implicit +Inf bucket.
   const std::size_t idx = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value_ms) - bounds_.begin());
-  const auto micros = static_cast<std::uint64_t>(std::llround(value_ms * 1000.0));
+  const std::uint64_t nanos = to_nanos(value_ms);
   Shard& s = shards_[detail::shard_index()];
   s.buckets[idx].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
-  s.sum_micros.fetch_add(micros, std::memory_order_relaxed);
-  std::uint64_t seen = max_micros_.load(std::memory_order_relaxed);
-  while (micros > seen &&
-         !max_micros_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+  s.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
+  std::uint64_t seen = max_nanos_.load(std::memory_order_relaxed);
+  while (nanos > seen &&
+         !max_nanos_.compare_exchange_weak(seen, nanos, std::memory_order_relaxed)) {
   }
 }
 
@@ -216,14 +222,14 @@ void Histogram::observe_exemplar(double value_ms, std::uint64_t trace_hi,
   observe(value_ms);
   if ((trace_hi | trace_lo) == 0) return;
   if (!(value_ms >= 0)) value_ms = 0;
-  const auto micros = static_cast<std::uint64_t>(std::llround(value_ms * 1000.0));
+  const std::uint64_t nanos = to_nanos(value_ms);
   // Keep the largest observation: exemplars exist to explain the outlier a
   // scrape's max/p99 shows, so smaller candidates don't displace it.
-  if (micros < ex_micros_.load(std::memory_order_relaxed)) return;
+  if (nanos < ex_nanos_.load(std::memory_order_relaxed)) return;
   std::uint64_t seq = ex_seq_.load(std::memory_order_relaxed);
   if ((seq & 1) != 0) return;  // concurrent writer owns the slot; drop this candidate
   if (!ex_seq_.compare_exchange_strong(seq, seq + 1, std::memory_order_acquire)) return;
-  ex_micros_.store(micros, std::memory_order_relaxed);
+  ex_nanos_.store(nanos, std::memory_order_relaxed);
   ex_hi_.store(trace_hi, std::memory_order_relaxed);
   ex_lo_.store(trace_lo, std::memory_order_relaxed);
   ex_seq_.store(seq + 2, std::memory_order_release);
@@ -233,13 +239,13 @@ std::optional<Histogram::Exemplar> Histogram::exemplar() const {
   for (int tries = 0; tries < 16; ++tries) {
     const std::uint64_t s1 = ex_seq_.load(std::memory_order_acquire);
     if ((s1 & 1) != 0) continue;
-    const std::uint64_t micros = ex_micros_.load(std::memory_order_relaxed);
+    const std::uint64_t nanos = ex_nanos_.load(std::memory_order_relaxed);
     const std::uint64_t hi = ex_hi_.load(std::memory_order_relaxed);
     const std::uint64_t lo = ex_lo_.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (ex_seq_.load(std::memory_order_relaxed) != s1) continue;
     if ((hi | lo) == 0) return std::nullopt;
-    return Exemplar{static_cast<double>(micros) / 1000.0, hi, lo};
+    return Exemplar{static_cast<double>(nanos) / 1e6, hi, lo};
   }
   return std::nullopt;  // writer storm; a later scrape will win
 }
@@ -253,15 +259,15 @@ std::uint64_t Histogram::count() const {
 }
 
 double Histogram::sum_ms() const {
-  std::uint64_t micros = 0;
+  std::uint64_t nanos = 0;
   for (std::size_t s = 0; s < detail::kShards; ++s) {
-    micros += shards_[s].sum_micros.load(std::memory_order_relaxed);
+    nanos += shards_[s].sum_nanos.load(std::memory_order_relaxed);
   }
-  return static_cast<double>(micros) / 1000.0;
+  return static_cast<double>(nanos) / 1e6;
 }
 
 double Histogram::max_ms() const {
-  return static_cast<double>(max_micros_.load(std::memory_order_relaxed)) / 1000.0;
+  return static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) / 1e6;
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -305,15 +311,15 @@ double Histogram::percentile(double p) const {
 void Histogram::reset() {
   for (std::size_t s = 0; s < detail::kShards; ++s) {
     shards_[s].count.store(0, std::memory_order_relaxed);
-    shards_[s].sum_micros.store(0, std::memory_order_relaxed);
+    shards_[s].sum_nanos.store(0, std::memory_order_relaxed);
     for (std::size_t b = 0; b <= bounds_.size(); ++b) {
       shards_[s].buckets[b].store(0, std::memory_order_relaxed);
     }
   }
-  max_micros_.store(0, std::memory_order_relaxed);
+  max_nanos_.store(0, std::memory_order_relaxed);
   // reset() is documented quiesced-only, so a plain sweep of the exemplar
   // slot (leaving the sequence even) is safe.
-  ex_micros_.store(0, std::memory_order_relaxed);
+  ex_nanos_.store(0, std::memory_order_relaxed);
   ex_hi_.store(0, std::memory_order_relaxed);
   ex_lo_.store(0, std::memory_order_relaxed);
 }

@@ -113,7 +113,7 @@ class Gauge {
 };
 
 /// Fixed-bucket latency histogram (milliseconds). Bucket counts, the total
-/// count and the sum (fixed-point microseconds) are striped per shard;
+/// count and the sum (fixed-point nanoseconds) are striped per shard;
 /// `observe` is three relaxed fetch_adds plus a bounds lookup. Percentiles
 /// are bucket-interpolated estimates — resolution is the bucket width, which
 /// the bound helpers below let callers pick per use.
@@ -139,7 +139,7 @@ class Histogram {
   [[nodiscard]] std::optional<Exemplar> exemplar() const;
 
   [[nodiscard]] std::uint64_t count() const;
-  /// Sum of observed values in ms (microsecond-granular fixed point).
+  /// Sum of observed values in ms (nanosecond-granular fixed point).
   [[nodiscard]] double sum_ms() const;
   [[nodiscard]] double max_ms() const;
   /// Bucket-interpolated percentile estimate, p in (0, 1]. Returns 0 when
@@ -166,16 +166,16 @@ class Histogram {
   struct alignas(detail::kCacheLine) Shard {
     std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;  ///< bounds+1 slots
     std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_micros{0};
+    std::atomic<std::uint64_t> sum_nanos{0};
   };
 
   std::vector<double> bounds_;
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<std::uint64_t> max_micros_{0};
+  std::atomic<std::uint64_t> max_nanos_{0};
   // Exemplar seqlock: writers CAS the sequence even→odd, store, release
   // odd→even+2; readers retry on odd or changed sequences.
   std::atomic<std::uint64_t> ex_seq_{0};
-  std::atomic<std::uint64_t> ex_micros_{0};
+  std::atomic<std::uint64_t> ex_nanos_{0};
   std::atomic<std::uint64_t> ex_hi_{0};
   std::atomic<std::uint64_t> ex_lo_{0};
 };

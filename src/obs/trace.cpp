@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <thread>
@@ -113,10 +114,24 @@ const char* to_string(SpanStatus status) {
   return "unknown";
 }
 
-// ---------------------------------------------------------------- Span
+// ---------------------------------------------------------------- Phase
 
-Span::Span(const TraceContext& parent, std::string_view name)
-    : Span(parent, name, parent.sampled() ? Tracer::now_ns() : 0) {}
+Histogram& Phase::series() const {
+  Histogram* series = series_.load(std::memory_order_acquire);
+  if (series == nullptr) {
+    // Registration is idempotent: threads racing the first end store the
+    // same instrument.
+    series = series_fn_ != nullptr
+                 ? &series_fn_()
+                 : &MetricsRegistry::global().histogram(
+                       "sp_phase_latency_ms", "Per-phase serving latency",
+                       Histogram::default_latency_bounds_ms(), {{"phase", std::string(name_)}});
+    series_.store(series, std::memory_order_release);
+  }
+  return *series;
+}
+
+// ---------------------------------------------------------------- Span
 
 Span::Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns) {
   if (!parent.sampled()) return;
@@ -128,16 +143,23 @@ Span::Span(const TraceContext& parent, std::string_view name, std::uint64_t star
   rec_.thread = this_thread_key();
 }
 
-Span::Span(Span&& other) noexcept : buf_(std::move(other.buf_)), rec_(std::move(other.rec_)) {
-  other.buf_.reset();
+Span::Span(const Phase& phase) : Span(Tracer::current(), phase.name()) {
+  phase_ = &phase;
+  if (!buf_) rec_.start_ns = Tracer::now_ns();
 }
+
+// A moved-from shared_ptr is empty, so a moved-from span is inert.
+Span::Span(Span&& other) noexcept
+    : buf_(std::move(other.buf_)),
+      phase_(std::exchange(other.phase_, nullptr)),
+      rec_(std::move(other.rec_)) {}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     end();
     buf_ = std::move(other.buf_);
+    phase_ = std::exchange(other.phase_, nullptr);
     rec_ = std::move(other.rec_);
-    other.buf_.reset();
   }
   return *this;
 }
@@ -174,17 +196,23 @@ void Span::add_link(TraceId trace, std::uint64_t span) {
   rec_.links.push_back(SpanLink{trace, span});
 }
 
-void Span::end() {
-  if (!buf_) return;
+double Span::end() {
+  if (phase_ == nullptr && !buf_) return 0;
+  const std::uint64_t now = Tracer::now_ns();
+  double ms = 0;
+  if (phase_ != nullptr) {
+    ms = static_cast<double>(now - rec_.start_ns) / 1e6;
+    std::exchange(phase_, nullptr)->series().observe(ms);
+  }
+  if (!buf_) return ms;
   std::shared_ptr<detail::TraceBuffer> buf = std::move(buf_);
-  buf_.reset();
-  rec_.end_ns = Tracer::now_ns();
+  rec_.end_ns = now;
   const bool is_root = rec_.parent_id == 0;
   if (!is_root && buf->finished.load(std::memory_order_acquire)) {
     // The root already sealed this trace (a straggler from a queue that
     // outlived its request) — recording it would race the publish.
     TracerMetrics::get().stray_spans.inc();
-    return;
+    return ms;
   }
   {
     const sp::MutexLock lock(buf->mutex);
@@ -194,6 +222,7 @@ void Span::end() {
     buf->finished.store(true, std::memory_order_release);
     Tracer::global().finish(buf);
   }
+  return ms;
 }
 
 // ---------------------------------------------------------- ContextGuard
@@ -306,16 +335,7 @@ Span Tracer::start_trace(std::string_view name) {
   // decision replays from the id alone.
   if (thr != ~0ull && id.lo >= thr) return {};
   metrics.sampled.inc();
-  auto buf = std::make_shared<detail::TraceBuffer>();
-  buf->id = id;
-  Span root;
-  root.buf_ = buf;
-  root.rec_.span_id = 1;
-  root.rec_.parent_id = 0;
-  root.rec_.name.assign(name);
-  root.rec_.start_ns = now_ns();
-  root.rec_.thread = this_thread_key();
-  return root;
+  return root_span(id, name);
 }
 
 Span Tracer::start_trace_forced(std::string_view name) {
@@ -323,12 +343,14 @@ Span Tracer::start_trace_forced(std::string_view name) {
   TracerMetrics& metrics = TracerMetrics::get();
   metrics.started.inc();
   metrics.sampled.inc();
-  auto buf = std::make_shared<detail::TraceBuffer>();
-  buf->id = TraceId{next_random_u64(), next_random_u64()};
+  return root_span(TraceId{next_random_u64(), next_random_u64()}, name);
+}
+
+Span Tracer::root_span(TraceId id, std::string_view name) {
   Span root;
-  root.buf_ = buf;
+  root.buf_ = std::make_shared<detail::TraceBuffer>();
+  root.buf_->id = id;
   root.rec_.span_id = 1;
-  root.rec_.parent_id = 0;
   root.rec_.name.assign(name);
   root.rec_.start_ns = now_ns();
   root.rec_.thread = this_thread_key();

@@ -1,25 +1,25 @@
-// Request-lifecycle tracing for the serving stack.
+// Request-lifecycle tracing and phase timing for the serving stack.
 //
-// Two layers live here:
-//
-//  * TraceSpan — the PR 4 RAII phase timer feeding a Histogram (and
-//    optionally a request CostLedger). It is the flat, aggregate view.
-//  * The span-tree tracer (PR 9) — 128-bit trace ids, parent/child spans
-//    with attributes/status/links, a request-scoped TraceContext that is
-//    propagated explicitly through Session/ThreadPool/WAL, and a lock-free
-//    per-thread ring collector with head-based sampling plus
-//    tail-based keep rules (errored and slowest-p99 traces survive even
-//    when the recent ring wraps). docs/OBSERVABILITY.md has the span
-//    catalog; DESIGN.md §12 the architecture.
+// `Span` is the one timing primitive. A span of a `Phase` times its scope
+// whether or not the request is sampled, observes the phase's histogram and
+// returns the elapsed ms for the caller's CostLedger; in a sampled request it
+// is also the trace's span of that name. A span of a bare name is
+// trace-only. The trace layer: 128-bit trace ids, parent/child spans with
+// attributes/status/links, a request-scoped TraceContext that children pick
+// up from the calling thread (Tracer::current(), installed by ContextGuard),
+// and a lock-free per-thread ring collector with head-based sampling plus
+// tail-based keep rules (errored and slowest-p99 traces survive even when
+// the recent ring wraps). docs/OBSERVABILITY.md has the span catalog;
+// DESIGN.md §12 the architecture.
 //
 // Cost model, in order of importance:
 //
 //  * Tracing disabled (the default): Tracer::start_trace is one relaxed
 //    load; every Span/TraceContext operation on an unsampled context is a
-//    null-pointer check. No clock reads, no allocation — the untraced
-//    slices perfbench's obs.trace_overhead_pct compares against.
+//    null-pointer check. A named span reads no clock and allocates nothing;
+//    a phase span reads the clock twice and observes its histogram.
 //  * Head-unsampled request (the 99% at 1% sampling): one relaxed load plus
-//    one thread-local PRNG step; everything downstream no-ops as above.
+//    one thread-local PRNG step; everything downstream is as above.
 //  * Sampled request: spans append to a per-request buffer under its own
 //    mutex (uncontended except when pool helpers finish leaf jobs for the
 //    same request); the finished trace is published to a per-thread ring
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -47,44 +46,29 @@
 
 namespace sp::obs {
 
-class TraceSpan {
+/// A timed region, defined once at namespace scope where it is timed: the
+/// name its spans carry and the latency histogram it observes. Constant-
+/// initialized; the histogram is registered on the phase's first end, so
+/// defining a phase adds no series to a scrape.
+class Phase {
  public:
-  /// Histogram-only phase (SP-side or network-side work that the receiver's
-  /// ledger does not account as local time).
-  explicit TraceSpan(Histogram& hist) : hist_(&hist) {}
+  using Series = Histogram& (*)();
 
-  /// Phase that also charges the request's ledger.
-  template <typename Ledger>
-  TraceSpan(Histogram& hist, Ledger& ledger)
-      : hist_(&hist),
-        sink_(&ledger),
-        add_ms_([](void* sink, double ms) { static_cast<Ledger*>(sink)->add_local_measured(ms); }) {}
+  /// A serving phase: observes sp_phase_latency_ms{phase=name}.
+  constexpr explicit Phase(std::string_view name) : name_(name) {}
+  /// A region that observes the histogram `series` returns.
+  constexpr Phase(std::string_view name, Series series) : name_(name), series_fn_(series) {}
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() { stop(); }
-
-  /// Ends the span early (idempotent). Returns the measured wall ms, 0 when
-  /// the span had already stopped.
-  double stop() {
-    if (!active_) return 0;
-    active_ = false;
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start_).count();
-    hist_->observe(ms);
-    if (add_ms_ != nullptr) add_ms_(sink_, ms);
-    return ms;
-  }
+  [[nodiscard]] std::string_view name() const { return name_; }
+  /// The histogram this phase observes, registered on first use.
+  [[nodiscard]] Histogram& series() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  Histogram* hist_;
-  void* sink_ = nullptr;
-  void (*add_ms_)(void*, double) = nullptr;
-  bool active_ = true;
-  Clock::time_point start_ = Clock::now();
+  std::string_view name_;
+  Series series_fn_ = nullptr;
+  mutable std::atomic<Histogram*> series_{nullptr};
 };
 
 // ======================================================================
@@ -192,15 +176,16 @@ class TraceContext {
 };
 
 /// RAII span. Move-only; ends (and records itself) on destruction or
-/// explicit end(). All mutators no-op when the span is not recording.
+/// explicit end(). All trace mutators no-op when the span is not recording.
 class Span {
  public:
   Span() = default;
-  /// Child span under `parent`, started now.
-  Span(const TraceContext& parent, std::string_view name);
-  /// Child span with an explicit start timestamp (queue-wait spans measured
-  /// from enqueue time).
-  Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns);
+  /// Child span under `parent`, started now, or at `start_ns` when given
+  /// (queue-wait spans measured from enqueue time).
+  Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns = 0);
+  /// Times `phase` under the calling thread's current context, sampled or
+  /// not: end() observes the phase's series and returns the elapsed ms.
+  explicit Span(const Phase& phase);
 
   Span(Span&& other) noexcept;
   Span& operator=(Span&& other) noexcept;
@@ -220,16 +205,18 @@ class Span {
   void add_link(TraceId trace, std::uint64_t span);
   void add_link(const SpanLink& link) { add_link(link.trace, link.span); }
 
-  /// Ends the span (idempotent): stamps end_ns and appends the record to
-  /// the trace buffer. Ending a root span finishes the whole trace and
-  /// publishes it to the collector.
-  void end();
+  /// Ends the span (idempotent): a phase span observes its series, a
+  /// recording one appends its record to the trace buffer, and ending a root
+  /// publishes the whole trace. Returns a phase span's elapsed ms on its
+  /// first end, 0 otherwise.
+  double end();
 
  private:
   friend class Tracer;
 
   std::shared_ptr<detail::TraceBuffer> buf_;
-  SpanRecord rec_;
+  const Phase* phase_ = nullptr;  ///< set until a phase span ends
+  SpanRecord rec_;  ///< start_ns is kept for an unsampled phase span too
 };
 
 /// Installs `ctx` as the calling thread's current context for the guard's
@@ -310,6 +297,8 @@ class Tracer {
   struct Ring;
   struct ThreadRings;
 
+  /// The recording root span of a new trace `id`, started now.
+  static Span root_span(TraceId id, std::string_view name);
   /// Called by the root Span's end(): seals the buffer, applies the
   /// tail-based keep rules and publishes to the calling thread's rings.
   void finish(const std::shared_ptr<detail::TraceBuffer>& buf);

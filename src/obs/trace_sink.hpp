@@ -29,7 +29,7 @@ namespace sp::obs {
 /// Timestamps are steady-clock microseconds (self-consistent, not wall).
 [[nodiscard]] std::string to_chrome_json(std::span<const TraceData> traces);
 
-/// Folded-stack lines ("sp.request;sp.attempt;sp.verify 1234\n"), weights =
+/// Folded-stack lines ("sp.request;sp.attempt;sp.access 1234\n"), weights =
 /// aggregated self-time in microseconds. Feed to flamegraph.pl / speedscope.
 [[nodiscard]] std::string to_folded_stacks(std::span<const TraceData> traces);
 

@@ -1,7 +1,7 @@
-// Service provider SP (paper §IV-A): hosts puzzle records and serves the
-// construction-specific DisplayPuzzle/Verify logic (installed by sp::core).
-// It is the semi-honest party of §VI-A, and it keeps only what serving
-// reads: the records. A receiver's response is checked and dropped, so a
+// Service provider SP (paper §IV-A): hosts puzzle records. The
+// construction-specific DisplayPuzzle and Verify are sp::core's, run over a
+// record on the SP's behalf. It is the semi-honest party of §VI-A, and it
+// keeps only what serving reads: the records. A receiver's response is checked and dropped, so a
 // wrong guess leaves no trace at the SP.
 //
 // The SP stores opaque byte records per puzzle id; the *meaning* of a record

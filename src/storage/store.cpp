@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -23,7 +22,6 @@ namespace {
 
 /// Store-level instruments (docs/OBSERVABILITY.md catalog).
 struct StoreMetrics {
-  obs::Histogram& recovery_ms;
   obs::Counter& recovered_records;
   obs::Counter& torn_tails;
   obs::Counter& checkpoints;
@@ -32,8 +30,6 @@ struct StoreMetrics {
   static StoreMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
     static StoreMetrics m{
-        reg.histogram("sp_storage_recovery_ms", "Cold-start recovery replay time",
-                      obs::Histogram::exponential_bounds(1.0, 2.5, 16)),
         reg.counter("sp_storage_recovered_records_total", "Records replayed during recovery"),
         reg.counter("sp_storage_torn_tails_total", "WAL torn tails truncated during recovery"),
         reg.counter("sp_storage_checkpoints_total", "Segment checkpoints completed"),
@@ -42,6 +38,13 @@ struct StoreMetrics {
     return m;
   }
 };
+
+/// One cold-start replay of a store's segment and WALs.
+const obs::Phase kRecover{"storage.recover", []() -> obs::Histogram& {
+  return obs::MetricsRegistry::global().histogram(
+      "sp_storage_recovery_ms", "Cold-start recovery replay time",
+      obs::Histogram::exponential_bounds(1.0, 2.5, 16));
+}};
 
 /// Parses "<prefix><digits><suffix>" into the epoch; nullopt on mismatch.
 std::optional<std::uint64_t> parse_epoch(const std::string& name, std::string_view prefix,
@@ -86,7 +89,7 @@ DurableStore::~DurableStore() = default;
 
 DurableStore::RecoveryStats DurableStore::recover(const Applier& apply) {
   if (writer_) throw std::logic_error("DurableStore::recover: already recovered");
-  const auto t0 = std::chrono::steady_clock::now();
+  obs::Span span(kRecover);
   RecoveryStats stats;
 
   std::vector<std::uint64_t> seg_epochs;
@@ -146,11 +149,8 @@ DurableStore::RecoveryStats DurableStore::recover(const Applier& apply) {
   }
   writer_ = std::make_unique<WalWriter>(wal_path(opts_.dir, newest_epoch), opts_.wal);
 
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  stats.elapsed_ms = std::chrono::duration<double, std::milli>(dt).count();
-  StoreMetrics& m = StoreMetrics::get();
-  m.recovery_ms.observe(stats.elapsed_ms);
-  m.recovered_records.inc(stats.segment_records + stats.wal_records);
+  stats.elapsed_ms = span.end();
+  StoreMetrics::get().recovered_records.inc(stats.segment_records + stats.wal_records);
   return stats;
 }
 

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -24,7 +23,6 @@ struct WalMetrics {
   obs::Counter& appends;
   obs::Counter& batches;
   obs::Counter& wal_bytes;
-  obs::Histogram& fsync_ms;
 
   static WalMetrics& get() {
     auto& reg = obs::MetricsRegistry::global();
@@ -32,11 +30,16 @@ struct WalMetrics {
         reg.counter("sp_storage_wal_appends_total", "Records appended to write-ahead logs"),
         reg.counter("sp_storage_wal_batches_total", "Group-commit batches written"),
         reg.counter("sp_storage_wal_bytes_total", "Bytes appended to write-ahead logs"),
-        reg.histogram("sp_storage_fsync_ms", "fdatasync latency per group-commit batch"),
     };
     return m;
   }
 };
+
+/// One group-commit batch's fdatasync (Fsync::kBatch only).
+const obs::Phase kFsync{"wal.fsync", []() -> obs::Histogram& {
+  return obs::MetricsRegistry::global().histogram("sp_storage_fsync_ms",
+                                                  "fdatasync latency per group-commit batch");
+}};
 
 int open_append(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -186,14 +189,14 @@ void WalWriter::write_batch(std::vector<Pending>& batch) {
       }
     }
   }
-  const obs::TraceContext batch_ctx = batch_span.context();
+  const obs::ContextGuard batch_guard(batch_span.context());
   try {
     Bytes buffer;
     std::uint64_t last_seq = 0;
     std::uint64_t records = 0;
     const auto commit_buffer = [&] {
       if (!buffer.empty()) {
-        obs::Span write_span(batch_ctx, "wal.write");
+        obs::Span write_span(obs::Tracer::current(), "wal.write");
         if (write_span.recording()) {
           write_span.add_attr("bytes", static_cast<std::int64_t>(buffer.size()));
         }
@@ -201,13 +204,10 @@ void WalWriter::write_batch(std::vector<Pending>& batch) {
         metrics.wal_bytes.inc(buffer.size());
       }
       if (opts_.fsync == Fsync::kBatch) {
-        obs::Span fsync_span(batch_ctx, "wal.fsync");
-        const auto t0 = std::chrono::steady_clock::now();
+        const obs::Span fsync(kFsync);
         if (::fdatasync(fd_) != 0) {
           throw std::runtime_error(std::string("fdatasync: ") + std::strerror(errno));
         }
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        metrics.fsync_ms.observe(std::chrono::duration<double, std::milli>(dt).count());
       }
       metrics.batches.inc();
       metrics.appends.inc(records);

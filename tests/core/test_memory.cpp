@@ -14,6 +14,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "core/session.hpp"
 #include "crypto/chacha20.hpp"
@@ -27,6 +28,7 @@ namespace {
 std::atomic<std::int64_t> g_live_bytes{0};
 thread_local bool g_counting = false;
 thread_local std::size_t g_allocations = 0;
+thread_local std::size_t g_allocated_bytes = 0;
 
 // Out of line, so an inlined operator delete never shows the compiler a
 // free() of a pointer that came from operator new (-Wmismatched-new-delete).
@@ -40,7 +42,10 @@ thread_local std::size_t g_allocations = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
-  if (g_counting) ++g_allocations;
+  if (g_counting) {
+    ++g_allocations;
+    g_allocated_bytes += n;
+  }
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
@@ -61,10 +66,18 @@ using crypto::to_bytes;
 template <typename Fn>
 std::size_t count_allocations(Fn&& fn) {
   g_allocations = 0;
+  g_allocated_bytes = 0;
   g_counting = true;
   fn();
   g_counting = false;
   return g_allocations;
+}
+
+/// Bytes requested from operator new on this thread while `fn` runs.
+template <typename Fn>
+std::size_t count_allocated_bytes(Fn&& fn) {
+  (void)count_allocations(std::forward<Fn>(fn));
+  return g_allocated_bytes;
 }
 
 TEST(ServingMemory, WarmRequestsLeaveTheLiveHeapFlat) {
@@ -106,11 +119,9 @@ TEST(ServingMemory, WarmRequestsLeaveTheLiveHeapFlat) {
 }
 
 TEST(ServingMemory, TheDhHoldsEachBlobAtItsSize) {
-  // crypto::seal appends its tag after the ciphertext, so a sealed 64 KiB
-  // photo (65,600 B) arrives in a buffer grown to about twice that. The DH
-  // keeps each blob for the life of its post, so it must not keep the
-  // slack: per blob, the live heap grows by the blob's size plus a small
-  // constant (the map node and the URL).
+  // The DH keeps each blob for the life of its post, so per blob the live
+  // heap grows by the blob's size plus a small constant (the map node and
+  // the URL), never by slack in the buffer the blob arrived in.
   constexpr std::size_t kBlobs = 16;
   constexpr std::int64_t kPerBlobOverhead = 512;
   const Bytes photo(64 * 1024, 0x5a);
@@ -132,6 +143,24 @@ TEST(ServingMemory, TheDhHoldsEachBlobAtItsSize) {
                         (static_cast<std::int64_t>(sealed_size) + kPerBlobOverhead))
       << "the DH's live heap grew by " << growth << " B for " << kBlobs << " blobs of "
       << sealed_size << " B";
+}
+
+TEST(SealAllocations, SealingWritesTheEnvelopeOnce) {
+  // A 64 KiB photo seals to iv(16) + ciphertext(65,552) + tag(32). Key
+  // derivation, the AES key schedule and the HMAC allocate a few hundred
+  // bytes beside it; no copy of the plaintext or the ciphertext may.
+  constexpr std::size_t kSmallConstant = 2048;
+  const Bytes photo(64 * 1024, 0x5a);
+  const Bytes key(32, 0x11);
+  const Bytes iv(16, 0x22);
+  Bytes envelope;
+  const std::size_t bytes =
+      count_allocated_bytes([&] { envelope = crypto::seal(key, iv, photo); });
+  RecordProperty("seal_64k_allocated_bytes", std::to_string(bytes));
+  EXPECT_EQ(envelope.size(), 65600u);
+  EXPECT_EQ(envelope.capacity(), envelope.size());
+  EXPECT_LE(bytes, envelope.size() + kSmallConstant);
+  EXPECT_EQ(crypto::open(key, envelope), photo);
 }
 
 TEST(DenyPathAllocations, DrbgDrawsAllocateNothing) {

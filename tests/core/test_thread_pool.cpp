@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -199,15 +200,52 @@ TEST(ThreadPool, RunAllHelperSpansEndInsideTheCallersTrace) {
   const auto traces = tracer.drain();
   tracer.set_enabled(false);
   ASSERT_EQ(traces.size(), 1u);
-  int helper_tasks = 0;
+  int tasks = 0;
+  int waits = 0;
   for (const obs::SpanRecord& s : traces.front().spans) {
-    if (s.name == "pool.task") {
-      ++helper_tasks;
+    if (s.name == "pool.task") ++tasks;
+    if (s.name == "pool.wait") ++waits;
+    if (s.name == "pool.task" || s.name == "pool.wait") {
       EXPECT_EQ(s.parent_id, root_id);
     }
   }
-  EXPECT_GE(helper_tasks, 1);
+  EXPECT_EQ(tasks, 2);  // one per job, the caller's included
+  EXPECT_GE(waits, 1);  // only a helper that ran waited in the queue
   EXPECT_EQ(dropped.value(), dropped0) << "a helper span ended after its trace sealed";
+}
+
+TEST(ThreadPool, EveryJobRunsUnderAPoolTaskSpan) {
+  auto& tracer = obs::Tracer::global();
+  tracer.configure(obs::TracerConfig{});
+  tracer.set_enabled(true);
+  (void)tracer.drain();
+  std::uint64_t root_id = 0;
+  {
+    ThreadPool pool(0);  // the caller runs every job
+    obs::Span root = tracer.start_trace("test.fork");
+    root_id = root.span_id();
+    const obs::ContextGuard guard(root.context());
+    std::vector<Job> jobs(3, [] {});
+    jobs[1] = [] { obs::Span(obs::Tracer::current(), "test.inside_job").end(); };
+    pool.run_all(jobs);
+  }
+  const auto traces = tracer.drain();
+  tracer.set_enabled(false);
+  ASSERT_EQ(traces.size(), 1u);
+  std::vector<std::uint64_t> task_ids;
+  const obs::SpanRecord* inside = nullptr;
+  for (const obs::SpanRecord& s : traces.front().spans) {
+    if (s.name == "pool.task") {
+      task_ids.push_back(s.span_id);
+      EXPECT_EQ(s.parent_id, root_id);
+    }
+    if (s.name == "test.inside_job") inside = &s;
+    EXPECT_NE(s.name, "pool.wait") << "no helper was queued";
+  }
+  EXPECT_EQ(task_ids.size(), 3u);
+  ASSERT_NE(inside, nullptr);
+  EXPECT_NE(std::find(task_ids.begin(), task_ids.end(), inside->parent_id), task_ids.end())
+      << "a job's own spans nest under its pool.task";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -258,12 +259,21 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
       }
     }
     // The C2 KeyGen jobs and leaf Miller loops fork-join over the session's
-    // pool: a helper that ran is a pool.task under c2.access and ends inside
-    // the request.
+    // pool: every job is a pool.task under its phase, whichever thread ran
+    // it, and ends inside the request.
+    const bool c2 = !spans_named(t, "c2.access").empty();
+    EXPECT_EQ(spans_named(t, "pool.task").empty(), !c2);
+    for (const char* phase : {"c2.keygen", "c2.decrypt"}) {
+      for (const SpanRecord* s : spans_named(t, phase)) {
+        const SpanRecord* parent = span_by_id(t, s->parent_id);
+        ASSERT_NE(parent, nullptr);
+        EXPECT_EQ(parent->name, "c2.access");
+      }
+    }
     for (const SpanRecord* task : spans_named(t, "pool.task")) {
       const SpanRecord* parent = span_by_id(t, task->parent_id);
       ASSERT_NE(parent, nullptr);
-      EXPECT_EQ(parent->name, "c2.access");
+      EXPECT_TRUE(parent->name == "c2.keygen" || parent->name == "c2.decrypt") << parent->name;
       EXPECT_LE(task->end_ns, root.end_ns);
     }
     // Tree integrity: every parent id resolves inside the same trace.
@@ -276,6 +286,62 @@ TEST(TracePropagation, ParallelAccessPropagatesThroughPoolAndVerifyQueue) {
   }
   // No helper span ended after its request sealed.
   EXPECT_EQ(dropped.value(), dropped0);
+}
+
+/// Every sp_phase_latency_ms series and its count, read off a scrape.
+std::map<std::string, std::uint64_t> phase_counts() {
+  std::map<std::string, std::uint64_t> out;
+  const std::string text = sp::obs::MetricsRegistry::global().to_prometheus();
+  const std::string prefix = "sp_phase_latency_ms_count{phase=\"";
+  for (std::size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    const std::size_t name_at = at + prefix.size();
+    const std::size_t quote = text.find('"', name_at);
+    const std::size_t value_at = text.find(' ', quote) + 1;
+    out[text.substr(name_at, quote - name_at)] =
+        std::stoull(text.substr(value_at, text.find('\n', value_at) - value_at));
+  }
+  return out;
+}
+
+TEST(TracePropagation, EveryPhaseSeriesThatMovedHasASpanOfItsName) {
+  sp::core::Session session(toy_config("trace-phases"));
+  const auto sharer = session.register_user("sharer");
+  const auto receiver = session.register_user("receiver");
+  session.befriend(sharer, receiver);
+  const sp::core::Context ctx = sp::testsupport::party_context();
+  const TracerOn tracer_on;
+  const auto before = phase_counts();
+  std::string c1_post;
+  std::string c2_post;
+  {
+    // Shares root no trace of their own; this one carries their phases.
+    const sp::obs::Span root = Tracer::global().start_trace("test.shares");
+    const sp::obs::ContextGuard guard(root.context());
+    c1_post = session.share_c1(sharer, sp::crypto::to_bytes("c1"), ctx, 2, 4,
+                               sp::net::pc_profile())
+                  .post_id;
+    c2_post = session.share_c2(sharer, sp::crypto::to_bytes("c2"), ctx, 2, sp::net::pc_profile())
+                  .post_id;
+  }
+  for (const std::string& post : {c1_post, c2_post}) {
+    EXPECT_TRUE(session
+                    .access_with_retries(receiver, post, Knowledge::full(ctx),
+                                         sp::net::pc_profile())
+                    .success());
+  }
+  std::set<std::string> span_names;
+  for (const TraceData& t : Tracer::global().drain()) {
+    for (const auto& s : t.spans) span_names.insert(s.name);
+  }
+  std::size_t moved = 0;
+  for (const auto& [phase, count] : phase_counts()) {
+    const auto it = before.find(phase);
+    if (count == (it == before.end() ? 0 : it->second)) continue;
+    ++moved;
+    EXPECT_TRUE(span_names.count(phase) != 0) << "phase " << phase << " has no span";
+  }
+  EXPECT_EQ(moved, 15u) << "two shares and two grants run every serving phase";
 }
 
 TEST(TracePropagation, WalGroupCommitLinksBackToTheOriginRequest) {

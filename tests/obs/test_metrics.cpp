@@ -1,6 +1,6 @@
 // Unit tests for the observability instruments: counters, gauges, histogram
 // bucket/percentile math, registration rules (the secret-hygiene charset),
-// the no-op mode, TraceSpan, and both exposition formats.
+// the no-op mode, phase spans, and both exposition formats.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/build_info.hpp"
@@ -18,7 +19,8 @@ namespace {
 
 using sp::obs::Histogram;
 using sp::obs::MetricsRegistry;
-using sp::obs::TraceSpan;
+using sp::obs::Phase;
+using sp::obs::Span;
 
 TEST(MetricsTest, CounterIncrementsAndMerges) {
   MetricsRegistry reg;
@@ -110,6 +112,18 @@ TEST(MetricsTest, HistogramSumMaxAndEmptyPercentile) {
   h.observe(7.25);
   EXPECT_DOUBLE_EQ(h.sum_ms(), 7.75);
   EXPECT_DOUBLE_EQ(h.max_ms(), 7.25);
+}
+
+TEST(MetricsTest, HistogramSumsSubMicrosecondObservations) {
+  MetricsRegistry reg;
+  auto& h = reg.histogram("latency_ms", "", {1});
+  // 0.4 us each: a sum kept in whole microseconds would round every one away.
+  for (int i = 0; i < 1000; ++i) h.observe(0.0004);
+  EXPECT_NEAR(h.sum_ms(), 0.4, 1e-9);
+  EXPECT_NEAR(h.max_ms(), 0.0004, 1e-12);
+  h.observe_exemplar(0.0007, 1, 2);
+  ASSERT_TRUE(h.exemplar().has_value());
+  EXPECT_NEAR(h.exemplar()->value_ms, 0.0007, 1e-12);
 }
 
 TEST(MetricsTest, HistogramPercentileInterpolates) {
@@ -303,34 +317,62 @@ TEST(MetricsTest, JsonSnapshotIsWellFormedAndComplete) {
   EXPECT_NE(json.find("Requests \\\"served\\\""), std::string::npos);
 }
 
-/// Ledger stand-in: TraceSpan's template constructor only needs
-/// add_local_measured(double).
-struct FakeLedger {
-  double total_ms = 0;
-  void add_local_measured(double ms) { total_ms += ms; }
-};
+// A phase span observes the process-wide registry, so these tests time
+// phases whose series nothing else in the binary touches.
+const Phase kTestPhase{"test.phase", []() -> Histogram& {
+  return MetricsRegistry::global().histogram("test_phase_span_ms", "", {1000});
+}};
 
-TEST(TraceSpanTest, FeedsHistogramAndLedger) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram("phase_ms", "", {1000});
-  FakeLedger ledger;
+TEST(PhaseSpanTest, UnsampledPhaseFeedsItsSeriesAndReturnsElapsed) {
+  Histogram& h = kTestPhase.series();
+  const auto count0 = h.count();
+  const double sum0 = h.sum_ms();
+  double ms = 0;
   {
-    TraceSpan span(h, ledger);
-    (void)span;
+    Span span(kTestPhase);
+    EXPECT_FALSE(span.recording());  // the tracer is off: timed, not traced
+    volatile double sink = 0;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
+    ms = span.end();
   }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GT(ledger.total_ms, 0.0);
+  EXPECT_EQ(h.count(), count0 + 1);
+  EXPECT_GT(ms, 0.0);
+  EXPECT_NEAR(h.sum_ms() - sum0, ms, 1e-6);
 }
 
-TEST(TraceSpanTest, StopIsIdempotentAndReturnsElapsed) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram("phase_ms", "", {1000});
-  TraceSpan span(h);
-  const double first = span.stop();
-  const double second = span.stop();
-  EXPECT_GE(first, 0.0);
-  EXPECT_EQ(second, 0.0);
-  EXPECT_EQ(h.count(), 1u);
+TEST(PhaseSpanTest, EndIsIdempotentAndReturnsElapsedOnce) {
+  Histogram& h = kTestPhase.series();
+  const auto count0 = h.count();
+  {
+    Span span(kTestPhase);
+    const double first = span.end();
+    const double second = span.end();
+    EXPECT_GE(first, 0.0);
+    EXPECT_EQ(second, 0.0);
+  }  // the destructor's end() observes nothing more
+  EXPECT_EQ(h.count(), count0 + 1);
+}
+
+TEST(PhaseSpanTest, AServingPhaseObservesItsPhaseSeries) {
+  static const Phase serving{"test.serving_phase"};
+  const Histogram& h = MetricsRegistry::global().histogram(
+      "sp_phase_latency_ms", "", Histogram::default_latency_bounds_ms(),
+      {{"phase", "test.serving_phase"}});
+  const auto count0 = h.count();
+  { const Span span(serving); }
+  EXPECT_EQ(&h, &serving.series());
+  EXPECT_EQ(h.count(), count0 + 1);
+}
+
+TEST(PhaseSpanTest, AMovedPhaseSpanObservesOnce) {
+  Histogram& h = kTestPhase.series();
+  const auto count0 = h.count();
+  {
+    Span first(kTestPhase);
+    Span second(std::move(first));
+    EXPECT_EQ(first.end(), 0.0);  // NOLINT(bugprone-use-after-move): moved-from is inert
+  }
+  EXPECT_EQ(h.count(), count0 + 1);
 }
 
 TEST(MetricsTest, GlobalRegistryIsASingleton) {

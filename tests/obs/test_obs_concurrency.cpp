@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,28 +104,28 @@ TEST(ObsConcurrencyHammer, ScrapesRaceWritersAndRegistrations) {
   EXPECT_GE(reg.series_count(), 2u);
 }
 
-TEST(ObsConcurrencyHammer, TraceSpansFromManyThreads) {
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("hammer_span_ms", "", {1000});
-  struct LocalLedger {
-    double total_ms = 0;
-    void add_local_measured(double ms) { total_ms += ms; }
-  };
+TEST(ObsConcurrencyHammer, PhaseSpansFromManyThreads) {
+  // Every thread's first span races the phase's first registration.
+  static const sp::obs::Phase phase{"hammer.phase", []() -> sp::obs::Histogram& {
+    return MetricsRegistry::global().histogram("hammer_phase_span_ms", "", {1000});
+  }};
+  const std::uint64_t count0 =
+      MetricsRegistry::global().histogram("hammer_phase_span_ms", "", {1000}).count();
   std::vector<std::thread> workers;
-  std::atomic<std::uint64_t> ledger_nonzero{0};
+  std::atomic<std::uint64_t> timed_threads{0};
   for (std::size_t t = 0; t < kWriters; ++t) {
     workers.emplace_back([&] {
-      LocalLedger ledger;  // per-request (per-iteration owner = this thread)
+      double total_ms = 0;  // what this thread's ledger would be charged
       for (std::size_t i = 0; i < 500; ++i) {
-        sp::obs::TraceSpan span(hist, ledger);
-        span.stop();
+        sp::obs::Span span(phase);
+        total_ms += span.end();
       }
-      if (ledger.total_ms >= 0) ledger_nonzero.fetch_add(1, std::memory_order_relaxed);
+      if (total_ms >= 0) timed_threads.fetch_add(1, std::memory_order_relaxed);
     });
   }
   for (std::thread& w : workers) w.join();
-  EXPECT_EQ(hist.count(), kWriters * 500);
-  EXPECT_EQ(ledger_nonzero.load(), kWriters);
+  EXPECT_EQ(phase.series().count() - count0, kWriters * 500);
+  EXPECT_EQ(timed_threads.load(), kWriters);
 }
 
 }  // namespace
